@@ -1,49 +1,19 @@
-"""Command-line entry point: config parsing, experiment dispatch, CSV/JSON emission."""
+"""Command-line entry point: config parsing, experiment dispatch, CSV/JSON emission.
+
+Every experiment, its keys, flags, expectation and runner come from the
+table ``verify.EXPERIMENTS``; this module only reads it.
+"""
 
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError, QuadratureError, ResourceError
-from .weights import parse_weight_spec
-from . import cesaro, norms, series, verify
-
-EXPERIMENTS = {
-    "classify": "sample doubling-ratio curves of one weight and render class verdicts",
-    "lp-sweep": "derivative-norm / plain-norm ratio across a function family",
-    "monomial-curve": "reverse-inequality diagnostic on monomials, from moments",
-    "means-check": "integral-means bound quotient over radius pairs",
-    "suma-check": "lacunary sum vs tail power on a dyadic radius grid",
-    "norm-equiv": "Bergman vs block norm bracket across a family",
-    "norm": "one norm of one series (bergman | hardy | block)",
-    "cesaro-dump": "dump the block-basis coefficients for one k and N",
-}
-
-_WEIGHT_KEYS = ("weight", "omega", "mu", "eta")
-_INT_KEYS = {"k": 2, "n_max": 1, "depth": 1, "degree": 1, "seed": None, "i_max": 0, "N": 1}
-_FLOAT_KEYS = {"p": "p > 0", "gamma": "gamma > 0"}
-_ENUM_KEYS = {
-    "format": ("csv", "json"),
-    "kind": ("bergman", "hardy", "block"),
-    "family": ("default", "monomials"),
-}
-_FREE_KEYS = ("out", "expect", "f")
-_BOOL_KEYS = ("force",)
-
-_KNOWN_KEYS = (
-    {"experiment"}
-    | set(_WEIGHT_KEYS)
-    | set(_INT_KEYS)
-    | set(_FLOAT_KEYS)
-    | set(_ENUM_KEYS)
-    | set(_FREE_KEYS)
-    | set(_BOOL_KEYS)
-)
+from . import verify
 
 
 @dataclass
@@ -52,14 +22,14 @@ class RunConfig:
 
     experiment: str
     raw: str
-    weights: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     seed: int = verify.DEFAULT_SEED
 
     def __getattr__(self, name):
-        values = object.__getattribute__(self, "values")
-        if name in _KNOWN_KEYS:
-            return values.get(name)
+        # the keys the experiment reads are attributes, None when unset
+        experiment = object.__getattribute__(self, "experiment")
+        if name in verify.EXPERIMENTS[experiment].keys:
+            return object.__getattribute__(self, "values").get(name)
         raise AttributeError(name)
 
     def require(self, key):
@@ -68,15 +38,7 @@ class RunConfig:
             raise ConfigError(f"experiment {self.experiment!r} needs {key}", key=key)
         return val
 
-    def require_weight(self, key):
-        w = self.weights.get(key)
-        if w is None:
-            raise ConfigError(f"experiment {self.experiment!r} needs a {key} weight", key=key)
-        return w
-
-    @property
-    def force(self):
-        return bool(self.values.get("force", False))
+    require_weight = require
 
     @property
     def config_hash(self):
@@ -84,7 +46,12 @@ class RunConfig:
 
 
 def parse_config(text):
-    """Parse ``key = value`` lines (with # comments) into a RunConfig."""
+    """Parse ``key = value`` lines (with # comments) into a RunConfig.
+
+    Only the keys the experiment reads are accepted, each converted and
+    checked as its table entry declares, ``expect`` against the
+    experiment's grammar.  Required keys are checked when the run starts.
+    """
     assignments = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -95,8 +62,6 @@ def parse_config(text):
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", line=line_no, key=key)
         if key in assignments:
             raise ConfigError(f"duplicate key {key!r}", line=line_no, key=key)
         if not value:
@@ -106,64 +71,31 @@ def parse_config(text):
     if "experiment" not in assignments:
         raise ConfigError("config must set experiment = <name>", key="experiment")
     experiment, exp_line = assignments.pop("experiment")
-    if experiment not in EXPERIMENTS:
+    spec = verify.EXPERIMENTS.get(experiment)
+    if spec is None:
         raise ConfigError(
             f"unknown experiment {experiment!r} (see --list-experiments)",
             line=exp_line, key="experiment",
         )
 
-    weights = {}
     values = {}
     for key, (value, line_no) in assignments.items():
-        if key in _WEIGHT_KEYS:
-            try:
-                weights[key] = parse_weight_spec(value)
-            except DomainError as exc:
-                raise ConfigError(str(exc), line=line_no, key=key) from None
-            values[key] = value
-        elif key in _FLOAT_KEYS:
-            try:
-                num = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}",
-                                  line=line_no, key=key) from None
-            if not num > 0:
-                raise ConfigError(f"constraint violated: {_FLOAT_KEYS[key]} (got {num})",
-                                  line=line_no, key=key)
-            values[key] = num
-        elif key in _INT_KEYS:
-            try:
-                num = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}",
-                                  line=line_no, key=key) from None
-            floor = _INT_KEYS[key]
-            if floor is not None and num < floor:
-                raise ConfigError(f"{key} must be >= {floor}, got {num}",
-                                  line=line_no, key=key)
-            values[key] = num
-        elif key in _ENUM_KEYS:
-            if value not in _ENUM_KEYS[key]:
-                raise ConfigError(
-                    f"{key} must be one of {_ENUM_KEYS[key]}, got {value!r}",
-                    line=line_no, key=key,
-                )
-            values[key] = value
-        elif key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"{key} must be true/false, got {value!r}",
-                                  line=line_no, key=key)
-            values[key] = value.lower() in ("true", "1")
-        else:
-            values[key] = value
+        if key not in spec.keys:
+            raise ConfigError(f"experiment {experiment!r} does not read key {key!r}",
+                              line=line_no, key=key)
+        try:
+            values[key] = spec.keys[key].convert(value)
+            if key == "expect":
+                spec.expect(value)
+        except ValueError as exc:  # includes DomainError from weight specs
+            raise ConfigError(str(exc), line=line_no, key=key) from None
 
     normalized = "\n".join(
         [f"experiment = {experiment}"]
         + [f"{k} = {v[0]}" for k, v in sorted(assignments.items())]
     )
     seed = values.get("seed", verify.DEFAULT_SEED)
-    return RunConfig(experiment=experiment, raw=normalized, weights=weights,
-                     values=values, seed=seed)
+    return RunConfig(experiment=experiment, raw=normalized, values=values, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -209,92 +141,28 @@ def _emit_from_config(report, cfg, out_override=None, fmt_override=None):
 
 
 # ---------------------------------------------------------------------------
-# expectations
-
-
-def _apply_expectation(report, cfg):
-    expect = cfg.values.get("expect")
-    if not expect:
-        return None
-    if cfg.experiment == "classify":
-        wanted = {}
-        for clause in expect.split(","):
-            key, _, val = clause.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in ("dhat", "dcheck", "m", "d") or val not in ("in", "out", "inconclusive"):
-                raise ConfigError(f"bad classify expectation {clause!r}", key="expect")
-            wanted[key] = val
-        ok = all(report.verdicts.get(k) == v for k, v in wanted.items())
-        return ok
-    if expect not in ("bounded", "growing"):
-        raise ConfigError("expect must be 'bounded' or 'growing'", key="expect")
-    if cfg.experiment == "lp-sweep":
-        return report.params["upper_verdict"] == expect
-    if cfg.experiment == "monomial-curve":
-        return report.params["bounded_verdict"] == expect
-    if cfg.experiment == "suma-check":
-        return (expect == "bounded") == ("bounded" in report.verdict)
-    raise ConfigError(f"experiment {cfg.experiment!r} takes no expectation", key="expect")
-
-
-# ---------------------------------------------------------------------------
-# special commands (not routed through verify.run_experiment)
-
-
-def _run_norm(cfg):
-    spec = cfg.require("f")
-    if os.path.exists(spec):
-        f = series.read_series_csv(spec)
-    else:
-        f = series.parse_series_spec(spec)
-    kind = cfg.values.get("kind", "bergman")
-    p = cfg.require("p")
-    if kind == "hardy":
-        value = norms.hardy_norm(f, p)
-    elif kind == "bergman":
-        value = norms.bergman_norm(f, cfg.require_weight("weight"), p)
-    else:
-        k = int(cfg.values.get("k", 2))
-        value = norms.block_norm(f, cfg.require_weight("weight"), k, p,
-                                 check=not cfg.force)
-    print(f"norm: kind={kind} p={p} value={value!r}")
-    return 0
-
-
-def _run_cesaro_dump(cfg, out_override=None, fmt_override=None):
-    basis = cesaro.build_basis(int(cfg.require("k")), int(cfg.require("N")))
-    print(basis.verdict_line)
-    _emit_from_config(basis, cfg, out_override, fmt_override)
-    return 0
+# running
 
 
 def run_config(cfg, out_override=None, fmt_override=None):
     """Run one config; returns the process exit code."""
-    if cfg.experiment == "norm":
-        return _run_norm(cfg)
-    if cfg.experiment == "cesaro-dump":
-        return _run_cesaro_dump(cfg, out_override, fmt_override)
+    spec = verify.EXPERIMENTS[cfg.experiment]
+    if (out_override or fmt_override) and "out" not in spec.keys:
+        raise ConfigError(f"experiment {cfg.experiment!r} writes no report", key="out")
     report = verify.run_experiment(cfg)
     print(report.verdict_line)
-    ok = _apply_expectation(report, cfg)
-    if ok is not None:
+    expect = cfg.values.get("expect")
+    ok = None
+    if expect:
+        ok = spec.expect(expect)(report)
         report.passed = ok
-        print(f"expectation {cfg.values['expect']!r}: {'pass' if ok else 'FAIL'}")
+        print(f"expectation {expect!r}: {'pass' if ok else 'FAIL'}")
     _emit_from_config(report, cfg, out_override, fmt_override)
     return 0 if ok in (None, True) else 1
 
 
 # ---------------------------------------------------------------------------
 # argparse wiring
-
-
-def _add_common(sub):
-    sub.add_argument("--out", help="write the report to this path")
-    sub.add_argument("--format", choices=("csv", "json"), help="report format")
-    sub.add_argument("--expect", help="expected qualitative verdict")
-    sub.add_argument("--seed", type=int, help="seed for the random polynomials")
-    sub.add_argument("--force", action="store_true",
-                     help="skip weight-class preconditions")
 
 
 def _build_parser():
@@ -314,74 +182,31 @@ def _build_parser():
     run.add_argument("--out")
     run.add_argument("--format", choices=("csv", "json"))
 
-    cls = sub.add_parser("classify", help=EXPERIMENTS["classify"])
-    cls.add_argument("--weight", required=True)
-    _add_common(cls)
-
-    lp = sub.add_parser("lp-sweep", help=EXPERIMENTS["lp-sweep"])
-    lp.add_argument("--omega", required=True)
-    lp.add_argument("--mu", required=True)
-    lp.add_argument("--p", required=True)
-    lp.add_argument("--family", choices=("default", "monomials"))
-    lp.add_argument("--n-max", dest="n_max")
-    lp.add_argument("--degree")
-    _add_common(lp)
-
-    mono = sub.add_parser("monomial-curve", help=EXPERIMENTS["monomial-curve"])
-    mono.add_argument("--omega", required=True)
-    mono.add_argument("--mu", required=True)
-    mono.add_argument("--p", required=True)
-    mono.add_argument("--n-max", dest="n_max")
-    _add_common(mono)
-
-    means = sub.add_parser("means-check", help=EXPERIMENTS["means-check"])
-    means.add_argument("--mu", required=True)
-    means.add_argument("--p", required=True)
-    means.add_argument("--family", choices=("default", "monomials"))
-    means.add_argument("--n-max", dest="n_max")
-    means.add_argument("--degree")
-    means.add_argument("--depth")
-    _add_common(means)
-
-    suma = sub.add_parser("suma-check", help=EXPERIMENTS["suma-check"])
-    suma.add_argument("--mu", required=True)
-    suma.add_argument("--gamma", required=True)
-    suma.add_argument("--k", required=True)
-    suma.add_argument("--depth")
-    _add_common(suma)
-
-    ne = sub.add_parser("norm-equiv", help=EXPERIMENTS["norm-equiv"])
-    ne.add_argument("--eta", required=True)
-    ne.add_argument("--k", required=True)
-    ne.add_argument("--p", required=True)
-    ne.add_argument("--family", choices=("default", "monomials"))
-    ne.add_argument("--n-max", dest="n_max")
-    ne.add_argument("--degree")
-    _add_common(ne)
-
-    nrm = sub.add_parser("norm", help=EXPERIMENTS["norm"])
-    nrm.add_argument("--f", required=True, help="series file or series spec")
-    nrm.add_argument("--weight")
-    nrm.add_argument("--p", required=True)
-    nrm.add_argument("--kind", choices=("bergman", "hardy", "block"), default="bergman")
-    nrm.add_argument("--k")
-    nrm.add_argument("--force", action="store_true")
-
-    ces = sub.add_parser("cesaro", help="block-basis utilities")
-    ces_sub = ces.add_subparsers(dest="cesaro_command")
-    dump = ces_sub.add_parser("dump", help=EXPERIMENTS["cesaro-dump"])
-    dump.add_argument("--k", required=True)
-    dump.add_argument("--N", required=True)
-    dump.add_argument("--out")
-    dump.add_argument("--format", choices=("csv", "json"))
-
+    groups = {}  # first word of a two-word command -> its subparsers
+    for spec in verify.EXPERIMENTS.values():
+        *group, leaf = spec.command.split()
+        parent = sub
+        if group:
+            if group[0] not in groups:
+                groups[group[0]] = sub.add_parser(group[0], help=spec.blurb).add_subparsers(
+                    dest="subcommand", required=True)
+            parent = groups[group[0]]
+        cmd = parent.add_parser(leaf, help=spec.blurb)
+        cmd.set_defaults(experiment=spec.name)
+        for key in spec.keys.values():
+            flag = "--" + key.name.replace("_", "-")
+            if key.kind == "bool":
+                cmd.add_argument(flag, dest=key.name, action="store_true", help=key.help)
+            else:
+                cmd.add_argument(flag, dest=key.name, type=key.flag_type, help=key.help,
+                                 required=key.required, choices=key.choices or None)
     return parser
 
 
-def _config_text_from_args(experiment, args, keys):
-    lines = [f"experiment = {experiment}"]
-    for key in keys:
-        value = getattr(args, key, None)
+def _config_text_from_args(spec, args):
+    lines = [f"experiment = {spec.name}"]
+    for key in spec.keys:
+        value = getattr(args, key)
         if value is None or value is False:
             continue
         if value is True:
@@ -390,27 +215,13 @@ def _config_text_from_args(experiment, args, keys):
     return "\n".join(lines)
 
 
-_COMMAND_KEYS = {
-    "classify": ("weight", "out", "format", "expect", "force"),
-    "lp-sweep": ("omega", "mu", "p", "family", "n_max", "degree",
-                 "out", "format", "expect", "seed", "force"),
-    "monomial-curve": ("omega", "mu", "p", "n_max", "out", "format", "expect", "seed", "force"),
-    "means-check": ("mu", "p", "family", "n_max", "degree", "depth",
-                    "out", "format", "expect", "seed", "force"),
-    "suma-check": ("mu", "gamma", "k", "depth", "out", "format", "expect", "seed", "force"),
-    "norm-equiv": ("eta", "k", "p", "family", "n_max", "degree",
-                   "out", "format", "expect", "seed", "force"),
-    "norm": ("f", "weight", "p", "kind", "k", "force"),
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list_experiments:
-        for name, blurb in EXPERIMENTS.items():
-            print(f"{name:16s} {blurb}")
+        for name, spec in verify.EXPERIMENTS.items():
+            print(f"{name:16s} {spec.blurb}")
         return 0
     if args.command is None:
         parser.print_help()
@@ -421,17 +232,8 @@ def main(argv=None):
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
             return run_config(cfg, out_override=args.out, fmt_override=args.format)
-        if args.command == "cesaro":
-            if args.cesaro_command != "dump":
-                parser.error("usage: bergweight cesaro dump --k K --N N")
-            text = _config_text_from_args(
-                "cesaro-dump", args, ("k", "N", "out", "format")
-            )
-            return run_config(parse_config(text))
-        experiment = args.command
-        text = _config_text_from_args(experiment, args, _COMMAND_KEYS[experiment])
-        cfg = parse_config(text)
-        return run_config(cfg)
+        spec = verify.EXPERIMENTS[args.experiment]
+        return run_config(parse_config(_config_text_from_args(spec, args)))
     except (ConfigError, DomainError, ResourceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

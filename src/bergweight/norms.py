@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import TaylorSeries, circle_power_means, hadamard
+from .series import circle_power_means
 from .weights import dcheck_margin
 from . import cesaro
 

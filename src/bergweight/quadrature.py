@@ -125,6 +125,3 @@ class RadialRule:
 
     def integrate(self, g_nodes, g_one=0.0):
         return float(np.dot(self.weights, g_nodes)) + self.boundary_mass * g_one
-
-    def scaled(self, factor):
-        return RadialRule(self.nodes, self.weights * factor, self.boundary_mass * factor)

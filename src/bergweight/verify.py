@@ -10,14 +10,17 @@ likewise qualitative.  No constants are estimated rigorously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .norms import DEFAULT_SETTINGS, bergman_norm, block_norm, hardy_norm, integral_mean
-from .series import TaylorSeries, frac_deriv_mu, geometric_series, lacunary_series
-from .weights import classify, scaled_weight
+from .cesaro import build_basis
+from .series import (TaylorSeries, frac_deriv_mu, geometric_series, lacunary_series,
+                     parse_series_spec, read_series_csv)
+from .weights import classify, parse_weight_spec, scaled_weight
 
 DEFAULT_SEED = 20250401
 BOUNDED_GROWTH_FACTOR = 1.05
@@ -100,6 +103,15 @@ def stability_verdict(values, window=10, factor=BOUNDED_GROWTH_FACTOR):
 # test families
 
 
+def monomial_family(n_max):
+    family = [("monomial:0", TaylorSeries.monomial(0))]
+    n = 1
+    while n <= n_max:
+        family.append((f"monomial:{n}", TaylorSeries.monomial(n)))
+        n *= 2
+    return family
+
+
 def default_family(
     n_max=2048,
     geometric_degree=1024,
@@ -109,11 +121,7 @@ def default_family(
 ):
     """The standard suite: dyadic monomials, truncated geometric kernels,
     a lacunary series, and seeded random-coefficient polynomials."""
-    family = [("monomial:0", TaylorSeries.monomial(0))]
-    n = 1
-    while n <= n_max:
-        family.append((f"monomial:{n}", TaylorSeries.monomial(n)))
-        n *= 2
+    family = monomial_family(n_max)
     for lam in (0.5, 0.9, 0.99):
         for s in (1, 2):
             family.append((f"geometric:{lam},{s}", geometric_series(lam, s, geometric_degree)))
@@ -122,15 +130,6 @@ def default_family(
     for i in range(n_random):
         coeffs = rng.standard_normal(random_degree + 1) + 1j * rng.standard_normal(random_degree + 1)
         family.append((f"random:{i}", TaylorSeries(coeffs)))
-    return family
-
-
-def monomial_family(n_max):
-    family = [("monomial:0", TaylorSeries.monomial(0))]
-    n = 1
-    while n <= n_max:
-        family.append((f"monomial:{n}", TaylorSeries.monomial(n)))
-        n *= 2
     return family
 
 
@@ -359,73 +358,233 @@ def norm_equivalence_check(family, eta, k, p, settings=DEFAULT_SETTINGS, check=T
 
 
 # ---------------------------------------------------------------------------
-# config-driven dispatch
+# the experiment table: every experiment's inputs, expectation and runner
 
 
-def _family_from_config(cfg, settings):
-    kind = cfg.family or "default"
-    if kind == "default":
-        return default_family(n_max=cfg.n_max or 2048,
-                              geometric_degree=cfg.degree or 1024,
-                              random_degree=cfg.degree or 512,
-                              seed=cfg.seed)
-    if kind == "monomials":
+@dataclass(frozen=True)
+class Key:
+    """One config key (and CLI flag) an experiment reads."""
+
+    name: str
+    kind: str = "text"      # text | weight | int | positive | choice | bool
+    floor: int | None = None
+    choices: tuple = ()
+    required: bool = False
+    help: str | None = None
+    flag_type: type = str   # how argparse reads the flag before it becomes config text
+
+    def convert(self, text):
+        """The typed value of ``text``; raises ValueError naming the violation."""
+        name = self.name
+        if self.kind == "weight":
+            return parse_weight_spec(text)
+        if self.kind == "positive":
+            try:
+                num = float(text)
+            except ValueError:
+                raise ValueError(f"{name} must be a number, got {text!r}") from None
+            if not num > 0:
+                raise ValueError(f"constraint violated: {name} > 0 (got {num})")
+            return num
+        if self.kind == "int":
+            try:
+                num = int(text)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {text!r}") from None
+            if self.floor is not None and num < self.floor:
+                raise ValueError(f"{name} must be >= {self.floor}, got {num}")
+            return num
+        if self.kind == "choice":
+            if text not in self.choices:
+                raise ValueError(f"{name} must be one of {self.choices}, got {text!r}")
+            return text
+        if self.kind == "bool":
+            if text.lower() not in ("true", "false", "0", "1"):
+                raise ValueError(f"{name} must be true/false, got {text!r}")
+            return text.lower() in ("true", "1")
+        return text
+
+
+@dataclass
+class Experiment:
+    """One table entry: name, blurb, the keys read, expectation grammar, runner.
+
+    ``keys`` is given as a tuple of Key and kept as a dict by name.
+    ``run(cfg, settings)`` returns a report with a ``verdict_line``.
+    ``expect``, when set, maps the text of an ``expect`` key to a predicate
+    on that report and raises ValueError for text outside its grammar; the
+    ``expect`` key is read exactly when it is set.  ``command`` is the CLI
+    spelling, one or two words.
+    """
+
+    name: str
+    blurb: str
+    run: object
+    keys: tuple
+    expect: object = None
+    command: str | None = None
+
+    def __post_init__(self):
+        if self.expect:
+            self.keys += (Key("expect", help="expected qualitative verdict"),)
+        self.keys = {key.name: key for key in self.keys}
+        self.command = self.command or self.name
+
+
+def _required(key):
+    return replace(key, required=True)
+
+
+_P = Key("p", "positive", required=True)
+_K = Key("k", "int", floor=2)
+_DEPTH = Key("depth", "int", floor=1)
+_N_MAX = Key("n_max", "int", floor=1)
+_FORCE = Key("force", "bool", help="skip weight-class preconditions")
+# --seed has always been read as an int, which normalizes its config text
+_SEED = Key("seed", "int", floor=0, help="seed for the random polynomials", flag_type=int)
+_REPORT = (Key("out", help="write the report to this path"),
+           Key("format", "choice", choices=("csv", "json"), help="report format"))
+_FAMILY = (Key("family", "choice", choices=("default", "monomials")), _N_MAX,
+           Key("degree", "int", floor=1), _SEED)
+
+
+def _weight(name, required=True):
+    return Key(name, "weight", required=required)
+
+
+def _family_from_config(cfg):
+    if cfg.family == "monomials":
         return monomial_family(cfg.n_max or 2048)
-    raise ConfigError(f"unknown family {kind!r}", key="family")
+    return default_family(n_max=cfg.n_max or 2048,
+                          geometric_degree=cfg.degree or 1024,
+                          random_degree=cfg.degree or 512,
+                          seed=cfg.seed)
+
+
+def _class_expectation(text):
+    wanted = {}
+    for clause in text.split(","):
+        key, _, val = clause.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in ("dhat", "dcheck", "m", "d") or val not in ("in", "out", "inconclusive"):
+            raise ValueError(f"bad classify expectation {clause!r}")
+        wanted[key] = val
+    return lambda report: all(report.verdicts.get(k) == v for k, v in wanted.items())
+
+
+def _boundedness_expectation(verdict_of):
+    """'bounded' or 'growing', compared with ``verdict_of(report)``."""
+    def expectation(text):
+        if text not in ("bounded", "growing"):
+            raise ValueError("expect must be 'bounded' or 'growing'")
+        return lambda report: verdict_of(report) == text
+    return expectation
+
+
+def _means_check(cfg, settings):
+    grids = {}
+    if cfg.depth:
+        grid = np.linspace(0.05, 0.95, cfg.depth)
+        grids = {"r_grid": grid, "rho_grid": grid}
+    return integral_means_check(_family_from_config(cfg), cfg.mu, cfg.p, settings=settings,
+                                **grids)
+
+
+def _suma_check(cfg, settings):
+    depth = cfg.depth or 25
+    return suma_check(cfg.mu, cfg.gamma, cfg.k,
+                      r_grid=np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)]),
+                      settings=settings, check=not cfg.force)
+
+
+@dataclass(frozen=True)
+class NormValue:
+    """The result of the ``norm`` experiment: one number, reported on one line."""
+
+    kind: str
+    p: float
+    value: float
+
+    @property
+    def verdict_line(self):
+        return f"norm: kind={self.kind} p={self.p} value={self.value!r}"
+
+
+def _norm(cfg, settings):
+    spec = cfg.f
+    f = read_series_csv(spec) if os.path.exists(spec) else parse_series_spec(spec)
+    kind = cfg.kind or "bergman"
+    if kind == "hardy":
+        value = hardy_norm(f, cfg.p)
+    elif kind == "bergman":
+        value = bergman_norm(f, cfg.require("weight"), cfg.p)
+    else:
+        value = block_norm(f, cfg.require("weight"), cfg.k or 2, cfg.p, check=not cfg.force)
+    return NormValue(kind, cfg.p, float(value))
+
+
+EXPERIMENTS = {spec.name: spec for spec in (
+    Experiment(
+        "classify", "sample doubling-ratio curves of one weight and render class verdicts",
+        lambda cfg, settings: classify(cfg.weight),
+        (_weight("weight"),) + _REPORT,
+        expect=_class_expectation,
+    ),
+    Experiment(
+        "lp-sweep", "derivative-norm / plain-norm ratio across a function family",
+        lambda cfg, settings: equivalence_sweep(
+            _family_from_config(cfg), cfg.omega, cfg.mu, cfg.p, settings, check=not cfg.force),
+        (_weight("omega"), _weight("mu"), _P) + _FAMILY + _REPORT + (_FORCE,),
+        expect=_boundedness_expectation(lambda report: report.params["upper_verdict"]),
+    ),
+    Experiment(
+        "monomial-curve", "reverse-inequality diagnostic on monomials, from moments",
+        lambda cfg, settings: monomial_necessity_curve(
+            cfg.omega, cfg.mu, cfg.p, cfg.n_max or 10_000, settings),
+        (_weight("omega"), _weight("mu"), _P, _N_MAX) + _REPORT,
+        expect=_boundedness_expectation(lambda report: report.params["bounded_verdict"]),
+    ),
+    Experiment(
+        "means-check", "integral-means bound quotient over radius pairs",
+        _means_check,
+        (_weight("mu"), _P) + _FAMILY + (_DEPTH,) + _REPORT,
+    ),
+    Experiment(
+        "suma-check", "lacunary sum vs tail power on a dyadic radius grid",
+        _suma_check,
+        (_weight("mu"), Key("gamma", "positive", required=True), _required(_K), _DEPTH)
+        + _REPORT + (_FORCE,),
+        expect=_boundedness_expectation(
+            lambda report: "bounded" if "bounded" in report.verdict else "growing"),
+    ),
+    Experiment(
+        "norm-equiv", "Bergman vs block norm bracket across a family",
+        lambda cfg, settings: norm_equivalence_check(
+            _family_from_config(cfg), cfg.eta, cfg.k, cfg.p, settings, check=not cfg.force),
+        (_weight("eta"), _required(_K), _P) + _FAMILY + _REPORT + (_FORCE,),
+    ),
+    Experiment(
+        "norm", "one norm of one series (bergman | hardy | block)",
+        _norm,
+        (Key("f", required=True, help="series file or series spec"), _weight("weight", False),
+         _P, Key("kind", "choice", choices=("bergman", "hardy", "block")), _K,
+         _FORCE),
+    ),
+    Experiment(
+        "cesaro-dump", "dump the block-basis coefficients for one k and N",
+        lambda cfg, settings: build_basis(cfg.k, cfg.N),
+        (_required(_K), Key("N", "int", floor=1, required=True)) + _REPORT,
+        command="cesaro dump",
+    ),
+)}
 
 
 def run_experiment(cfg, settings=DEFAULT_SETTINGS):
-    """Dispatch a parsed RunConfig to the experiment it names."""
-    name = cfg.experiment
-    if name == "classify":
-        weight = cfg.require_weight("weight")
-        return classify(weight)
-    if name == "lp-sweep":
-        return equivalence_sweep(
-            _family_from_config(cfg, settings),
-            cfg.require_weight("omega"),
-            cfg.require_weight("mu"),
-            cfg.require("p"),
-            settings,
-            check=not cfg.force,
-        )
-    if name == "monomial-curve":
-        return monomial_necessity_curve(
-            cfg.require_weight("omega"),
-            cfg.require_weight("mu"),
-            cfg.require("p"),
-            int(cfg.n_max or 10_000),
-            settings,
-        )
-    if name == "means-check":
-        grids = {}
-        if cfg.depth:
-            grid = np.linspace(0.05, 0.95, int(cfg.depth))
-            grids = {"r_grid": grid, "rho_grid": grid}
-        return integral_means_check(
-            _family_from_config(cfg, settings),
-            cfg.require_weight("mu"),
-            cfg.require("p"),
-            settings=settings,
-            **grids,
-        )
-    if name == "suma-check":
-        depth = int(cfg.depth or 25)
-        return suma_check(
-            cfg.require_weight("mu"),
-            cfg.require("gamma"),
-            int(cfg.require("k")),
-            r_grid=np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)]),
-            settings=settings,
-            check=not cfg.force,
-        )
-    if name == "norm-equiv":
-        return norm_equivalence_check(
-            _family_from_config(cfg, settings),
-            cfg.require_weight("eta"),
-            int(cfg.require("k")),
-            cfg.require("p"),
-            settings,
-            check=not cfg.force,
-        )
-    raise ConfigError(f"unknown experiment {name!r}", key="experiment")
+    """Run the experiment a parsed RunConfig names, once its required keys are set."""
+    spec = EXPERIMENTS.get(cfg.experiment)
+    if spec is None:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}", key="experiment")
+    for key in spec.keys.values():
+        if key.required:
+            cfg.require(key.name)
+    return spec.run(cfg, settings)

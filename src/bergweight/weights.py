@@ -98,7 +98,9 @@ class RadialWeight:
         return math.exp(lt)
 
     def tail_many(self, rs):
-        return np.array([self.tail(float(r)) for r in np.atleast_1d(rs)], dtype=float)
+        """Tails at every radius in ``rs``; tails below double range flush to 0."""
+        return np.array([math.exp(self.log_tail(float(r))) for r in np.atleast_1d(rs)],
+                        dtype=float)
 
     def moment(self, x):
         """Moment of order x >= 0, memoized per weight instance."""
@@ -222,9 +224,6 @@ class StandardWeight(RadialWeight):
                 break
         comp = math.sqrt(y) * total
         return pref + math.log(full - comp)
-
-    def tail_many(self, rs):
-        return np.array([math.exp(self.log_tail(float(r))) for r in np.atleast_1d(rs)])
 
     def _moment_impl(self, x):
         a = self.alpha + 1.0

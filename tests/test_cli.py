@@ -192,6 +192,8 @@ def test_cli_norm_kinds(tmp_path, capsys):
     assert "0.7071" in out  # sqrt(1/2)
     assert main(["norm", "--f", "monomial:3", "--weight", "standard:1.0",
                  "--p", "2.0", "--kind", "block", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "value=0." in out and "np.float64" not in out
 
 
 def test_cli_cesaro_dump(tmp_path, capsys):
@@ -221,3 +223,86 @@ def test_cli_run_with_config_override(tmp_path):
 
 def test_cli_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/cfg.txt"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit contract: 0 ok, 1 failed expectation, 2 invalid input
+
+
+def _exit_code(argv):
+    """main's return code, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# command, small valid flags, a passing and a failing expectation (or None),
+# and a config line naming a key the experiment does not read
+EXIT_CONTRACT = [
+    (["classify"], ["--weight", "standard:1"], ("d=in", "d=out"), "seed = 3"),
+    # monomials up to z^16 are too few for the sweep to read std1 as bounded
+    (["lp-sweep"], ["--omega", "standard:1", "--mu", "standard:1", "--p", "2",
+                    "--family", "monomials", "--n-max", "16"], ("growing", "bounded"), "depth = 4"),
+    (["monomial-curve"], ["--omega", "log:2", "--mu", "standard:1", "--p", "2", "--n-max", "100"],
+     ("growing", "bounded"), "force = true"),
+    (["means-check"], ["--mu", "standard:1", "--p", "2", "--family", "monomials",
+                       "--n-max", "4", "--depth", "3"], None, "force = true"),
+    (["suma-check"], ["--mu", "standard:1", "--gamma", "1", "--k", "2", "--depth", "8"],
+     ("growing", "bounded"), "seed = 1"),
+    (["norm-equiv"], ["--eta", "standard:1", "--k", "2", "--p", "2", "--family", "monomials",
+                      "--n-max", "8"], None, "depth = 4"),
+    (["norm"], ["--f", "monomial:2", "--p", "2", "--kind", "hardy"], None, "out = x.csv"),
+    (["cesaro", "dump"], ["--k", "2", "--N", "8"], None, "p = 2"),
+]
+
+
+def _config_lines(experiment, flags):
+    pairs = zip(flags[::2], flags[1::2])
+    return [f"experiment = {experiment}"] + [f"{f[2:].replace('-', '_')} = {v}" for f, v in pairs]
+
+
+@pytest.mark.parametrize("command, flags, expectations, unread", EXIT_CONTRACT,
+                         ids=[" ".join(row[0]) for row in EXIT_CONTRACT])
+def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unread):
+    experiment = "-".join(command)
+    writes = command != ["norm"]
+    out = [] if not writes else ["--out", str(tmp_path / "flags.csv")]
+    assert _exit_code(command + flags + out) == 0
+
+    if expectations is not None:
+        passing, failing = expectations
+        assert _exit_code(command + flags + ["--expect", passing]) == 0
+        assert _exit_code(command + flags + ["--expect", failing]) == 1
+        assert "FAIL" in capsys.readouterr().out
+    else:
+        # rejected while parsing, before any experiment work
+        with pytest.raises(ConfigError):
+            parse_config("\n".join(_config_lines(experiment, flags) + ["expect = bounded"]))
+        assert _exit_code(command + flags + ["--expect", "bounded"]) == 2
+
+    lines = _config_lines(experiment, flags)
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines + [unread]))
+    assert unread.split()[0] in str(err.value)
+    cfg_path = tmp_path / "unread.cfg"
+    cfg_path.write_text("\n".join(lines + [unread]) + "\n")
+    capsys.readouterr()
+    assert _exit_code(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    flag, value = unread.split(" = ")
+    flag = "--" + flag.replace("_", "-")
+    assert _exit_code(command + flags + ([flag] if value == "true" else [flag, value])) == 2
+    assert _exit_code(command + flags + ["--seed", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    if writes:
+        # the same run as a config file; --out redirects it without entering the hash
+        cfg_path.write_text("\n".join(lines + [f"out = {tmp_path / 'flags.csv'}"]) + "\n")
+        config_out = tmp_path / "config.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(config_out)]) == 0
+        assert (tmp_path / "flags.csv.meta").read_bytes() == (tmp_path / "config.csv.meta").read_bytes()
+        assert (tmp_path / "flags.csv").read_bytes() == config_out.read_bytes()
+    else:
+        cfg_path.write_text("\n".join(lines) + "\n")
+        assert _exit_code(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2

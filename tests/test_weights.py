@@ -1,6 +1,7 @@
 import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -217,6 +218,21 @@ def test_scaled_weight_samples_product(std0):
 def test_scaled_weight_moment_closed_form(std0):
     w = scaled_weight(std0, std0, 1.0)
     assert w.moment(1.0) == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+def test_scaled_weight_by_exp_tail_flushes_underflow_against_mpmath(std1, exp11):
+    # tail_exp(s) leaves double range near s = 0.9987; the sampler flushes it to 0
+    assert exp11.tail_many([0.5, 0.9999])[1] == 0.0
+    w = scaled_weight(std1, exp11, 2.0)
+    with mpmath.workdps(20):
+        def density(t):
+            return mpmath.exp(-1 / (1 - t)) if t < 1 else mpmath.mpf(0)
+
+        def tail(s):
+            return mpmath.quad(density, [s, 1]) if s < 1 else mpmath.mpf(0)
+
+        oracle = mpmath.quad(lambda s: s**3 * 2 * (1 - s**2) * tail(s) ** 2, [0, 0.5, 0.9, 1])
+    assert w.moment(3.0) == pytest.approx(float(oracle), rel=1e-10)
 
 
 def test_scalar_multiple_scales_exactly(std1):
