@@ -1,12 +1,15 @@
 """Integral means on circles, Hardy norms of polynomials, and weighted norms.
 
-Circle integrals are trapezoid sums over roots-of-unity samples, which are
-exact for |f|^p whenever p is an even integer and the sample count beats the
-bandwidth; other exponents double the sample count until the value settles.
-Radial integrals ride on the weight's own quadrature rule, which carries its
-unresolved boundary mass as an atom at r = 1 so that polynomials (whose
-integral means extend continuously to the boundary) are integrated without
-truncation bias.
+At p = 2 the circle integral is Parseval's sum M_2^2(r) = sum |c_n|^2 r^(2n),
+taken from the coefficients without sampling.  Otherwise it is a trapezoid
+sum over roots-of-unity samples, which is exact for |f|^p whenever p is an
+even integer and the sample count beats the bandwidth; other exponents
+double the sample count until the value settles, computing only the new
+samples of each doubled grid.  Radial integrals ride on the weight's own
+quadrature rule, which carries its unresolved boundary mass as an atom at
+r = 1 so that polynomials (whose integral means extend continuously to the
+boundary) are integrated without truncation bias; the r = 1 circle is
+sampled to the same mass-weighted budget as the nodes.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import circle_power_means
+from .series import circle_power_means, parseval_means
 from .weights import dcheck_margin
 from . import cesaro
 
@@ -56,39 +59,47 @@ def _is_exact_exponent(p, q, degree):
     return q > (int(p) // 2) * degree
 
 
-def _power_means(coeffs, radii, p, degree, settings, abs_tols=None, first_pass=None):
-    """M_p^p at each radius, with sample doubling for inexact exponents.
+def _power_means(coeffs, radii, p, degree, settings, masses=None):
+    """M_p^p at each radius.
 
-    The convergence check compares successive sample counts starting at
-    q/2 vs q, so the settled case costs 1.5x one full pass; unsettled radii
-    keep doubling up to the cap.  ``abs_tols`` (same shape as ``radii``)
-    adds a per-radius absolute budget on top of the relative rule, letting
+    p = 2 is Parseval's sum over the coefficients and other even p take one
+    exact circle pass.  Other exponents double the sample count until the
+    value settles.  The first check compares the mean over the q samples
+    with the mean over their even-indexed half, which is the q/2 grid; each
+    doubling q -> 2q samples only the q new odd points and averages them in,
+    so no sample is computed twice.  Unsettled radii keep doubling up to the
+    cap.  ``masses`` (same shape as ``radii``), the quadrature mass each
+    radius carries, adds a per-radius absolute budget of 1e-11 of the
+    mass-weighted total over that mass on top of the relative rule, letting
     a radial quadrature spend samples where its weights actually look.
-    ``first_pass`` supplies precomputed values at the base sample count.
     """
+    if p == 2.0:
+        return parseval_means(coeffs, radii)
     q = settings.q_for(degree)
-    values = circle_power_means(coeffs, radii, p, q) if first_pass is None else first_pass.copy()
     if _is_exact_exponent(p, q, degree):
-        return values
+        return circle_power_means(coeffs, radii, p, q)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    values, coarse = circle_power_means(coeffs, radii, p, q, even=True)
     # means this far below the batch maximum cannot move the norm, and their
     # circle values sit in denormal territory where relative error is noise
     floor = max(1e-250, 1e-120 * float(np.max(values)))
-    if abs_tols is None:
+    if masses is None:
         abs_tols = np.zeros(radii.size)
+    else:
+        abs_tols = 1e-11 * float(np.dot(masses, values)) / np.maximum(masses, 1e-300)
 
     def budget(vals, idx):
         return np.maximum(
             CIRCLE_DOUBLING_TOL * np.maximum(np.abs(vals), floor), abs_tols[idx]
         )
 
-    coarse = circle_power_means(coeffs, radii, p, q // 2)
     all_idx = np.arange(radii.size)
     active = all_idx[np.abs(values - coarse) > budget(values, all_idx)]
     while q < CIRCLE_Q_CAP and active.size:
+        odd = circle_power_means(coeffs, radii[active], p, q, half_step=True)
         q *= 2
-        refined = circle_power_means(coeffs, radii[active], p, q)
         previous = values[active]
+        refined = 0.5 * (previous + odd)
         settled = np.abs(refined - previous) <= budget(refined, active)
         values[active] = refined
         active = active[~settled]
@@ -121,18 +132,12 @@ def bergman_norm(f, w, p, settings=DEFAULT_SETTINGS):
         return 0.0
     degree = f.degree
     rule = w.radial_rule(p * degree + 2.0, order=settings.gl_order, theta=settings.theta)
-    node_weights = rule.weights * rule.nodes
-    # per-node sampling budget: nodes carrying little quadrature mass do not
-    # need the full per-value relative accuracy
-    first = circle_power_means(f.coeffs, rule.nodes, p, settings.q_for(degree))
-    total_scale = float(np.dot(node_weights, first)) + rule.boundary_mass * float(np.max(first))
-    abs_tols = 1e-11 * total_scale / np.maximum(node_weights, 1e-300)
-    mpp = _power_means(f.coeffs, rule.nodes, p, degree, settings,
-                       abs_tols=abs_tols, first_pass=first)
-    total = 2.0 * float(np.dot(node_weights, mpp))
-    if rule.boundary_mass > 0.0:
-        boundary_mpp = _power_means(f.coeffs, np.array([1.0]), p, degree, settings)[0]
-        total += 2.0 * rule.boundary_mass * boundary_mpp
+    # the boundary atom is one more radius, r = 1, weighted by the mass the
+    # rule left unresolved; nodes carrying little mass get a looser budget
+    radii = np.append(rule.nodes, 1.0)
+    masses = np.append(rule.weights * rule.nodes, rule.boundary_mass)
+    mpp = _power_means(f.coeffs, radii, p, degree, settings, masses=masses)
+    total = 2.0 * float(np.dot(masses, mpp))
     return total ** (1.0 / p)
 
 

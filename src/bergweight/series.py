@@ -20,10 +20,13 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, ResourceError
 from .weights import StandardWeight, dhat_verdict
 
 DEFAULT_DEGREE = 1024
+# the most coefficients a parsed or read series may have (16 MiB of complex
+# values); the norms sample such a series on grids of four times its length
+MAX_SERIES_LENGTH = 1 << 20
 
 
 class TaylorSeries:
@@ -164,50 +167,88 @@ def evaluate_circle(f, r, q):
     return np.fft.ifft(folded) * q
 
 
-def circle_power_means(coeffs, radii, p, q):
+# keep each batch of scaled rows under ~2^22 entries
+_BATCH_ENTRIES = 1 << 22
+
+
+def _normalised_powers(absc, rr):
+    """r^n / rowmax for n = 0..len(absc)-1 and each radius of ``rr``.
+
+    rowmax = max_n r^n |c_n| brings every row to O(1): tiny r^n would
+    otherwise square into denormals inside |values|^2 and turn the means into
+    noise.  Returns the scaled powers, rowmax and the mask of dead rows.
+    """
+    scal = np.ones((rr.size, absc.size))
+    if absc.size > 1:
+        scal[:, 1:] = rr[:, None]
+        np.cumprod(scal, axis=1, out=scal)
+    rowmax = np.max(scal * absc[None, :], axis=1)
+    # below ~1e-290 the cumulative products have already saturated in
+    # denormal territory (r^n sticks at 5e-324); those means are not
+    # representable and flush to exact zero
+    dead = rowmax < 1e-290
+    rowmax = np.where(dead, 1.0, rowmax)
+    scal /= rowmax[:, None]
+    return scal, rowmax, dead
+
+
+def parseval_means(coeffs, radii):
+    """sum_n |c_n|^2 r^(2n) for each radius: the p = 2 circle mean, exactly.
+
+    Rows are normalised and batched as in ``circle_power_means``, so a mean
+    that flushes to zero there flushes to zero here.
+    """
+    absc = np.abs(np.asarray(coeffs, dtype=complex))
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    out = np.empty(radii.size, dtype=float)
+    chunk = max(1, _BATCH_ENTRIES // absc.size)
+    for start in range(0, radii.size, chunk):
+        scal, rowmax, dead = _normalised_powers(absc, radii[start : start + chunk])
+        terms = np.multiply(scal, absc[None, :], out=scal)
+        sums = np.sum(np.square(terms, out=terms), axis=1)
+        out[start : start + chunk] = np.where(dead, 0.0, sums * rowmax**2)
+    return out
+
+
+def circle_power_means(coeffs, radii, p, q, half_step=False, even=False):
     """mean_j |f(r e^{2 pi i j/q})|^p for each radius, batched over radii.
 
     This is the workhorse behind the norm computations: one scaled
     coefficient matrix per radius block, one batched FFT, one power mean.
+    ``half_step`` turns the grid by half a step, to r e^{pi i (2j+1)/q}: the
+    odd samples of the 2q grid, from the same size-q FFT of c_n e^{pi i n/q}.
+    ``even`` also returns the mean over the even-indexed samples, which are
+    the samples of the q/2 grid.
     """
     import scipy.fft
 
     coeffs = np.asarray(coeffs, dtype=complex)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     n = len(coeffs)
-    out = np.empty(radii.size, dtype=float)
-    # keep each FFT batch under ~2^22 complex entries
-    chunk = max(1, (1 << 22) // max(q, 1))
     powers = np.arange(n)
     absc = np.abs(coeffs)
+    if half_step:
+        coeffs = coeffs * np.exp((1j * np.pi / q) * powers)
+    out = np.empty(radii.size, dtype=float)
+    out_even = np.empty(radii.size, dtype=float) if even else None
+    chunk = max(1, _BATCH_ENTRIES // max(q, 1))
     for start in range(0, radii.size, chunk):
-        rr = radii[start : start + chunk]
-        # r^0..r^(n-1) per radius via cumulative products
-        scal = np.ones((rr.size, n))
-        if n > 1:
-            scal[:, 1:] = rr[:, None]
-            np.cumprod(scal, axis=1, out=scal)
-        # normalize each row to O(1): tiny r^n would otherwise square into
-        # denormals inside |values|^2 and turn the means into noise
-        rowmax = np.max(scal * absc[None, :], axis=1)
-        # below ~1e-290 the cumulative products have already saturated in
-        # denormal territory (r^n sticks at 5e-324); those means are not
-        # representable and flush to exact zero
-        dead = rowmax < 1e-290
-        rowmax = np.where(dead, 1.0, rowmax)
-        mat = coeffs[None, :] * (scal / rowmax[:, None])
-        folded = np.zeros((rr.size, q), dtype=complex)
+        scal, rowmax, dead = _normalised_powers(absc, radii[start : start + chunk])
+        mat = coeffs[None, :] * scal
+        folded = np.zeros((scal.shape[0], q), dtype=complex)
         if n <= q:
             folded[:, :n] = mat
         else:
             np.add.at(folded.T, powers % q, mat.T)
         values = scipy.fft.ifft(folded, axis=1, workers=-1, overwrite_x=True)
         mag2 = values.real**2 + values.imag**2
-        means = np.mean(_half_power(mag2, 0.5 * p), axis=1)
-        out[start : start + chunk] = np.where(
-            dead, 0.0, means * (float(q) * rowmax) ** p
-        )
-    return out
+        powered = _half_power(mag2, 0.5 * p)
+        scale = (float(q) * rowmax) ** p
+        out[start : start + chunk] = np.where(dead, 0.0, np.mean(powered, axis=1) * scale)
+        if even:
+            means = np.mean(powered[:, ::2], axis=1)
+            out_even[start : start + chunk] = np.where(dead, 0.0, means * scale)
+    return (out, out_even) if even else out
 
 
 def _half_power(mag2, half_p):
@@ -246,6 +287,7 @@ def parse_series_spec(text, default_degree=DEFAULT_DEGREE):
             n = int(args[0])
         except ValueError:
             raise DomainError(f"bad monomial degree in {text!r}") from None
+        _check_length(n, text)
         return TaylorSeries.monomial(n)
     if name == "geometric" and len(args) == 2:
         try:
@@ -254,6 +296,7 @@ def parse_series_spec(text, default_degree=DEFAULT_DEGREE):
             raise DomainError(f"bad geometric parameters in {text!r}") from None
         if not (0.0 < lam < 1.0) or not (s > 0.0):
             raise DomainError(f"geometric family needs 0 < lam < 1 and s > 0, got {text!r}")
+        _check_length(default_degree, text)
         return geometric_series(lam, s, default_degree)
     if name == "lacunary" and len(args) == 2:
         try:
@@ -262,8 +305,17 @@ def parse_series_spec(text, default_degree=DEFAULT_DEGREE):
             raise DomainError(f"bad lacunary parameters in {text!r}") from None
         if k < 2 or n_max < 1:
             raise DomainError(f"lacunary family needs k >= 2 and N >= 1, got {text!r}")
+        _check_length(n_max, text)
         return lacunary_series(k, n_max)
     raise DomainError(f"cannot parse series spec {text!r}")
+
+
+def _check_length(degree, source):
+    if degree + 1 > MAX_SERIES_LENGTH:
+        raise ResourceError(
+            f"{source}: degree {degree} needs {degree + 1} coefficients, "
+            f"more than the budget of {MAX_SERIES_LENGTH}"
+        )
 
 
 def geometric_series(lam, s, degree):
@@ -293,6 +345,7 @@ def write_series_csv(f, path):
 
 
 def read_series_csv(path):
+    """Coefficients from ``n,re,im`` rows; each index n >= 0 at most once."""
     coeffs = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -304,9 +357,15 @@ def read_series_csv(path):
                 raise DomainError(f"{path}:{line_no}: expected 'n,re,im', got {line!r}")
             try:
                 n = int(parts[0])
-                coeffs[n] = complex(float(parts[1]), float(parts[2]))
+                c = complex(float(parts[1]), float(parts[2]))
             except ValueError:
                 raise DomainError(f"{path}:{line_no}: non-numeric entry in {line!r}") from None
+            if n < 0:
+                raise DomainError(f"{path}:{line_no}: negative index {n}")
+            if n in coeffs:
+                raise DomainError(f"{path}:{line_no}: duplicate index {n}")
+            _check_length(n, f"{path}:{line_no}")
+            coeffs[n] = c
     if not coeffs:
         raise DomainError(f"{path}: no coefficients found")
     arr = np.zeros(max(coeffs) + 1, dtype=complex)

@@ -225,6 +225,27 @@ def test_cli_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/cfg.txt"]) == 2
 
 
+class _NoAllocation:
+    """numpy for the series module, minus the calls that allocate arrays."""
+
+    def __getattr__(self, name):
+        if name in ("zeros", "empty", "ones", "arange"):
+            raise AssertionError(f"np.{name} called before the size guard")
+        return getattr(np, name)
+
+
+def test_cli_oversized_series_exits_2_before_allocating(tmp_path, monkeypatch, capsys):
+    from bergweight import series
+
+    far = tmp_path / "far.csv"
+    far.write_text("n,re,im\n0,1,0\n100000000,1,0\n")
+    monkeypatch.setattr(series, "np", _NoAllocation())
+    for spec in ("monomial:100000000", str(far)):
+        assert main(["norm", "--f", spec, "--kind", "hardy", "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+
+
 # ---------------------------------------------------------------------------
 # the exit contract: 0 ok, 1 failed expectation, 2 invalid input
 

@@ -17,6 +17,7 @@ from bergweight import (
     integral_mean,
 )
 from bergweight.series import geometric_series, lacunary_series
+from bergweight import norms
 from bergweight.norms import DEFAULT_SETTINGS
 
 from conftest import oracle_parseval_mean
@@ -230,3 +231,31 @@ def test_block_sum_compare_bracket_stable_under_degree_doubling(std1):
     b2 = bracket(512)
     assert math.isfinite(b1) and math.isfinite(b2)
     assert b2 < 3.0 * b1 + 1.0
+
+
+def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
+    # the r = 1 circle carries the rule's boundary mass (1e-13 here), and it is
+    # budgeted like a node of that mass instead of climbing the doubling ladder
+    f = random_series(1024, np.random.default_rng(8))
+    p = 0.5
+    q = DEFAULT_SETTINGS.q_for(f.degree)
+    rule = std1.radial_rule(p * f.degree + 2.0, order=DEFAULT_SETTINGS.gl_order,
+                            theta=DEFAULT_SETTINGS.theta)
+    assert 0.0 < rule.boundary_mass < 1e-12
+    calls = []
+    original = norms.circle_power_means
+
+    def spy(coeffs, radii, p, q, **kwargs):
+        calls.append((1.0 in np.atleast_1d(radii), q, kwargs))
+        return original(coeffs, radii, p, q, **kwargs)
+
+    monkeypatch.setattr(norms, "circle_power_means", spy)
+    got = bergman_norm(f, std1, p)
+    assert [(q_, kw) for at_one, q_, kw in calls if at_one] == [(q, {"even": True})]
+    monkeypatch.undo()
+
+    masses = rule.weights * rule.nodes
+    nodes = norms._power_means(f.coeffs, rule.nodes, p, f.degree, DEFAULT_SETTINGS, masses=masses)
+    boundary = norms._power_means(f.coeffs, np.array([1.0]), p, f.degree, DEFAULT_SETTINGS)[0]
+    unbudgeted = (2.0 * (np.dot(masses, nodes) + rule.boundary_mass * boundary)) ** (1.0 / p)
+    assert got == pytest.approx(unbudgeted, rel=1e-10)

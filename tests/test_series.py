@@ -15,15 +15,20 @@ from bergweight import (
     multiplier_transform,
     parse_series_spec,
 )
+from bergweight.errors import ResourceError
+from bergweight.norms import DEFAULT_SETTINGS
 from bergweight.series import (
+    MAX_SERIES_LENGTH,
+    circle_power_means,
     geometric_series,
     lacunary_series,
     odd_moments,
+    parseval_means,
     read_series_csv,
     write_series_csv,
 )
 
-from conftest import oracle_beta_odd_moment, oracle_circle_values
+from conftest import oracle_beta_odd_moment, oracle_circle_values, oracle_parseval_mean
 
 RNG = np.random.default_rng(61)
 
@@ -218,6 +223,45 @@ def test_evaluate_circle_validation():
         evaluate_circle(TaylorSeries([1.0]), 0.5, 0)
 
 
+# ---------------------------------------------------------------------------
+# circle power means: the FFT path, the exact p = 2 path and sample reuse
+
+GUARD_RADII = np.array([0.0, 0.5, 0.9, 0.99, 1.0])
+
+
+@pytest.mark.parametrize("degree", [3, 40, 257, 2048])
+def test_fft_and_exact_p2_means_match_parseval(degree):
+    # the norms take parseval_means at p = 2; the FFT path must still hold there
+    f = random_series(degree)
+    q = DEFAULT_SETTINGS.q_for(degree)
+    oracle = np.array([oracle_parseval_mean(f.coeffs, r) for r in GUARD_RADII])
+    fft = np.sqrt(circle_power_means(f.coeffs, GUARD_RADII, 2.0, q))
+    exact = np.sqrt(parseval_means(f.coeffs, GUARD_RADII))
+    np.testing.assert_allclose(fft, oracle, rtol=1e-13)
+    np.testing.assert_allclose(exact, oracle, rtol=1e-13)
+
+
+def test_exact_p2_mean_flushes_like_fft_path():
+    f = TaylorSeries.monomial(2048)
+    q = DEFAULT_SETTINGS.q_for(2048)
+    assert circle_power_means(f.coeffs, [0.5], 2.0, q)[0] == 0.0
+    assert parseval_means(f.coeffs, [0.5])[0] == 0.0
+    assert parseval_means(f.coeffs, [1.0])[0] == 1.0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.7])
+@pytest.mark.parametrize("degree, q", [(5, 32), (64, 512), (300, 2048), (300, 64)])
+def test_even_and_odd_samples_reproduce_fresh_passes(p, degree, q):
+    f = random_series(degree)
+    radii = np.array([0.3, 0.9, 1.0])
+    full, even = circle_power_means(f.coeffs, radii, p, q, even=True)
+    odd = circle_power_means(f.coeffs, radii, p, q, half_step=True)
+    np.testing.assert_allclose(full, circle_power_means(f.coeffs, radii, p, q), rtol=0.0)
+    np.testing.assert_allclose(even, circle_power_means(f.coeffs, radii, p, q // 2), rtol=1e-13)
+    np.testing.assert_allclose(0.5 * (full + odd), circle_power_means(f.coeffs, radii, p, 2 * q),
+                               rtol=1e-13)
+
+
 def test_hadamard_identity_and_disjoint():
     f = random_series(12)
     ones = TaylorSeries(np.ones(13))
@@ -265,6 +309,31 @@ def test_series_csv_roundtrip(tmp_path):
     write_series_csv(f, path)
     g = read_series_csv(path)
     np.testing.assert_array_equal(g.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ("0,1,0\n1,2,0\n-1,5,0\n", "negative index -1"),
+    ("0,1,0\n3,2,0\n3,5,0\n", "duplicate index 3"),
+])
+def test_series_csv_rejects_bad_indices(tmp_path, rows, fault):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,re,im\n" + rows)
+    with pytest.raises(DomainError, match=f"{path}:4: {fault}"):
+        read_series_csv(path)
+
+
+def test_series_over_length_budget_is_resource_error(tmp_path):
+    top = MAX_SERIES_LENGTH - 1
+    assert parse_series_spec(f"monomial:{top}").degree == top
+    for text in (f"monomial:{top + 1}", f"lacunary:2,{MAX_SERIES_LENGTH}"):
+        with pytest.raises(ResourceError):
+            parse_series_spec(text)
+    with pytest.raises(ResourceError):
+        parse_series_spec("geometric:0.5,1", default_degree=MAX_SERIES_LENGTH)
+    path = tmp_path / "far.csv"
+    path.write_text(f"n,re,im\n0,1,0\n{MAX_SERIES_LENGTH},1,0\n")
+    with pytest.raises(ResourceError, match=f"{path}:3"):
+        read_series_csv(path)
 
 
 def test_series_csv_rejects_garbage(tmp_path):
