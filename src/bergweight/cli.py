@@ -149,6 +149,8 @@ def run_config(cfg, out_override=None, fmt_override=None):
     spec = verify.EXPERIMENTS[cfg.experiment]
     if (out_override or fmt_override) and "out" not in spec.keys:
         raise ConfigError(f"experiment {cfg.experiment!r} writes no report", key="out")
+    if (fmt_override or cfg.values.get("format")) and not (out_override or cfg.values.get("out")):
+        raise ConfigError("a report format needs an output path (out)", key="format")
     report = verify.run_experiment(cfg)
     print(report.verdict_line)
     expect = cfg.values.get("expect")

@@ -29,15 +29,15 @@ from . import cesaro
 
 CIRCLE_DOUBLING_TOL = 1e-9
 CIRCLE_Q_CAP = 1 << 20
+#: Gauss order of the radial rules behind the Bergman and block-sum integrals.
+GL_ORDER = 8
 
 
 @dataclass(frozen=True)
 class NormSettings:
-    """Sampling and quadrature profile used by the norm computations."""
+    """Circle-sampling profile used by the norm computations."""
 
     q_oversample: int = 4
-    gl_order: int = 8
-    theta: float = 6.0
 
     def __post_init__(self):
         if self.q_oversample < 4:
@@ -131,7 +131,7 @@ def bergman_norm(f, w, p, settings=DEFAULT_SETTINGS):
     if f.is_zero:
         return 0.0
     degree = f.degree
-    rule = w.radial_rule(p * degree + 2.0, order=settings.gl_order, theta=settings.theta)
+    rule = w.radial_rule(p * degree + 2.0, order=GL_ORDER)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)
@@ -188,7 +188,7 @@ def _basis_for(k, degree):
         return basis
 
 
-def block_sum_compare(a, eta, k, p, settings=DEFAULT_SETTINGS):
+def block_sum_compare(a, eta, k, p):
     """Both sides of the nonnegative-series block comparison.
 
     Returns (lhs, rhs) with lhs = int_0^1 (sum a_j s^j)^p eta(s) ds and
@@ -208,7 +208,7 @@ def block_sum_compare(a, eta, k, p, settings=DEFAULT_SETTINGS):
     if not np.any(a > 0.0):
         return 0.0, 0.0
     degree = int(np.nonzero(a)[0][-1])
-    rule = eta.radial_rule(p * degree + 1.0, order=settings.gl_order, theta=settings.theta)
+    rule = eta.radial_rule(p * degree + 1.0, order=GL_ORDER)
     poly_at_nodes = np.polynomial.polynomial.polyval(rule.nodes, a)
     lhs = rule.integrate(poly_at_nodes**p, float(np.sum(a)) ** p)
     rhs = float(eta.moment(1.0)) * float(np.sum(a[:k])) ** p

@@ -18,6 +18,8 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: Deepest dyadic cell 1 - 2^-j that keeps 1 - s representable in doubles.
 MAX_MESH_DEPTH = 48
+THETA = 6.0  # variation of x * log s that one Gauss cell of a radial rule absorbs
+SPLIT_CAP = 64  # most equal parts split_count cuts a dyadic cell into
 
 
 def gauss_rule(order):
@@ -96,7 +98,7 @@ def adaptive_gauss(fn, lo, hi, rel_tol=5e-13, order=16, max_depth=46):
     return total
 
 
-def split_count(x_scale, width, theta, cap=64):
+def split_count(x_scale, width):
     """Number of equal parts needed so s^x varies mildly across a cell.
 
     ``width`` is the cell width in 1 - s; the variation of ``x * log s``
@@ -106,7 +108,7 @@ def split_count(x_scale, width, theta, cap=64):
     v = x_scale * width
     if v > 45.0:
         return 1
-    return max(1, min(cap, int(math.ceil(v / theta))))
+    return max(1, min(SPLIT_CAP, int(math.ceil(v / THETA))))
 
 
 @dataclass(frozen=True)

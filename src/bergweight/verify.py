@@ -200,7 +200,7 @@ def equivalence_sweep(family, omega, mu, p, settings=DEFAULT_SETTINGS, check=Tru
     return report
 
 
-def monomial_necessity_curve(omega, mu, p, n_max, settings=DEFAULT_SETTINGS, per_decade=8):
+def monomial_necessity_curve(omega, mu, p, n_max, per_decade=8):
     """The reverse-inequality diagnostic on monomials, from moments alone.
 
     Row n carries R_n = omega_{np+1} * mu_{2n+1}^p / (omega*tail_mu^p)_{np+1};
@@ -281,8 +281,7 @@ def integral_means_check(family, mu, p, r_grid=None, rho_grid=None, settings=DEF
     )
 
 
-def suma_check(mu, gamma, k, r_grid=None, settings=DEFAULT_SETTINGS, check=True,
-               term_floor=1e-16, max_terms=200):
+def suma_check(mu, gamma, k, r_grid=None, check=True, term_floor=1e-16, max_terms=200):
     """Lacunary-sum vs tail-power comparison on a dyadic radius grid.
 
     Row r carries (1 + sum_n r^(k^n) / mu_{k^n}^gamma) * tail_mu(r)^gamma;
@@ -410,7 +409,7 @@ class Experiment:
     """One table entry: name, blurb, the keys read, expectation grammar, runner.
 
     ``keys`` is given as a tuple of Key and kept as a dict by name.
-    ``run(cfg, settings)`` returns a report with a ``verdict_line``.
+    ``run(cfg)`` returns a report with a ``verdict_line``.
     ``expect``, when set, maps the text of an ``expect`` key to a predicate
     on that report and raises ValueError for text outside its grammar; the
     ``expect`` key is read exactly when it is set.  ``command`` is the CLI
@@ -481,20 +480,19 @@ def _boundedness_expectation(verdict_of):
     return expectation
 
 
-def _means_check(cfg, settings):
+def _means_check(cfg):
     grids = {}
     if cfg.depth:
         grid = np.linspace(0.05, 0.95, cfg.depth)
         grids = {"r_grid": grid, "rho_grid": grid}
-    return integral_means_check(_family_from_config(cfg), cfg.mu, cfg.p, settings=settings,
-                                **grids)
+    return integral_means_check(_family_from_config(cfg), cfg.mu, cfg.p, **grids)
 
 
-def _suma_check(cfg, settings):
+def _suma_check(cfg):
     depth = cfg.depth or 25
     return suma_check(cfg.mu, cfg.gamma, cfg.k,
                       r_grid=np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)]),
-                      settings=settings, check=not cfg.force)
+                      check=not cfg.force)
 
 
 @dataclass(frozen=True)
@@ -510,7 +508,7 @@ class NormValue:
         return f"norm: kind={self.kind} p={self.p} value={self.value!r}"
 
 
-def _norm(cfg, settings):
+def _norm(cfg):
     spec = cfg.f
     f = read_series_csv(spec) if os.path.exists(spec) else parse_series_spec(spec)
     kind = cfg.kind or "bergman"
@@ -526,21 +524,20 @@ def _norm(cfg, settings):
 EXPERIMENTS = {spec.name: spec for spec in (
     Experiment(
         "classify", "sample doubling-ratio curves of one weight and render class verdicts",
-        lambda cfg, settings: classify(cfg.weight),
+        lambda cfg: classify(cfg.weight),
         (_weight("weight"),) + _REPORT,
         expect=_class_expectation,
     ),
     Experiment(
         "lp-sweep", "derivative-norm / plain-norm ratio across a function family",
-        lambda cfg, settings: equivalence_sweep(
-            _family_from_config(cfg), cfg.omega, cfg.mu, cfg.p, settings, check=not cfg.force),
+        lambda cfg: equivalence_sweep(
+            _family_from_config(cfg), cfg.omega, cfg.mu, cfg.p, check=not cfg.force),
         (_weight("omega"), _weight("mu"), _P) + _FAMILY + _REPORT + (_FORCE,),
         expect=_boundedness_expectation(lambda report: report.params["upper_verdict"]),
     ),
     Experiment(
         "monomial-curve", "reverse-inequality diagnostic on monomials, from moments",
-        lambda cfg, settings: monomial_necessity_curve(
-            cfg.omega, cfg.mu, cfg.p, cfg.n_max or 10_000, settings),
+        lambda cfg: monomial_necessity_curve(cfg.omega, cfg.mu, cfg.p, cfg.n_max or 10_000),
         (_weight("omega"), _weight("mu"), _P, _N_MAX) + _REPORT,
         expect=_boundedness_expectation(lambda report: report.params["bounded_verdict"]),
     ),
@@ -559,8 +556,8 @@ EXPERIMENTS = {spec.name: spec for spec in (
     ),
     Experiment(
         "norm-equiv", "Bergman vs block norm bracket across a family",
-        lambda cfg, settings: norm_equivalence_check(
-            _family_from_config(cfg), cfg.eta, cfg.k, cfg.p, settings, check=not cfg.force),
+        lambda cfg: norm_equivalence_check(
+            _family_from_config(cfg), cfg.eta, cfg.k, cfg.p, check=not cfg.force),
         (_weight("eta"), _required(_K), _P) + _FAMILY + _REPORT + (_FORCE,),
     ),
     Experiment(
@@ -572,14 +569,14 @@ EXPERIMENTS = {spec.name: spec for spec in (
     ),
     Experiment(
         "cesaro-dump", "dump the block-basis coefficients for one k and N",
-        lambda cfg, settings: build_basis(cfg.k, cfg.N),
+        lambda cfg: build_basis(cfg.k, cfg.N),
         (_required(_K), Key("N", "int", floor=1, required=True)) + _REPORT,
         command="cesaro dump",
     ),
 )}
 
 
-def run_experiment(cfg, settings=DEFAULT_SETTINGS):
+def run_experiment(cfg):
     """Run the experiment a parsed RunConfig names, once its required keys are set."""
     spec = EXPERIMENTS.get(cfg.experiment)
     if spec is None:
@@ -587,4 +584,4 @@ def run_experiment(cfg, settings=DEFAULT_SETTINGS):
     for key in spec.keys.values():
         if key.required:
             cfg.require(key.name)
-    return spec.run(cfg, settings)
+    return spec.run(cfg)

@@ -29,6 +29,7 @@ from . import quadrature as quad
 from .errors import DomainError, QuadratureError
 
 LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in doubles
+LEFT_LEVELS = 16  # cells [2^-l, 2^-l+1], l = LEFT_LEVELS..1, grade [0, 1/2] toward 0
 
 # Default classification grids.
 DEFAULT_I_MAX = 40
@@ -66,6 +67,7 @@ class RadialWeight:
         self._moment_memo = {}
         self._rule_memo = {}
         self._classify_memo = None
+        self._dcheck_memo = {}  # k -> dcheck curve on the default r-grid
 
     # -- family hooks -------------------------------------------------------
 
@@ -78,7 +80,7 @@ class RadialWeight:
     def _moment_impl(self, x):
         raise NotImplementedError
 
-    def _build_rule(self, x_scale, order, theta):
+    def _build_rule(self, x_scale, order):
         raise NotImplementedError
 
     def with_amplitude(self, amplitude, label=None):
@@ -123,7 +125,7 @@ class RadialWeight:
     def moments(self, xs):
         return np.array([self.moment(float(x)) for x in np.atleast_1d(xs)], dtype=float)
 
-    def radial_rule(self, x_scale=1.0, order=12, theta=6.0):
+    def radial_rule(self, x_scale=1.0, order=12):
         """Quadrature rule for integrals of g(s) * density(s) over [0, 1).
 
         ``x_scale`` is the largest effective monomial exponent of g the rule
@@ -131,14 +133,43 @@ class RadialWeight:
         stays small.
         """
         bucket = 1 << max(0, math.ceil(math.log2(max(2.0, x_scale))))
-        key = (bucket, order, theta)
+        key = (bucket, order)
         try:
             return self._rule_memo[key]
         except KeyError:
             pass
-        rule = self._build_rule(float(bucket), order, theta)
+        rule = self._build_rule(float(bucket), order)
         self._rule_memo[key] = rule
         return rule
+
+    def _dyadic_rule(self, depth, x_left, order, boundary, parts):
+        """Rule on [0, 1/2], graded toward 0 for fractional powers s^x and split
+        where x_left * log s varies, then cells [1 - 2^-j, 1 - 2^-j-1] for
+        j < depth, cut into ``parts(j)`` Gauss cells; ``boundary`` is the
+        mass beyond them."""
+        xs, ws, lo = [], [], 0.0
+        for level in range(LEFT_LEVELS, 0, -1):
+            hi = 2.0 ** -level
+            if lo == 0.0 or x_left * (-math.log(hi)) > 45.0:
+                n = 1
+            else:
+                n = max(1, min(16, int(math.ceil(x_left * math.log(hi / lo) / quad.THETA))))
+            x, w = quad.subdivided_nodes(lo, hi, n, order)
+            xs.append(x)
+            ws.append(w)
+            lo = hi
+        x = np.concatenate(xs)
+        nodes, weights = [x], [np.concatenate(ws) * self.density(x)]
+        for j in range(1, depth):
+            x, w = self._dyadic_cell(j, parts(j), order)
+            nodes.append(x)
+            weights.append(w)
+        return quad.RadialRule(np.concatenate(nodes), np.concatenate(weights), boundary)
+
+    def _dyadic_cell(self, j, parts, order):
+        """Nodes and density-weighted weights of [1 - 2^-j, 1 - 2^-j-1]."""
+        x, w = quad.subdivided_nodes(1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), parts, order)
+        return x, w * self.density(x)
 
     def scaled(self, factor):
         """Same weight multiplied by a positive constant (exactly)."""
@@ -148,29 +179,6 @@ class RadialWeight:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
-
-
-def _left_graded_cells(top, x_scale, order, theta, levels=16):
-    """Gauss nodes/weights for [0, top], dyadically graded toward 0.
-
-    Handles fractional-power integrands s^x (singular derivative at 0) and
-    still refines cells where x_scale * log s varies, though contributions
-    there are tiny for large x_scale.
-    """
-    xs = []
-    ws = []
-    lo = 0.0
-    for level in range(levels, 0, -1):
-        hi = top * 2.0 ** (-level + 1)
-        if lo == 0.0 or x_scale * (-math.log(hi)) > 45.0:
-            parts = 1
-        else:
-            parts = max(1, min(16, int(math.ceil(x_scale * math.log(hi / lo) / theta))))
-        x, w = quad.subdivided_nodes(lo, hi, parts, order)
-        xs.append(x)
-        ws.append(w)
-        lo = hi
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 class StandardWeight(RadialWeight):
@@ -229,7 +237,7 @@ class StandardWeight(RadialWeight):
         a = self.alpha + 1.0
         return self.amplitude * (a / 2.0) * math.exp(betaln((x + 1.0) / 2.0, a))
 
-    def _build_rule(self, x_scale, order, theta):
+    def _build_rule(self, x_scale, order):
         # dyadic cells until the closed-form tail drops below 1e-13 of the
         # total AND the mesh reaches past where s^x_scale still moves
         total_lt = self.log_tail(0.0)
@@ -240,18 +248,9 @@ class StandardWeight(RadialWeight):
             if deep_enough and depth >= min(peak_depth, quad.MAX_MESH_DEPTH - 1):
                 break
             depth += 1
-        nodes, weights = [], []
-        x, w = _left_graded_cells(0.5, x_scale, order, theta)
-        nodes.append(x)
-        weights.append(w * self.density(x))
-        for j in range(1, depth):
-            lo, hi = 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1)
-            parts = quad.split_count(x_scale, hi - lo, theta)
-            x, w = quad.subdivided_nodes(lo, hi, parts, order)
-            nodes.append(x)
-            weights.append(w * self.density(x))
         boundary = math.exp(self.log_tail(1.0 - 2.0 ** (-depth)))
-        return quad.RadialRule(np.concatenate(nodes), np.concatenate(weights), boundary)
+        return self._dyadic_rule(depth, x_scale, order, boundary,
+                                 lambda j: quad.split_count(x_scale, 2.0 ** (-j - 1)))
 
 
 class LogWeight(RadialWeight):
@@ -319,28 +318,28 @@ class LogWeight(RadialWeight):
             powers = np.exp(x * np.log(rule.nodes)) if x != 0.0 else np.ones_like(rule.nodes)
         return rule.integrate(powers, 1.0)
 
-    def _transition_edges(self, x_scale, theta):
-        """w-values where x_scale * (-log s(w)) crosses multiples of theta.
+    def _transition_edges(self, x_scale):
+        """w-values where x_scale * (-log s(w)) crosses multiples of THETA.
 
         Between consecutive edges the peaked factor s^x varies by at most
-        e^theta, which a moderate Gauss cell absorbs; left of the last edge
+        e^THETA, which a moderate Gauss cell absorbs; left of the last edge
         s^x is dead (below e^-45).
         """
         edges = []
         m = 1
-        while m * theta <= 48.0:
-            y = m * theta / x_scale
+        while m * quad.THETA <= 48.0:
+            y = m * quad.THETA / x_scale
             inner = -math.expm1(-2.0 * y)  # = 1 - s^2 at the crossing
             if inner < 1.0:
                 edges.append(math.sqrt(-math.log(inner)))
             m += 1
         return edges
 
-    def _build_rule(self, x_scale, order, theta):
+    def _build_rule(self, x_scale, order):
         al = self.alpha
         W = math.sqrt(max(16.0, math.log((x_scale + 2.0) * 1e13)))
         base = np.linspace(0.0, W, int(math.ceil(W / 0.5)) + 1)
-        cuts = [w for w in self._transition_edges(x_scale, theta) if 0.0 < w < W]
+        cuts = [w for w in self._transition_edges(x_scale) if 0.0 < w < W]
         # s(w) ~ w at the origin, so fractional powers of s need grading there
         grades = [base[1] * 2.0 ** (-l) for l in range(1, 17)]
         edges = np.unique(np.concatenate([base, np.asarray(cuts + grades, dtype=float)]))
@@ -429,35 +428,25 @@ class ExponentialWeight(RadialWeight):
             )
         return math.exp(log_val)
 
-    def _build_rule(self, x_scale, order, theta):
+    def _build_rule(self, x_scale, order):
         c, g = self.c, self.gamma
-        nodes = []
-        weights = []
         depth = 1
         while depth < quad.MAX_MESH_DEPTH and c * (2.0 ** (g * (depth + 1))) <= -LOG_UNDERFLOW:
             depth += 1
-        # the density itself varies like exp(-c/u^gamma) over the left half
-        x_eff = max(x_scale, c * 4.0**g)
-        x, w = _left_graded_cells(0.5, x_eff, order, theta)
-        nodes.append(x)
-        weights.append(w * self.density(x))
-        for j in range(1, depth):
-            lo, hi = 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1)
-            u_right = 2.0 ** (-j - 1)
-            u_left = 2.0 ** (-j)
+
+        def parts(j):
+            u_right, u_left = 2.0 ** (-j - 1), 2.0 ** (-j)
             # density already negligible relative to its global maximum?
             if c * (u_left ** (-g) - 1.0) > 46.0:
-                parts = 1
-            else:
-                var = c * (u_right ** (-g) - u_left ** (-g))
-                if x_scale * u_right <= 45.0:
-                    var += x_scale * u_right
-                parts = max(1, min(256, int(math.ceil(var / theta))))
-            x, w = quad.subdivided_nodes(lo, hi, parts, order)
-            nodes.append(x)
-            weights.append(w * self.density(x))
-        # beyond the mesh the density underflows doubles entirely
-        return quad.RadialRule(np.concatenate(nodes), np.concatenate(weights), 0.0)
+                return 1
+            var = c * (u_right ** (-g) - u_left ** (-g))
+            if x_scale * u_right <= 45.0:
+                var += x_scale * u_right
+            return max(1, min(256, int(math.ceil(var / quad.THETA))))
+
+        # the density itself varies like exp(-c/u^gamma) over the left half;
+        # beyond the mesh it underflows doubles entirely
+        return self._dyadic_rule(depth, max(x_scale, c * 4.0**g), order, 0.0, parts)
 
 
 class TabulatedWeight(RadialWeight):
@@ -571,30 +560,20 @@ class TabulatedWeight(RadialWeight):
         powers = rule.nodes**x if x != 0.0 else np.ones_like(rule.nodes)
         return rule.integrate(powers, 1.0)
 
-    def _build_rule(self, x_scale, order, theta):
+    def _build_rule(self, x_scale, order):
         # the mesh must reach past 1 - 1/x_scale, where s^x_scale still
         # moves; 12 dyadic levels beyond leave it flat to 2^-12
         peak_depth = int(math.ceil(math.log2(max(x_scale, 2.0)))) + 12
         depth, boundary = self._mesh_extent(min_depth=min(peak_depth, quad.MAX_MESH_DEPTH - 1))
-        nodes = []
-        weights = []
-        x, w = _left_graded_cells(0.5, x_scale, order, theta)
-        nodes.append(x)
-        weights.append(w * self.density(x))
-        for j in range(1, depth):
-            lo, hi = 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1)
-            parts = quad.split_count(x_scale, hi - lo, theta)
-            if parts == 1 and order == self._order:
-                x, wd, _ = self._cell(j)
-                nodes.append(x)
-                weights.append(wd * self.amplitude)
-            else:
-                x, w = quad.subdivided_nodes(lo, hi, parts, order)
-                nodes.append(x)
-                weights.append(w * self.density(x))
-        return quad.RadialRule(
-            np.concatenate(nodes), np.concatenate(weights), boundary * self.amplitude
-        )
+        return self._dyadic_rule(depth, x_scale, order, boundary * self.amplitude,
+                                 lambda j: quad.split_count(x_scale, 2.0 ** (-j - 1)))
+
+    def _dyadic_cell(self, j, parts, order):
+        # an unsplit cell at the cache's order reuses the cached samples
+        if parts == 1 and order == self._order:
+            x, wd, _ = self._cell(j)
+            return x, wd * self.amplitude
+        return super()._dyadic_cell(j, parts, order)
 
 
 def scaled_weight(omega, mu, p):
@@ -785,6 +764,18 @@ def default_r_grid(w, i_max=DEFAULT_I_MAX):
     return np.array(radii)
 
 
+def _dcheck_curve(w, k, r_grid, log_tails):
+    """(radii, tail(r) / tail(1 - (1-r)/k)) given the log tails on ``r_grid``,
+    stopped where the log ratio leaves the +-700 range exp() keeps finite."""
+    vals = []
+    for r, lt in zip(r_grid, log_tails):
+        log_ratio = lt - w.log_tail(1.0 - (1.0 - float(r)) / k)
+        if abs(log_ratio) > 700.0:
+            break
+        vals.append(log_ratio)
+    return r_grid[:len(vals)], np.exp(np.array(vals))
+
+
 def default_x_grid(x_max=DEFAULT_X_MAX, per_decade=X_PER_DECADE):
     n = int(math.ceil(per_decade * math.log10(x_max)))
     return np.unique(np.concatenate([[1.0], 10.0 ** (np.arange(n + 1) / per_decade)]))
@@ -796,7 +787,8 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     Curves reported:
 
     * ``dhat``          tail(r) / tail((1+r)/2) on the dyadic r-grid
-    * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per tested k
+    * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per tested k, kept while
+                        inside double range
     * ``moment[k]``     moment(x) / moment(kx) per tested k
     * ``moment_vs_tail``  moment(x) / tail(1 - 1/x), the comparability curve
 
@@ -811,7 +803,8 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     k_set = tuple(int(k) for k in k_set)
     if len(k_set) == 0 or any(k < 2 for k in k_set):
         raise DomainError(f"k_set must hold integers >= 2, got {k_set!r}")
-    r_grid = default_r_grid(w) if r_grid is None else np.asarray(r_grid, dtype=float)
+    default_grid = r_grid is None
+    r_grid = default_r_grid(w) if default_grid else np.asarray(r_grid, dtype=float)
     x_grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
     if r_grid.size == 0 or x_grid.size == 0:
         raise DomainError("classification grids must be non-empty")
@@ -829,10 +822,10 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     per_k = {}
     dcheck_verdicts = {}
     for k in k_set:
-        shifted = np.array([w.log_tail(1.0 - (1.0 - float(r)) / k) for r in r_grid])
-        vals = np.exp(log_tails - shifted)
-        curves[f"dcheck[{k}]"] = (r_grid, vals)
-        verdict, info = _inf_margin_verdict(vals)
+        curve = curves[f"dcheck[{k}]"] = _dcheck_curve(w, k, r_grid, log_tails)
+        if default_grid:
+            w._dcheck_memo[k] = curve  # what dcheck_margin(w, k) reads
+        verdict, info = _inf_margin_verdict(curve[1])
         dcheck_verdicts[k] = verdict
         per_k[f"dcheck[{k}]"] = {"verdict": verdict, **info}
 
@@ -922,9 +915,10 @@ def dhat_verdict(w):
 
 
 def dcheck_margin(w, k):
-    """Lower-doubling verdict of ``w`` for one specific k."""
-    r_grid = default_r_grid(w)
-    lt = np.array([w.log_tail(float(r)) for r in r_grid])
-    shifted = np.array([w.log_tail(1.0 - (1.0 - float(r)) / k) for r in r_grid])
-    verdict, info = _inf_margin_verdict(np.exp(lt - shifted))
-    return verdict, info
+    """Lower-doubling verdict of ``w`` for one specific k, its curve on the
+    default r-grid memoized per weight and k."""
+    memo = w._dcheck_memo
+    if k not in memo:
+        r_grid = default_r_grid(w)
+        memo[k] = _dcheck_curve(w, k, r_grid, [w.log_tail(float(r)) for r in r_grid])
+    return _inf_margin_verdict(memo[k][1])

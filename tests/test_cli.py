@@ -290,6 +290,9 @@ def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unrea
     writes = command != ["norm"]
     out = [] if not writes else ["--out", str(tmp_path / "flags.csv")]
     assert _exit_code(command + flags + out) == 0
+    if writes:
+        # a format with nowhere to write it is rejected before any work
+        assert _exit_code(command + flags + ["--format", "csv"]) == 2
 
     if expectations is not None:
         passing, failing = expectations

@@ -239,8 +239,7 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
     f = random_series(1024, np.random.default_rng(8))
     p = 0.5
     q = DEFAULT_SETTINGS.q_for(f.degree)
-    rule = std1.radial_rule(p * f.degree + 2.0, order=DEFAULT_SETTINGS.gl_order,
-                            theta=DEFAULT_SETTINGS.theta)
+    rule = std1.radial_rule(p * f.degree + 2.0, order=norms.GL_ORDER)
     assert 0.0 < rule.boundary_mass < 1e-12
     calls = []
     original = norms.circle_power_means

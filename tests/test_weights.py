@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 
@@ -133,6 +134,48 @@ def test_quadrature_consistency_std_vs_tabulated():
                               label=f"tab-std{alpha}")
         for x in [0.0, 0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4]:
             assert tab.moment(x) == pytest.approx(w.moment(x), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# radial rules against independent oracles
+
+
+def _beta_moment(alpha, x, amplitude=1.0):
+    """int_0^1 s^x amplitude (alpha+1) (1-s^2)^alpha ds = amplitude (a/2) B((x+1)/2, a)."""
+    a = alpha + 1.0
+    return float(amplitude * a / 2.0 * mpmath.beta((x + 1.0) / 2.0, a))
+
+
+@functools.lru_cache(maxsize=None)
+def _exp11_moment(x):
+    # over u = 1 - s, with breakpoints every 1/16 octave within 2^8 of the
+    # peak of (1-u)^x e^(-1/u) at u ~ x^(-1/2)
+    with mpmath.workdps(30):
+        peak = 1 / mpmath.sqrt(x)
+        us = {peak * mpmath.mpf(2) ** (mpmath.mpf(j) / 16) for j in range(-128, 129)}
+        pts = [mpmath.mpf(0)] + sorted(u for u in us if u < 1) + [mpmath.mpf(1)]
+        return float(mpmath.quad(lambda u: (1 - u) ** x * mpmath.exp(-1 / u) if u > 0 else 0,
+                                 pts))
+
+
+_TAB_STD2 = TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab-std2")
+RULE_ORACLES = {
+    "standard:1": (StandardWeight(1.0), lambda x: _beta_moment(1.0, x)),
+    "exp:1,1": (ExponentialWeight(1.0, 1.0), _exp11_moment),
+    "tabulated": (_TAB_STD2, lambda x: _beta_moment(2.0, x)),
+    "7.3*tabulated": (_TAB_STD2.scaled(7.3), lambda x: _beta_moment(2.0, x, 7.3)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RULE_ORACLES))
+@pytest.mark.parametrize("order", [8, 12])  # the norms' order and the moments' order
+@pytest.mark.parametrize("x_scale", [2.0, 64.0, 4096.0])
+def test_radial_rule_integrates_monomial_against_oracle(family, order, x_scale):
+    w, oracle = RULE_ORACLES[family]
+    rule = w.radial_rule(x_scale, order=order)
+    x = x_scale / 2.0
+    value = rule.integrate(rule.nodes**x, 1.0)
+    assert value == pytest.approx(oracle(x), rel=1e-8)
 
 
 def test_lemma_moment_doubling_bounded(std1, log2w):
@@ -336,6 +379,33 @@ def test_dcheck_margin_single_k(std1, log2w):
     assert verdict == "in" and info["margin"] > 1.0
     verdict, _ = dcheck_margin(log2w, 2)
     assert verdict == "out"
+
+
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
+def test_dcheck_margin_memoized_and_shared_with_classify(spec, monkeypatch):
+    seeded, fresh = parse_weight_spec(spec), parse_weight_spec(spec)
+    report = classify(seeded)
+    expected = {k: dcheck_margin(fresh, k) for k in report.k_set}
+    calls = []
+    original = type(fresh).log_tail
+    monkeypatch.setattr(type(fresh), "log_tail",
+                        lambda self, r: calls.append(r) or original(self, r))
+    for k in report.k_set:
+        assert dcheck_margin(fresh, k) == expected[k]
+        assert dcheck_margin(seeded, k) == expected[k]
+        assert report.per_k[f"dcheck[{k}]"]["verdict"] == expected[k][0]
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["exp:0.5,2", "exp:1,2"])
+def test_classify_exp_gamma_two_keeps_curves_in_double_range(spec):
+    # dcheck log ratios reach thousands here; the curves stop before exp overflows
+    report = classify(parse_weight_spec(spec))
+    for name, (xs, vals) in report.curves.items():
+        assert len(xs) == len(vals), name
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0), name
+        assert np.all(np.abs(np.log(vals)) <= 700.0), name
+    assert report.curves["dcheck[16]"][1].size < report.r_grid.size
 
 
 def test_class_report_serialization_roundtrip(std1, tmp_path):
