@@ -26,10 +26,10 @@ class RunConfig:
     seed: int = verify.DEFAULT_SEED
 
     def __getattr__(self, name):
-        # the keys the experiment reads are attributes, None when unset
-        experiment = object.__getattribute__(self, "experiment")
-        if name in verify.EXPERIMENTS[experiment].keys:
-            return object.__getattribute__(self, "values").get(name)
+        # the keys the experiment reads are attributes, their default when unset
+        keys = verify.EXPERIMENTS[object.__getattribute__(self, "experiment")].keys
+        if name in keys:
+            return object.__getattribute__(self, "values").get(name, keys[name].default)
         raise AttributeError(name)
 
     def require(self, key):
@@ -89,6 +89,12 @@ def parse_config(text):
                 spec.expect(value)
         except ValueError as exc:  # includes DomainError from weight specs
             raise ConfigError(str(exc), line=line_no, key=key) from None
+    for key, (_, line_no) in assignments.items():
+        if spec.keys[key].only:
+            gate, allowed = spec.keys[key].only
+            if values.get(gate, spec.keys[gate].default) not in allowed:
+                raise ConfigError(f"experiment {experiment!r} reads {key!r} only when "
+                                  f"{gate} is {' or '.join(allowed)}", line=line_no, key=key)
 
     normalized = "\n".join(
         [f"experiment = {experiment}"]

@@ -1,7 +1,10 @@
 """Integral means on circles, Hardy norms of polynomials, and weighted norms.
 
-At p = 2 the circle integral is Parseval's sum M_2^2(r) = sum |c_n|^2 r^(2n),
-taken from the coefficients without sampling.  Otherwise it is a trapezoid
+Every circle mean first factors f = z^a h(z^g) (a the first nonzero index,
+g the gcd of the support's gaps); M_p^p(r, f) = r^(ap) M_p^p(r^g, h) is
+exact, so only h is sampled, on grids sized by its degree: a monomial is one
+coefficient.  At p = 2 the circle integral is Parseval's sum
+M_2^2(r) = sum |c_n|^2 r^(2n), taken from the coefficients without sampling.  Otherwise it is a trapezoid
 sum over roots-of-unity samples, which is exact for |f|^p whenever p is an
 even integer and the sample count beats the bandwidth; other exponents
 double the sample count until the value settles, computing only the new
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import circle_power_means, parseval_means
+from .series import circle_power_means, flushed, parseval_means
 from .weights import dcheck_margin
 from . import cesaro
 
@@ -62,6 +65,12 @@ def _is_exact_exponent(p, q, degree):
 def _power_means(coeffs, radii, p, degree, settings, masses=None):
     """M_p^p at each radius.
 
+    Every path samples h of f = z^a h(z^g) at radii r^g and lifts the means
+    by r^(ap): phi = g theta makes h's size-q grid (or its half-step turn)
+    f's size-gq grid (or its turn).  The stopping rule and budgets judge the
+    lifted means, and a radius flushes to 0 by f's row maximum
+    r^a max_k |h_k| r^(gk), as it would unreduced.
+
     p = 2 is Parseval's sum over the coefficients and other even p take one
     exact circle pass.  Other exponents double the sample count until the
     value settles.  The first check compares the mean over the q samples
@@ -73,13 +82,21 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     mass-weighted total over that mass on top of the relative rule, letting
     a radial quadrature spend samples where its weights actually look.
     """
+    coeffs = np.asarray(coeffs, dtype=complex)[: degree + 1]
+    support = np.nonzero(coeffs)[0]
+    a = int(support[0])
+    g = max(1, int(np.gcd.reduce(support - a)))
+    coeffs, degree = coeffs[a::g], (degree - a) // g
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    lead, radii = radii**a, radii**g
+    lift = np.where(flushed(coeffs, radii, lead), 0.0, lead**p)
     if p == 2.0:
-        return parseval_means(coeffs, radii)
+        return lift * parseval_means(coeffs, radii)
     q = settings.q_for(degree)
     if _is_exact_exponent(p, q, degree):
-        return circle_power_means(coeffs, radii, p, q)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        return lift * circle_power_means(coeffs, radii, p, q)
     values, coarse = circle_power_means(coeffs, radii, p, q, even=True)
+    values, coarse = lift * values, lift * coarse
     # means this far below the batch maximum cannot move the norm, and their
     # circle values sit in denormal territory where relative error is noise
     floor = max(1e-250, 1e-120 * float(np.max(values)))
@@ -96,7 +113,7 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     all_idx = np.arange(radii.size)
     active = all_idx[np.abs(values - coarse) > budget(values, all_idx)]
     while q < CIRCLE_Q_CAP and active.size:
-        odd = circle_power_means(coeffs, radii[active], p, q, half_step=True)
+        odd = lift[active] * circle_power_means(coeffs, radii[active], p, q, half_step=True)
         q *= 2
         previous = values[active]
         refined = 0.5 * (previous + odd)

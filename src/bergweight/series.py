@@ -169,6 +169,8 @@ def evaluate_circle(f, r, q):
 
 # keep each batch of scaled rows under ~2^22 entries
 _BATCH_ENTRIES = 1 << 22
+# a circle whose row maximum max_n r^n |c_n| is below this has mean 0
+_FLUSH_BELOW = 1e-290
 
 
 def _normalised_powers(absc, rr):
@@ -186,10 +188,25 @@ def _normalised_powers(absc, rr):
     # below ~1e-290 the cumulative products have already saturated in
     # denormal territory (r^n sticks at 5e-324); those means are not
     # representable and flush to exact zero
-    dead = rowmax < 1e-290
+    dead = rowmax < _FLUSH_BELOW
     rowmax = np.where(dead, 1.0, rowmax)
     scal /= rowmax[:, None]
     return scal, rowmax, dead
+
+
+def flushed(coeffs, radii, lead):
+    """Radii where lead * max_n r^n |c_n| falls below the means' flush point.
+
+    That row maximum lies between lead |c_0| and lead max |c_n|, so only
+    the radii in between are scanned, batched as the means are.
+    """
+    absc = np.abs(coeffs)
+    dead = lead * np.max(absc) < _FLUSH_BELOW
+    unsure = np.nonzero(~dead & (lead * absc[0] < _FLUSH_BELOW))[0]
+    for rows in np.array_split(unsure, 1 + unsure.size * absc.size // _BATCH_ENTRIES):
+        _, rowmax, gone = _normalised_powers(absc, radii[rows])
+        dead[rows] = gone | (lead[rows] * rowmax < _FLUSH_BELOW)
+    return dead
 
 
 def parseval_means(coeffs, radii):

@@ -371,6 +371,8 @@ class Key:
     required: bool = False
     help: str | None = None
     flag_type: type = str   # how argparse reads the flag before it becomes config text
+    default: str | None = None  # the value an unset key stands for
+    only: tuple = ()        # (key, values): read only while that key takes one of values
 
     def convert(self, text):
         """The typed value of ``text``; raises ValueError naming the violation."""
@@ -443,8 +445,10 @@ _FORCE = Key("force", "bool", help="skip weight-class preconditions")
 _SEED = Key("seed", "int", floor=0, help="seed for the random polynomials", flag_type=int)
 _REPORT = (Key("out", help="write the report to this path"),
            Key("format", "choice", choices=("csv", "json"), help="report format"))
-_FAMILY = (Key("family", "choice", choices=("default", "monomials")), _N_MAX,
-           Key("degree", "int", floor=1), _SEED)
+# the monomial family is fixed by n_max alone
+_FAMILY = (Key("family", "choice", choices=("default", "monomials"), default="default"), _N_MAX,
+           Key("degree", "int", floor=1, only=("family", ("default",))),
+           replace(_SEED, only=("family", ("default",))))
 
 
 def _weight(name, required=True):
@@ -511,14 +515,13 @@ class NormValue:
 def _norm(cfg):
     spec = cfg.f
     f = read_series_csv(spec) if os.path.exists(spec) else parse_series_spec(spec)
-    kind = cfg.kind or "bergman"
-    if kind == "hardy":
+    if cfg.kind == "hardy":
         value = hardy_norm(f, cfg.p)
-    elif kind == "bergman":
+    elif cfg.kind == "bergman":
         value = bergman_norm(f, cfg.require("weight"), cfg.p)
     else:
         value = block_norm(f, cfg.require("weight"), cfg.k or 2, cfg.p, check=not cfg.force)
-    return NormValue(kind, cfg.p, float(value))
+    return NormValue(cfg.kind, cfg.p, float(value))
 
 
 EXPERIMENTS = {spec.name: spec for spec in (
@@ -563,9 +566,10 @@ EXPERIMENTS = {spec.name: spec for spec in (
     Experiment(
         "norm", "one norm of one series (bergman | hardy | block)",
         _norm,
-        (Key("f", required=True, help="series file or series spec"), _weight("weight", False),
-         _P, Key("kind", "choice", choices=("bergman", "hardy", "block")), _K,
-         _FORCE),
+        (Key("f", required=True, help="series file or series spec"),
+         Key("weight", "weight", only=("kind", ("bergman", "block"))), _P,
+         Key("kind", "choice", choices=("bergman", "hardy", "block"), default="bergman"),
+         replace(_K, only=("kind", ("block",))), replace(_FORCE, only=("kind", ("block",)))),
     ),
     Experiment(
         "cesaro-dump", "dump the block-basis coefficients for one k and N",

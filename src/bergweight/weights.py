@@ -231,6 +231,10 @@ class StandardWeight(RadialWeight):
             if abs(nxt) < 1e-18 * abs(total) or m > 400:
                 break
         comp = math.sqrt(y) * total
+        if not full - comp > 0.0:
+            raise QuadratureError(f"tail({r}) of {self.label} (alpha = {self.alpha:g}) cancels: "
+                                  f"the full Beta integral {full:.6e} minus the stretch [0, r] "
+                                  f"leaves {full - comp:.3e}", residual=full - comp)
         return pref + math.log(full - comp)
 
     def _moment_impl(self, x):

@@ -275,7 +275,23 @@ EXIT_CONTRACT = [
                       "--n-max", "8"], None, "depth = 4"),
     (["norm"], ["--f", "monomial:2", "--p", "2", "--kind", "hardy"], None, "out = x.csv"),
     (["cesaro", "dump"], ["--k", "2", "--N", "8"], None, "p = 2"),
+    # keys read only for some values of another key: the monomial family
+    # takes neither seed nor degree, a Hardy norm neither weight, k nor force
+    (["lp-sweep"], ["--omega", "standard:1", "--mu", "standard:1", "--p", "2",
+                    "--family", "monomials", "--n-max", "16"], ("growing", "bounded"), "seed = 5"),
+    (["lp-sweep"], ["--omega", "standard:1", "--mu", "standard:1", "--p", "2",
+                    "--family", "monomials", "--n-max", "16"], ("growing", "bounded"), "degree = 9"),
+    (["norm"], ["--f", "monomial:2", "--p", "2", "--kind", "hardy"], None, "weight = log:2"),
+    (["norm"], ["--f", "monomial:2", "--p", "2", "--kind", "hardy"], None, "k = 3"),
+    (["norm"], ["--f", "monomial:2", "--p", "2", "--kind", "hardy"], None, "force = true"),
 ]
+
+
+def _row_id(index):
+    """The command, plus the unread key for every row after a command's first."""
+    command, unread = " ".join(EXIT_CONTRACT[index][0]), EXIT_CONTRACT[index][3]
+    first = [" ".join(row[0]) for row in EXIT_CONTRACT].index(command) == index
+    return command if first else f"{command} {unread.split(' = ')[0]}"
 
 
 def _config_lines(experiment, flags):
@@ -284,7 +300,7 @@ def _config_lines(experiment, flags):
 
 
 @pytest.mark.parametrize("command, flags, expectations, unread", EXIT_CONTRACT,
-                         ids=[" ".join(row[0]) for row in EXIT_CONTRACT])
+                         ids=[_row_id(i) for i in range(len(EXIT_CONTRACT))])
 def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unread):
     experiment = "-".join(command)
     writes = command != ["norm"]
@@ -330,3 +346,29 @@ def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unrea
     else:
         cfg_path.write_text("\n".join(lines) + "\n")
         assert _exit_code(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_keys_read_for_some_values_only(tmp_path, capsys):
+    sweep = ["lp-sweep", "--omega", "standard:1", "--mu", "standard:1", "--p", "2",
+             "--n-max", "8", "--out", str(tmp_path / "sweep.csv")]
+    # the default family (also when family is unset) reads seed and degree
+    assert main(sweep + ["--family", "default", "--seed", "5", "--degree", "9"]) == 0
+    assert main(sweep + ["--seed", "5", "--degree", "9"]) == 0
+    assert main(sweep + ["--family", "monomials"]) == 0
+    capsys.readouterr()
+    assert main(sweep + ["--family", "monomials", "--seed", "5", "--degree", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "family is default" in err
+
+    norm = ["norm", "--f", "monomial:3", "--p", "2"]
+    assert main(norm + ["--kind", "hardy"]) == 0
+    assert main(norm + ["--weight", "standard:1"]) == 0  # kind defaults to bergman
+    assert main(norm + ["--kind", "block", "--weight", "standard:1", "--k", "3", "--force"]) == 0
+    capsys.readouterr()
+    assert main(norm + ["--kind", "hardy", "--weight", "log:2", "--k", "3", "--force"]) == 2
+    assert "kind is bergman or block" in capsys.readouterr().err
+    assert main(norm + ["--weight", "standard:1", "--k", "3"]) == 2
+    assert "kind is block" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        parse_config("experiment = norm\nf = monomial:3\np = 2\nkind = hardy\nforce = true")
+    assert "line 5" in str(err.value)

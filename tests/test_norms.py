@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,11 +17,11 @@ from bergweight import (
     hardy_norm,
     integral_mean,
 )
-from bergweight.series import geometric_series, lacunary_series
+from bergweight.series import circle_power_means, geometric_series, lacunary_series
 from bergweight import norms
 from bergweight.norms import DEFAULT_SETTINGS
 
-from conftest import oracle_parseval_mean
+from conftest import oracle_circle_values, oracle_parseval_mean
 
 RNG = np.random.default_rng(19)
 
@@ -258,3 +259,105 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
     boundary = norms._power_means(f.coeffs, np.array([1.0]), p, f.degree, DEFAULT_SETTINGS)[0]
     unbudgeted = (2.0 * (np.dot(masses, nodes) + rule.boundary_mass * boundary)) ** (1.0 / p)
     assert got == pytest.approx(unbudgeted, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the reduction f = z^a h(z^g) behind every circle mean
+
+REDUCTION_CASES = [(a, g) for a in (0, 1, 7, 300) for g in (1, 2, 3, 8)]
+ORACLE_Q = 256
+
+
+def gapped_series(a, g, rng):
+    """z^a h(z^g) for a random h of degree 4 whose constant term dominates.
+
+    With h_k of order 1.5^(-gk), f has no zeros in 0 < |z| < 1.2, so |f|^p
+    is analytic in an annulus around each circle and the trapezoid oracle
+    on ORACLE_Q points is exact to rounding (its error decays like 1.2^-q).
+    """
+    h = 0.3 * (rng.standard_normal(5) + 1j * rng.standard_normal(5)) * 1.5 ** (-g * np.arange(5))
+    h[0] = 2.0 - 0.5j
+    coeffs = np.zeros(a + 4 * g + 1, dtype=complex)
+    coeffs[a::g] = h
+    return TaylorSeries(coeffs)
+
+
+def oracle_power_mean(coeffs, r, p):
+    """M_p^p(r) on the dense oracle grid, scaled by max |f| so that no
+    intermediate power underflows before the result does."""
+    values = np.abs(oracle_circle_values(coeffs, r, ORACLE_Q))
+    top = float(np.max(values))
+    return top**p * float(np.mean((values / max(top, 1e-300)) ** p))
+
+
+@pytest.mark.parametrize("a, g", REDUCTION_CASES)
+def test_reduced_integral_means_against_dense_oracles(a, g):
+    # means are compared as M_p^p; below 1e-300 (0.3^600 here) both sides
+    # are denormal or flushed and only the absolute tolerance is meaningful
+    f = gapped_series(a, g, np.random.default_rng(1000 * a + g))
+    for r in (0.0, 0.3, 0.9, 0.99, 1.0):
+        assert integral_mean(f, r, 2.0) ** 2 == pytest.approx(
+            oracle_parseval_mean(f.coeffs, r) ** 2, rel=1e-13, abs=1e-300)
+        for p in (0.5, 1.0, 2.0, 3.0, 4.0):
+            assert integral_mean(f, r, p) ** p == pytest.approx(
+                oracle_power_mean(f.coeffs, r, p), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("a, g", REDUCTION_CASES)
+def test_reduced_bergman_norms_against_dense_oracles(std1, a, g):
+    # std1 is 2(1 - s^2): 2 int_0^1 s M_p^p(s) 2(1 - s^2) ds by a Gauss-Legendre
+    # rule exact for s^(ap+3) up to ap = 900, times the dense circle oracle
+    f = gapped_series(a, g, np.random.default_rng(1000 * a + g))
+    x, wts = np.polynomial.legendre.leggauss(480)
+    s, wts = 0.5 * (x + 1.0), 0.5 * wts
+    values = np.abs(np.array([oracle_circle_values(f.coeffs, r, ORACLE_Q) for r in s]))
+    for p in (0.5, 1.0, 2.0, 3.0):
+        means = np.mean(values**p, axis=1)
+        want = 2.0 * np.sum(wts * s * means * 2.0 * (1.0 - s * s))
+        assert bergman_norm(f, std1, p) ** p == pytest.approx(want, rel=1e-10)
+    # at p = 2 the squared norm is sum 2 |c_n|^2 / ((n + 1)(n + 2)) exactly
+    n = np.arange(len(f.coeffs))
+    exact = np.sum(2.0 * np.abs(f.coeffs) ** 2 / ((n + 1.0) * (n + 2.0)))
+    assert bergman_norm(f, std1, 2.0) ** 2 == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0, 1, 7, 300])
+def test_single_term_mean_against_mpmath(a):
+    c = 0.7 - 2.3j
+    f = TaylorSeries.monomial(a, c)
+    for p in (0.5, 1.0, 2.0, 3.0, 4.0):
+        for r in (0.6, 0.9, 0.99, 1.0):
+            got = norms._power_means(f.coeffs, np.array([r]), p, f.degree, DEFAULT_SETTINGS)[0]
+            want = mpmath.power(abs(mpmath.mpc(c)), p) * mpmath.power(mpmath.mpf(r), a * p)
+            assert got == pytest.approx(float(want), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, 4.0])
+def test_reduced_means_flush_by_the_row_maximum_of_f(p):
+    assert integral_mean(TaylorSeries.monomial(2048), 0.5, p) == 0.0
+    # r^a is representable here, but f's row maximum 0.5^1000 is below the flush point
+    assert integral_mean(TaylorSeries.monomial(1000), 0.5, p) == 0.0
+    # h = 1e-300 + z: the row maximum is h's top term, not its first
+    f = TaylorSeries([0.0, 1e-300, 1.0])
+    q = DEFAULT_SETTINGS.q_for(f.degree)
+    for r in (1e-150, 1e-140, 0.5):
+        got = integral_mean(f, r, p)
+        dense = circle_power_means(f.coeffs, [r], p, q)[0]
+        assert (got == 0.0) == (dense == 0.0)
+        assert got == pytest.approx(dense ** (1.0 / p), rel=1e-12)
+
+
+def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):
+    calls = []
+    original = norms.circle_power_means
+
+    def spy(coeffs, radii, p, q, **kwargs):
+        calls.append((np.atleast_1d(radii).size, q))
+        return original(coeffs, radii, p, q, **kwargs)
+
+    monkeypatch.setattr(norms, "circle_power_means", spy)
+    got = bergman_norm(TaylorSeries.monomial(1024), std1, 0.5)
+    rule = std1.radial_rule(0.5 * 1024 + 2.0, order=norms.GL_ORDER)
+    assert calls and all(q <= 4 for _, q in calls)
+    assert sum(n * q for n, q in calls) <= 4 * (rule.nodes.size + 1)
+    assert got**0.5 == pytest.approx(2.0 * std1.moment(0.5 * 1024 + 1.0), rel=1e-6)

@@ -55,6 +55,23 @@ def test_std1_tail_bracket(std1):
         assert 1.0 <= ratio <= 2.0
 
 
+def test_std_tail_cancellation_raises_quadrature_error():
+    # for r < 1/sqrt(2) the tail is the full Beta integral minus the stretch
+    # [0, r]; at alpha = 50 the difference cancels to <= 0 near r = 0.68
+    with pytest.raises(QuadratureError) as err:
+        StandardWeight(50.0).log_tail(0.683772233983162)
+    assert "alpha = 50" in str(err.value) and "0.683772233983162" in str(err.value)
+    assert err.value.residual <= 0.0
+
+
+def test_cli_means_check_exits_2_on_tail_cancellation(capsys):
+    from bergweight.cli import main
+
+    assert main(["means-check", "--mu", "standard:50", "--p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha = 50" in err and "Traceback" not in err
+
+
 def test_tail_rejects_bad_radius(std1):
     with pytest.raises(DomainError):
         std1.tail(1.0)
