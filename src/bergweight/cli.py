@@ -241,7 +241,12 @@ def main(argv=None):
                 cfg = parse_config(fh.read())
             return run_config(cfg, out_override=args.out, fmt_override=args.format)
         spec = verify.EXPERIMENTS[args.experiment]
-        return run_config(parse_config(_config_text_from_args(spec, args)))
+        try:
+            return run_config(parse_config(_config_text_from_args(spec, args)))
+        except ConfigError as exc:
+            # the config text was built from the flags: name the flag, not a line of it
+            flag = f" (flag --{exc.key.replace('_', '-')})" if exc.key else ""
+            raise ConfigError(exc.reason + flag) from None
     except (ConfigError, DomainError, ResourceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

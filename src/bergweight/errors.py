@@ -20,6 +20,7 @@ class ConfigError(ValueError):
     """A run configuration is malformed; ``line`` and ``key`` locate the fault."""
 
     def __init__(self, message, line=None, key=None):
+        self.reason = message
         loc = []
         if line is not None:
             loc.append(f"line {line}")

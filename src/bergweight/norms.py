@@ -131,8 +131,13 @@ def integral_mean(f, r, p, settings=DEFAULT_SETTINGS):
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if f.is_zero:
         return 0.0
-    mpp = _power_means(f.coeffs, np.array([r]), p, f.degree, settings)[0]
-    return mpp ** (1.0 / p)
+    # M_p(r, z^a h) = r^a M_p(r, h), r^a applied after the root so a mean whose
+    # p-th power underflows stays representable; f's row maximum decides the flush
+    a = int(f.support()[0])
+    h, radius, lead = f.coeffs[a:], np.array([r]), np.array([r**a])
+    if flushed(h, radius, lead)[0]:
+        return 0.0
+    return lead[0] * _power_means(h, radius, p, f.degree - a, settings)[0] ** (1.0 / p)
 
 
 def hardy_norm(f, p, settings=DEFAULT_SETTINGS):

@@ -7,7 +7,6 @@ degenerates or piles up its mass at the boundary of the disc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,9 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: Deepest dyadic cell 1 - 2^-j that keeps 1 - s representable in doubles.
 MAX_MESH_DEPTH = 48
-THETA = 6.0  # variation of x * log s that one Gauss cell of a radial rule absorbs
-SPLIT_CAP = 64  # most equal parts split_count cuts a dyadic cell into
+THETA = 6.0  # variation of log(s^x * w) that one Gauss cell of a radial rule absorbs
+SPLIT_CAP = 256  # most equal parts a dyadic cell of a radial rule is cut into
+PEAK_MARGIN = 32.0  # log drop below the integrand's peak past which a cell stays whole
 
 
 def gauss_rule(order):
@@ -96,19 +96,6 @@ def adaptive_gauss(fn, lo, hi, rel_tol=5e-13, order=16, max_depth=46):
             residual=residual,
         )
     return total
-
-
-def split_count(x_scale, width):
-    """Number of equal parts needed so s^x varies mildly across a cell.
-
-    ``width`` is the cell width in 1 - s; the variation of ``x * log s``
-    across the cell is roughly ``x_scale * width``.  Cells where s^x is
-    already below e^-45 at the right edge need no refinement.
-    """
-    v = x_scale * width
-    if v > 45.0:
-        return 1
-    return max(1, min(SPLIT_CAP, int(math.ceil(v / THETA))))
 
 
 @dataclass(frozen=True)

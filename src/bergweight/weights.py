@@ -7,9 +7,10 @@ the unit disc by w(z) = w(|z|).  The quantities everything else is built on:
 * moment(x) = integral of s^x * w(s) over [0, 1)
 
 Four families are provided.  ``standard`` and ``log`` carry closed or
-semi-closed forms; ``exp`` works in log-space because its tails leave double
-precision long before r reaches 1; ``tabulated`` wraps an arbitrary sampler
-and integrates it on a dyadic mesh graded toward s = 1.
+semi-closed forms; ``exp`` keeps its tails in log-space because they leave
+double precision long before r reaches 1; ``tabulated`` wraps an arbitrary
+sampler.  Other moments integrate s^x on the weight's own radial rule, whose
+dyadic cells split by how much s^x and the density vary across them.
 
 ``classify`` samples the upper-doubling, lower-doubling, and moment-doubling
 ratio curves on geometric grids and turns them into heuristic verdicts for
@@ -78,7 +79,9 @@ class RadialWeight:
         raise NotImplementedError
 
     def _moment_impl(self, x):
-        raise NotImplementedError
+        # the order-12 rule that resolves s^x; g(1) = 1 weighs the boundary mass
+        rule = self.radial_rule(max(x, 1.0))
+        return rule.integrate(rule.nodes**x, 1.0)
 
     def _build_rule(self, x_scale, order):
         raise NotImplementedError
@@ -142,11 +145,18 @@ class RadialWeight:
         self._rule_memo[key] = rule
         return rule
 
-    def _dyadic_rule(self, depth, x_left, order, boundary, parts):
-        """Rule on [0, 1/2], graded toward 0 for fractional powers s^x and split
-        where x_left * log s varies, then cells [1 - 2^-j, 1 - 2^-j-1] for
-        j < depth, cut into ``parts(j)`` Gauss cells; ``boundary`` is the
-        mass beyond them."""
+    def _dyadic_rule(self, depth, x_scale, order, boundary, x_left=None):
+        """Rule for g(s) * density(s), g up to s^x_scale, ``boundary`` the mass
+        beyond it: [0, 1/2] graded toward 0 and split where ``x_left``
+        (default x_scale) * log s varies, then each cell [1 - 2^-j, 1 - 2^-j-1],
+        j < depth, on its own Gauss nodes or cut into ceil(max(v, D) / THETA)
+        equal parts, at most SPLIT_CAP.  v = x_scale 2^-j-1 is how much
+        x_scale * log s varies across the cell (0 past 45: s^x_scale is dead)
+        and D the spread of log density over its nodes.  Cells past the peak
+        of s^x_scale * density whose nodes fall PEAK_MARGIN below it stay
+        whole: any g growing no faster than s^x_scale is as negligible there.
+        """
+        x_left = x_scale if x_left is None else x_left
         xs, ws, lo = [], [], 0.0
         for level in range(LEFT_LEVELS, 0, -1):
             hi = 2.0 ** -level
@@ -160,16 +170,30 @@ class RadialWeight:
             lo = hi
         x = np.concatenate(xs)
         nodes, weights = [x], [np.concatenate(ws) * self.density(x)]
-        for j in range(1, depth):
-            x, w = self._dyadic_cell(j, parts(j), order)
+        cells = [self._dyadic_cell(j, order) for j in range(1, depth)]
+        with np.errstate(divide="ignore"):
+            log_dens = [np.log(dens) for _, _, dens in cells]
+        tops = [np.max(x_scale * np.log(x) + ld) for (x, _, _), ld in zip(cells, log_dens)]
+        peak = max(tops, default=-np.inf)
+        peak_j = 1 + tops.index(peak) if tops else depth
+        for j, (x, wd, _), ld, top in zip(range(1, depth), cells, log_dens, tops):
+            v = x_scale * 2.0 ** (-j - 1)
+            live = ld[ld > -np.inf]
+            spread = np.ptp(live) if live.size else 0.0
+            n = min(quad.SPLIT_CAP, math.ceil(max(v if v <= 45.0 else 0.0, spread) / quad.THETA))
+            if n > 1 and not (j > peak_j and top < peak - quad.PEAK_MARGIN):
+                x, w = quad.subdivided_nodes(1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), n, order)
+                wd = w * self.density(x)
             nodes.append(x)
-            weights.append(w)
+            weights.append(wd)
         return quad.RadialRule(np.concatenate(nodes), np.concatenate(weights), boundary)
 
-    def _dyadic_cell(self, j, parts, order):
-        """Nodes and density-weighted weights of [1 - 2^-j, 1 - 2^-j-1]."""
-        x, w = quad.subdivided_nodes(1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), parts, order)
-        return x, w * self.density(x)
+    def _dyadic_cell(self, j, order):
+        """Unsplit cell [1 - 2^-j, 1 - 2^-j-1]: Gauss nodes, density-weighted
+        weights and the density at the nodes."""
+        x, w = quad.cell_nodes(1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), order)
+        dens = self.density(x)
+        return x, w * dens, dens
 
     def scaled(self, factor):
         """Same weight multiplied by a positive constant (exactly)."""
@@ -253,8 +277,7 @@ class StandardWeight(RadialWeight):
                 break
             depth += 1
         boundary = math.exp(self.log_tail(1.0 - 2.0 ** (-depth)))
-        return self._dyadic_rule(depth, x_scale, order, boundary,
-                                 lambda j: quad.split_count(x_scale, 2.0 ** (-j - 1)))
+        return self._dyadic_rule(depth, x_scale, order, boundary)
 
 
 class LogWeight(RadialWeight):
@@ -315,12 +338,6 @@ class LogWeight(RadialWeight):
         x2 = u * (2.0 - u)  # 1 - r^2
         w_lo = math.sqrt(-math.log(x2)) if x2 < 1.0 else 0.0
         return math.log(self.amplitude * self._transformed_integral(0.0, w_lo))
-
-    def _moment_impl(self, x):
-        rule = self.radial_rule(max(x, 1.0))
-        with np.errstate(divide="ignore"):
-            powers = np.exp(x * np.log(rule.nodes)) if x != 0.0 else np.ones_like(rule.nodes)
-        return rule.integrate(powers, 1.0)
 
     def _transition_edges(self, x_scale):
         """w-values where x_scale * (-log s(w)) crosses multiples of THETA.
@@ -399,58 +416,15 @@ class ExponentialWeight(RadialWeight):
         J = quad.adaptive_gauss(layer, 0.0, -LOG_UNDERFLOW, rel_tol=1e-13)
         return -a + math.log(u / (a * g)) + math.log(J) + math.log(self.amplitude)
 
-    def _moment_impl(self, x):
-        # locate the interior peak of x*log s - c/(1-s)^gamma on a probe
-        # grid, then integrate exp(phi - peak) on a mesh covering the region
-        # where the integrand is not negligible (blind adaptivity can miss
-        # a peak this sharp)
-        probe = 1.0 - np.geomspace(2.0**-40, 1.0, 401)
-        with np.errstate(divide="ignore"):
-            phi = x * np.log(np.maximum(probe, 1e-300)) - self.c / (1.0 - probe) ** self.gamma
-        m_star = float(np.max(phi))
-        alive = np.nonzero(phi > m_star - 80.0)[0]
-        # probe decreases in s: pad the alive hull outward on both sides
-        hi = probe[max(alive[0] - 2, 0)]
-        lo = probe[min(alive[-1] + 2, probe.size - 1)]
-
-        def integrand(s):
-            with np.errstate(divide="ignore"):
-                expo = x * np.log(np.maximum(s, 1e-300)) - self.c / (1.0 - s) ** self.gamma - m_star
-            return np.where(expo < LOG_UNDERFLOW, 0.0, np.exp(np.minimum(np.maximum(expo, LOG_UNDERFLOW), 700.0)))
-
-        body = 0.0
-        edges = np.linspace(lo, hi, 49)
-        for a_edge, b_edge in zip(edges[:-1], edges[1:]):
-            body += quad.adaptive_gauss(integrand, float(a_edge), float(b_edge),
-                                        rel_tol=1e-12, max_depth=24)
-        log_val = m_star + math.log(body) + math.log(self.amplitude)
-        if log_val < LOG_UNDERFLOW:
-            raise QuadratureError(
-                f"moment({x}) of {self.label} underflows double precision "
-                f"(log moment = {log_val:.1f})",
-                residual=log_val,
-            )
-        return math.exp(log_val)
-
     def _build_rule(self, x_scale, order):
         c, g = self.c, self.gamma
         depth = 1
-        while depth < quad.MAX_MESH_DEPTH and c * (2.0 ** (g * (depth + 1))) <= -LOG_UNDERFLOW:
+        while depth < quad.MAX_MESH_DEPTH and c * 2.0 ** (g * depth) <= -LOG_UNDERFLOW:
             depth += 1
-
-        def parts(j):
-            u_right, u_left = 2.0 ** (-j - 1), 2.0 ** (-j)
-            # density already negligible relative to its global maximum?
-            if c * (u_left ** (-g) - 1.0) > 46.0:
-                return 1
-            var = c * (u_right ** (-g) - u_left ** (-g))
-            if x_scale * u_right <= 45.0:
-                var += x_scale * u_right
-            return max(1, min(256, int(math.ceil(var / quad.THETA))))
 
         # the density itself varies like exp(-c/u^gamma) over the left half;
         # beyond the mesh it underflows doubles entirely
-        return self._dyadic_rule(depth, max(x_scale, c * 4.0**g), order, 0.0, parts)
+        return self._dyadic_rule(depth, x_scale, order, 0.0, x_left=max(x_scale, c * 4.0**g))
 
 
 class TabulatedWeight(RadialWeight):
@@ -471,7 +445,7 @@ class TabulatedWeight(RadialWeight):
         except Exception:
             self._sampler = np.vectorize(sampler, otypes=[float])
         super().__init__(label, amplitude)
-        self._cells = {}  # j -> (nodes, weighted density values, cell integral)
+        self._cells = {}  # j -> (nodes, Gauss weights, sampler values, cell integral)
         self._order = 12
         if check:
             probe = np.linspace(0.0, 0.95, 20)
@@ -497,7 +471,7 @@ class TabulatedWeight(RadialWeight):
         dens = np.asarray(self._sampler(x), dtype=float)
         if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
             raise DomainError(f"{self.label}: sampler must be finite and >= 0 on [0, 1)")
-        entry = (x, w * dens, float(np.dot(w, dens)))
+        entry = (x, w, dens, float(np.dot(w, dens)))
         self._cells[j] = entry
         return entry
 
@@ -513,7 +487,7 @@ class TabulatedWeight(RadialWeight):
         total = 0.0
         vals = []
         for j in range(quad.MAX_MESH_DEPTH):
-            _, _, val = self._cell(j)
+            val = self._cell(j)[3]
             total += val
             vals.append(val)
             if j >= max(4, min_depth) and all(v <= 1e-16 * total for v in vals[-3:]):
@@ -537,7 +511,7 @@ class TabulatedWeight(RadialWeight):
         """Tail without the amplitude factor."""
         depth, boundary = self._mesh_extent()
         if r == 0.0:
-            return sum(self._cell(j)[2] for j in range(depth)) + boundary
+            return sum(self._cell(j)[3] for j in range(depth)) + boundary
         u = 1.0 - r
         j0 = min(int(math.floor(-math.log2(u))), depth - 1)
         # partial piece of cell j0 from r to its right edge
@@ -546,7 +520,7 @@ class TabulatedWeight(RadialWeight):
         if hi > r:
             x, w = quad.cell_nodes(r, hi, self._order)
             part = float(np.dot(w, np.asarray(self._sampler(x), dtype=float)))
-        rest = sum(self._cell(j)[2] for j in range(j0 + 1, depth))
+        rest = sum(self._cell(j)[3] for j in range(j0 + 1, depth))
         return part + rest + boundary
 
     def log_tail(self, r):
@@ -559,25 +533,19 @@ class TabulatedWeight(RadialWeight):
             )
         return math.log(t) + math.log(self.amplitude)
 
-    def _moment_impl(self, x):
-        rule = self.radial_rule(max(x, 1.0))
-        powers = rule.nodes**x if x != 0.0 else np.ones_like(rule.nodes)
-        return rule.integrate(powers, 1.0)
-
     def _build_rule(self, x_scale, order):
         # the mesh must reach past 1 - 1/x_scale, where s^x_scale still
         # moves; 12 dyadic levels beyond leave it flat to 2^-12
         peak_depth = int(math.ceil(math.log2(max(x_scale, 2.0)))) + 12
         depth, boundary = self._mesh_extent(min_depth=min(peak_depth, quad.MAX_MESH_DEPTH - 1))
-        return self._dyadic_rule(depth, x_scale, order, boundary * self.amplitude,
-                                 lambda j: quad.split_count(x_scale, 2.0 ** (-j - 1)))
+        return self._dyadic_rule(depth, x_scale, order, boundary * self.amplitude)
 
-    def _dyadic_cell(self, j, parts, order):
-        # an unsplit cell at the cache's order reuses the cached samples
-        if parts == 1 and order == self._order:
-            x, wd, _ = self._cell(j)
-            return x, wd * self.amplitude
-        return super()._dyadic_cell(j, parts, order)
+    def _dyadic_cell(self, j, order):
+        # at the cache's order the cell reuses the cached samples
+        if order != self._order:
+            return super()._dyadic_cell(j, order)
+        x, w, dens, _ = self._cell(j)
+        return x, w * dens * self.amplitude, dens * self.amplitude
 
 
 def scaled_weight(omega, mu, p):

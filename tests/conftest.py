@@ -2,11 +2,14 @@
 
 The oracles integrate on a transformed axis t with s = 1 - 2^-t, which
 resolves integrands that concentrate at s = 1, and stay independent of the
-package's quadrature code (plain Simpson sums over dense grids).
+package's quadrature code (plain Simpson sums over dense grids, and
+``mpmath.quad`` for the sharply peaked exp moments).
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -76,6 +79,30 @@ def oracle_exp_tail(c, gamma, r):
         return np.where(e < -700, 0.0, np.exp(np.maximum(e, -700)))
 
     return graded_integral(density, lo=r)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_exp_moment(c, gamma, x, std1_tail_power=0):
+    """int_0^1 s^x exp(-c/(1-s)^gamma) T(s)^k ds with T the standard:1 tail
+    (2/3) u^2 (3 - u), u = 1 - s, and k = ``std1_tail_power``.
+
+    ``mpmath.quad`` over u, with breakpoints every 1/32 octave within 2^4 of
+    the peak of (1-u)^x exp(-c/u^gamma) near u = (c gamma / x)^(1/(gamma+1));
+    values below double range come back as 0.
+    """
+    with mpmath.workdps(20):
+        c, g, x = mpmath.mpf(c), mpmath.mpf(gamma), mpmath.mpf(x)
+        peak = (c * g / x) ** (1 / (g + 1))
+        us = {peak * mpmath.mpf(2) ** (mpmath.mpf(j) / 32) for j in range(-128, 129)}
+        pts = [mpmath.mpf(0)] + sorted(u for u in us if u < 1) + [mpmath.mpf(1)]
+
+        def integrand(u):
+            if not 0 < u < 1:
+                return mpmath.mpf(0)
+            tail = 2 * u**2 * (3 - u) / 3
+            return mpmath.exp(x * mpmath.log1p(-u) - c / u**g) * tail**std1_tail_power
+
+        return float(mpmath.quad(integrand, pts))
 
 
 def oracle_parseval_mean(coeffs, r):

@@ -8,6 +8,7 @@ from bergweight import StandardWeight, TaylorSeries, suma_check
 from bergweight.cli import main, parse_config, emit
 from bergweight.errors import ConfigError, DomainError
 from bergweight.series import write_series_csv
+from bergweight.verify import EXPERIMENTS
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +331,20 @@ def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unrea
     capsys.readouterr()
     assert _exit_code(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    flag, value = unread.split(" = ")
-    flag = "--" + flag.replace("_", "-")
+    key, value = unread.split(" = ")
+    flag = "--" + key.replace("_", "-")
     assert _exit_code(command + flags + ([flag] if value == "true" else [flag, value])) == 2
+    # a flag argparse knows is rejected by parse_config, which names the flag
+    # and no line of the config text built from the flags
+    err = capsys.readouterr().err
+    assert "(line" not in err
+    if key in EXPERIMENTS[experiment].keys:
+        assert err.startswith("error:") and f"(flag {flag})" in err
     assert _exit_code(command + flags + ["--seed", "-1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "(line" not in err
+    if "seed" in EXPERIMENTS[experiment].keys:
+        assert "(flag --seed)" in err
 
     if writes:
         # the same run as a config file; --out redirects it without entering the hash

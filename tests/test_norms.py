@@ -16,12 +16,13 @@ from bergweight import (
     build_basis,
     hardy_norm,
     integral_mean,
+    scaled_weight,
 )
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
 from bergweight import norms
 from bergweight.norms import DEFAULT_SETTINGS
 
-from conftest import oracle_circle_values, oracle_parseval_mean
+from conftest import oracle_circle_values, oracle_exp_moment, oracle_parseval_mean
 
 RNG = np.random.default_rng(19)
 
@@ -337,14 +338,35 @@ def test_reduced_means_flush_by_the_row_maximum_of_f(p):
     assert integral_mean(TaylorSeries.monomial(2048), 0.5, p) == 0.0
     # r^a is representable here, but f's row maximum 0.5^1000 is below the flush point
     assert integral_mean(TaylorSeries.monomial(1000), 0.5, p) == 0.0
-    # h = 1e-300 + z: the row maximum is h's top term, not its first
+    # h = 1e-300 + z: the row maximum is h's top term, not its first; above
+    # the flush point the mean is r M_p(r, h), the root taken before the lift
     f = TaylorSeries([0.0, 1e-300, 1.0])
     q = DEFAULT_SETTINGS.q_for(f.degree)
     for r in (1e-150, 1e-140, 0.5):
         got = integral_mean(f, r, p)
-        dense = circle_power_means(f.coeffs, [r], p, q)[0]
+        row_max = max(abs(c) * r**k for k, c in enumerate(f.coeffs))
+        dense = r * circle_power_means(f.coeffs[1:], [r], p, q)[0] ** (1.0 / p)
+        dense = 0.0 if row_max < 1e-290 else dense
         assert (got == 0.0) == (dense == 0.0)
-        assert got == pytest.approx(dense ** (1.0 / p), rel=1e-12)
+        assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_bergman_norm_of_high_monomial_against_exp_weights(exp11, std1):
+    # ||z^n||^2 = 2 moment(2n + 1); the rule at x_scale 2n + 2 must resolve
+    # the peak of s^(2n+1) w(s), which for exp:1,1 sits near 1 - s = n^(-1/2)
+    f = TaylorSeries.monomial(2048)
+    for w, tail_power in ((exp11, 0), (scaled_weight(exp11, std1, 2.0), 2)):
+        want = 2.0 * oracle_exp_moment(1.0, 1.0, 4097.0, tail_power)
+        assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 300])
+def test_integral_mean_of_monomial_is_r_to_the_n(n):
+    # 0.3^300 ~ 1.4e-157 is representable although its cube underflows
+    for r in (0.3, 0.9):
+        for p in (0.5, 2.0, 3.0):
+            got = integral_mean(TaylorSeries.monomial(n), r, p)
+            assert got == pytest.approx(r**n, rel=1e-13, abs=0.0)
 
 
 def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):

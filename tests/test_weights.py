@@ -20,6 +20,7 @@ from bergweight import (
 from bergweight.weights import dcheck_margin, default_r_grid
 
 from conftest import (
+    oracle_exp_moment,
     oracle_exp_tail,
     oracle_log_moment,
     oracle_std_moment,
@@ -163,36 +164,42 @@ def _beta_moment(alpha, x, amplitude=1.0):
     return float(amplitude * a / 2.0 * mpmath.beta((x + 1.0) / 2.0, a))
 
 
-@functools.lru_cache(maxsize=None)
-def _exp11_moment(x):
-    # over u = 1 - s, with breakpoints every 1/16 octave within 2^8 of the
-    # peak of (1-u)^x e^(-1/u) at u ~ x^(-1/2)
-    with mpmath.workdps(30):
-        peak = 1 / mpmath.sqrt(x)
-        us = {peak * mpmath.mpf(2) ** (mpmath.mpf(j) / 16) for j in range(-128, 129)}
-        pts = [mpmath.mpf(0)] + sorted(u for u in us if u < 1) + [mpmath.mpf(1)]
-        return float(mpmath.quad(lambda u: (1 - u) ** x * mpmath.exp(-1 / u) if u > 0 else 0,
-                                 pts))
-
-
+EXP_PARAMS = [(1.0, 1.0), (0.5, 2.0), (1.0, 2.0), (2.0, 0.5)]
 _TAB_STD2 = TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab-std2")
 RULE_ORACLES = {
     "standard:1": (StandardWeight(1.0), lambda x: _beta_moment(1.0, x)),
-    "exp:1,1": (ExponentialWeight(1.0, 1.0), _exp11_moment),
     "tabulated": (_TAB_STD2, lambda x: _beta_moment(2.0, x)),
     "7.3*tabulated": (_TAB_STD2.scaled(7.3), lambda x: _beta_moment(2.0, x, 7.3)),
+    **{f"exp:{c:g},{g:g}": (ExponentialWeight(c, g), functools.partial(oracle_exp_moment, c, g))
+       for c, g in EXP_PARAMS},
 }
 
 
 @pytest.mark.parametrize("family", sorted(RULE_ORACLES))
 @pytest.mark.parametrize("order", [8, 12])  # the norms' order and the moments' order
-@pytest.mark.parametrize("x_scale", [2.0, 64.0, 4096.0])
+@pytest.mark.parametrize("x_scale", [2.0, 64.0, 4096.0, 2.0**17])
 def test_radial_rule_integrates_monomial_against_oracle(family, order, x_scale):
+    # abs=0: exp moments at large x are far below pytest's default abs of 1e-12;
+    # where they leave double range (gamma = 2 at x = 2^16) both sides are 0
     w, oracle = RULE_ORACLES[family]
     rule = w.radial_rule(x_scale, order=order)
     x = x_scale / 2.0
     value = rule.integrate(rule.nodes**x, 1.0)
-    assert value == pytest.approx(oracle(x), rel=1e-8)
+    assert value == pytest.approx(oracle(x), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("c, gamma", EXP_PARAMS)
+def test_exp_moments_against_mpmath(c, gamma):
+    # moments integrate on the weight's own order-12 rule; points whose
+    # moment leaves double range (below 1e-300) are not compared
+    w = ExponentialWeight(c, gamma)
+    compared = 0
+    for x in [1.0, 10.0, 100.0, 1e3, 1e4, 1e5]:
+        want = oracle_exp_moment(c, gamma, x)
+        if want >= 1e-300:
+            assert w.moment(x) == pytest.approx(want, rel=1e-9, abs=0.0)
+            compared += 1
+    assert compared >= 4
 
 
 def test_lemma_moment_doubling_bounded(std1, log2w):
