@@ -33,24 +33,36 @@ def gauss_rule(order):
 
 
 def cell_nodes(lo, hi, order):
-    """Gauss-Legendre nodes/weights mapped onto the interval [lo, hi]."""
+    """Gauss-Legendre nodes/weights mapped onto the interval [lo, hi].
+
+    Array ``lo`` and ``hi`` give one row of nodes per interval.
+    """
     x, w = gauss_rule(order)
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
 
 def subdivided_nodes(lo, hi, parts, order):
-    """Nodes/weights for [lo, hi] split into ``parts`` equal Gauss cells."""
-    if parts <= 1:
+    """Nodes/weights for [lo, hi] split into ``parts`` equal Gauss cells.
+
+    ``lo``, ``hi`` and ``parts`` may be arrays: each interval is split on its
+    own and the nodes come out interval by interval, left to right.  The
+    edges are those of ``np.linspace(lo, hi, parts + 1)``, bit for bit.
+    """
+    if np.ndim(lo) == 0 and parts <= 1:
         return cell_nodes(lo, hi, order)
-    edges = np.linspace(lo, hi, parts + 1)
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = cell_nodes(a, b, order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    parts = np.maximum(np.broadcast_to(parts, lo.shape), 1)
+    cell = np.repeat(np.arange(lo.size), parts)
+    k = np.arange(cell.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    n, a, b = parts[cell], lo[cell], hi[cell]
+    step = (b - a) / n
+    left = k * step + a
+    right = np.where(k + 1 == n, b, (k + 1) * step + a)
+    x, w = cell_nodes(left, right, order)
+    return x.ravel(), w.ravel()
 
 
 def adaptive_gauss(fn, lo, hi, rel_tol=5e-13, order=16, max_depth=46):

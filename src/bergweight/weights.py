@@ -20,6 +20,7 @@ diagnostics, never certificates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .errors import DomainError, QuadratureError
 
 LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in doubles
 LEFT_LEVELS = 16  # cells [2^-l, 2^-l+1], l = LEFT_LEVELS..1, grade [0, 1/2] toward 0
+SERIES_TERMS = 401  # most terms a standard tail series sums
 
 # Default classification grids.
 DEFAULT_I_MAX = 40
@@ -52,6 +54,91 @@ def _check_radius(r):
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
 
 
+def _map(fn, values):
+    """``fn`` (a ``math`` function) at each entry, so that array and scalar
+    callers round alike."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
+def _series_totals(z, num, den, total):
+    """``total`` plus sum_m t_m, t_m = prod_{i<=m} z num_i / (i + 1) / den_m,
+    at each entry of ``z``: a standard tail series, stopped per entry after
+    the first m with |t_m| < 1e-18 |sum| or at m = SERIES_TERMS - 1.
+
+    Terms and partial sums run in the scalar loop's order (running products
+    and sums along each row), so every entry is that loop's float.  Columns
+    of terms come in blocks, at least SERIES_TERMS entries each, and entries
+    leave once stopped.
+    """
+    out = np.empty(z.size)
+    idx = np.arange(z.size)
+    start, block = 0, max(16, SERIES_TERMS // max(z.size, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while idx.size:
+            cols = slice(start, min(start + block, SERIES_TERMS))
+            ratio = z[:, None] * num[cols] / _COUNTS[cols]
+            if start:
+                ratio[:, 0] *= powt
+            powt = np.multiply.accumulate(ratio, axis=1)
+            term = powt / den[cols]
+            sums = term.copy()
+            sums[:, 0] += total
+            np.add.accumulate(sums, axis=1, out=sums)
+            stop = np.abs(term) < 1e-18 * np.abs(sums)
+            start, block = cols.stop, 2 * block
+            stop[:, -1] |= start == SERIES_TERMS
+            first = stop.argmax(axis=1)
+            done = stop[np.arange(idx.size), first]
+            out[idx[done]] = sums[done, first[done]]
+            if done.all():
+                break
+            idx, z = idx[~done], z[~done]
+            powt, total = powt[~done, -1], sums[~done, -1]
+    return out
+
+
+_COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
+
+
+@dataclass(frozen=True)
+class _CellTable:
+    """The unsplit dyadic cells [1 - 2^-j, 1 - 2^-j-1], j = 0, 1, ..., of one
+    weight at one Gauss order, each sampled once: Gauss nodes and their logs
+    (one row per cell), the density there, its log and that log's spread
+    over the cell's live nodes, and the cell's integral.  Extending returns
+    a new table, so a reader never sees one half-grown."""
+
+    nodes: np.ndarray
+    log_nodes: np.ndarray
+    dens: np.ndarray
+    log_dens: np.ndarray
+    spread: np.ndarray
+    mass: tuple
+
+    @classmethod
+    def empty(cls, order):
+        rows = np.empty((0, order))
+        return cls(rows, rows, rows, rows, np.empty(0), ())
+
+    def __len__(self):
+        return len(self.mass)
+
+    def extended(self, x, gw, dens):
+        with np.errstate(divide="ignore"):
+            ld = np.log(dens)
+        live = ld > -np.inf
+        spread = np.max(ld, axis=1, where=live, initial=-np.inf) - np.min(
+            ld, axis=1, where=live, initial=np.inf)
+        return _CellTable(
+            np.concatenate([self.nodes, x]),
+            np.concatenate([self.log_nodes, np.log(x)]),
+            np.concatenate([self.dens, dens]),
+            np.concatenate([self.log_dens, ld]),
+            np.concatenate([self.spread, np.where(live.any(axis=1), spread, 0.0)]),
+            self.mass + tuple(float(np.dot(g, d)) for g, d in zip(gw, dens)),
+        )
+
+
 class RadialWeight:
     """Base class; concrete families implement density/log_tail/moment."""
 
@@ -67,8 +154,10 @@ class RadialWeight:
         # GIL (a race at worst recomputes the same pure value)
         self._moment_memo = {}
         self._rule_memo = {}
+        self._tables = {}  # Gauss order -> _CellTable
         self._classify_memo = None
         self._dcheck_memo = {}  # k -> dcheck curve on the default r-grid
+        self._grid_tails = {}  # radius -> log tail, for the classification curves
 
     # -- family hooks -------------------------------------------------------
 
@@ -102,10 +191,24 @@ class RadialWeight:
             )
         return math.exp(lt)
 
+    def log_tails(self, rs):
+        """log tail at every radius of the array ``rs``, in its shape."""
+        rs = np.asarray(rs, dtype=float)
+        return np.array([self.log_tail(float(r)) for r in rs.ravel()]).reshape(rs.shape)
+
+    def _grid_log_tail(self, r):
+        """log_tail(r), memoized: the classification curves revisit radii
+        (on the dyadic grid, 1 - (1-r)/k for k = 2^i is a later grid radius)."""
+        r = float(r)
+        try:
+            return self._grid_tails[r]
+        except KeyError:
+            lt = self._grid_tails[r] = self.log_tail(r)
+            return lt
+
     def tail_many(self, rs):
         """Tails at every radius in ``rs``; tails below double range flush to 0."""
-        return np.array([math.exp(self.log_tail(float(r))) for r in np.atleast_1d(rs)],
-                        dtype=float)
+        return _map(math.exp, self.log_tails(np.atleast_1d(rs)))
 
     def moment(self, x):
         """Moment of order x >= 0, memoized per weight instance."""
@@ -145,6 +248,31 @@ class RadialWeight:
         self._rule_memo[key] = rule
         return rule
 
+    def _cells(self, order, depth):
+        """The weight's cell table at ``order``, sampled through cell depth - 1.
+
+        It grows in blocks with one density call each.  When a block's call
+        raises, the cells up to the one asked for are sampled one at a time,
+        so the error is that of the first bad cell a caller reaches.
+        """
+        table = self._tables.get(order) or _CellTable.empty(order)
+        start = len(table)
+        if start >= depth:
+            return table
+        j = np.arange(start, min(quad.MAX_MESH_DEPTH, max(depth, 2 * start, 16)))
+        x, gw = quad.cell_nodes(1.0 - np.ldexp(1.0, -j), 1.0 - np.ldexp(1.0, -j - 1), order)
+        try:
+            table = table.extended(x, gw, self._cell_density(x))
+        except Exception:
+            for k in range(depth - start):
+                table = table.extended(x[k:k + 1], gw[k:k + 1], self._cell_density(x[k:k + 1]))
+                self._tables[order] = table
+        self._tables[order] = table
+        return table
+
+    def _cell_density(self, x):
+        return self.density(x.ravel()).reshape(x.shape)
+
     def _dyadic_rule(self, depth, x_scale, order, boundary, x_left=None):
         """Rule for g(s) * density(s), g up to s^x_scale, ``boundary`` the mass
         beyond it: [0, 1/2] graded toward 0 and split where ``x_left``
@@ -155,45 +283,39 @@ class RadialWeight:
         and D the spread of log density over its nodes.  Cells past the peak
         of s^x_scale * density whose nodes fall PEAK_MARGIN below it stay
         whole: any g growing no faster than s^x_scale is as negligible there.
+
+        The cells, their densities and spreads come from the weight's cell
+        table, shared by every x_scale; the rule is one ``subdivided_nodes``
+        pass over all cells and parts and one density call at the nodes of
+        the left half and of the split cells.
         """
         x_left = x_scale if x_left is None else x_left
-        xs, ws, lo = [], [], 0.0
-        for level in range(LEFT_LEVELS, 0, -1):
-            hi = 2.0 ** -level
-            if lo == 0.0 or x_left * (-math.log(hi)) > 45.0:
-                n = 1
-            else:
-                n = max(1, min(16, int(math.ceil(x_left * math.log(hi / lo) / quad.THETA))))
-            x, w = quad.subdivided_nodes(lo, hi, n, order)
-            xs.append(x)
-            ws.append(w)
-            lo = hi
-        x = np.concatenate(xs)
-        nodes, weights = [x], [np.concatenate(ws) * self.density(x)]
-        cells = [self._dyadic_cell(j, order) for j in range(1, depth)]
+        hi = np.ldexp(1.0, -np.arange(LEFT_LEVELS, 0, -1))
+        lo = np.concatenate([[0.0], hi[:-1]])
         with np.errstate(divide="ignore"):
-            log_dens = [np.log(dens) for _, _, dens in cells]
-        tops = [np.max(x_scale * np.log(x) + ld) for (x, _, _), ld in zip(cells, log_dens)]
-        peak = max(tops, default=-np.inf)
-        peak_j = 1 + tops.index(peak) if tops else depth
-        for j, (x, wd, _), ld, top in zip(range(1, depth), cells, log_dens, tops):
-            v = x_scale * 2.0 ** (-j - 1)
-            live = ld[ld > -np.inf]
-            spread = np.ptp(live) if live.size else 0.0
-            n = min(quad.SPLIT_CAP, math.ceil(max(v if v <= 45.0 else 0.0, spread) / quad.THETA))
-            if n > 1 and not (j > peak_j and top < peak - quad.PEAK_MARGIN):
-                x, w = quad.subdivided_nodes(1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), n, order)
-                wd = w * self.density(x)
-            nodes.append(x)
-            weights.append(wd)
-        return quad.RadialRule(np.concatenate(nodes), np.concatenate(weights), boundary)
+            graded = np.clip(np.ceil(x_left * np.log(hi / lo) / quad.THETA), 1, 16)
+        left_parts = np.where((lo == 0.0) | (x_left * -np.log(hi) > 45.0), 1, graded)
 
-    def _dyadic_cell(self, j, order):
-        """Unsplit cell [1 - 2^-j, 1 - 2^-j-1]: Gauss nodes, density-weighted
-        weights and the density at the nodes."""
-        x, w = quad.cell_nodes(1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), order)
-        dens = self.density(x)
-        return x, w * dens, dens
+        table = self._cells(order, depth)
+        j = np.arange(1, depth)
+        tops = np.max(x_scale * table.log_nodes[1:depth] + table.log_dens[1:depth], axis=1)
+        peak = tops.max(initial=-np.inf)
+        peak_j = 1 + int(np.argmax(tops)) if tops.size else depth
+        v = x_scale * np.ldexp(1.0, -j - 1)
+        v = np.where(v <= 45.0, v, 0.0)
+        spread = table.spread[1:depth]
+        n = np.minimum(quad.SPLIT_CAP, np.ceil(np.where(spread > v, spread, v) / quad.THETA))
+        split = (n > 1) & ~((j > peak_j) & (tops < peak - quad.PEAK_MARGIN))
+
+        parts = np.concatenate([left_parts, np.where(split, n, 1)]).astype(int)
+        x, gw = quad.subdivided_nodes(np.concatenate([lo, 1.0 - np.ldexp(1.0, -j)]),
+                                      np.concatenate([hi, 1.0 - np.ldexp(1.0, -j - 1)]),
+                                      parts, order)
+        fresh = np.repeat(np.concatenate([np.ones(LEFT_LEVELS, dtype=bool), split]), parts * order)
+        dens = np.empty(x.size)
+        dens[fresh] = self.density(x[fresh])
+        dens[~fresh] = table.dens[1:depth][~split].ravel()
+        return quad.RadialRule(x, gw * dens, boundary)
 
     def scaled(self, factor):
         """Same weight multiplied by a positive constant (exactly)."""
@@ -213,6 +335,10 @@ class StandardWeight(RadialWeight):
             raise DomainError(f"standard family needs alpha > -1, got {alpha!r}")
         self.alpha = float(alpha)
         super().__init__(label or f"standard:{alpha:g}", amplitude)
+        a, m = self.alpha + 1.0, _COUNTS - 1.0
+        # the tail series' coefficients, near the boundary and inside it
+        self._near = (m + 0.5, a + m + 1.0, 1.0 / a)
+        self._inner = (m + 1.0 - a, m + 1.5, 2.0)
 
     def with_amplitude(self, amplitude, label=None):
         return StandardWeight(self.alpha, amplitude, label or self.label)
@@ -222,44 +348,44 @@ class StandardWeight(RadialWeight):
         return self.amplitude * (self.alpha + 1.0) * (1.0 - s * s) ** self.alpha
 
     def log_tail(self, r):
-        # tail(r) = amplitude * (a/2) * B(1 - r^2; a, 1/2), a = alpha + 1.
         _check_radius(r)
-        u = 1.0 - r
+        return float(self.log_tails(np.array([float(r)]))[0])
+
+    def log_tails(self, rs):
+        # tail(r) = amplitude * (a/2) * B(1 - r^2; a, 1/2), a = alpha + 1.
+        rs = np.asarray(rs, dtype=float)
+        inside = (rs >= 0.0) & (rs < 1.0)
+        if not inside.all():
+            _check_radius(float(rs[~inside][0]))
+        u = 1.0 - rs
         x = u * (2.0 - u)
         a = self.alpha + 1.0
         pref = math.log(self.amplitude * a / 2.0)
-        if x <= 0.5:
+        near = x <= 0.5
+        if near.all():
             # series for the incomplete Beta integral, all terms positive
-            powt = 1.0
-            total = 1.0 / a
-            m = 0
-            while True:
-                powt *= x * (m + 0.5) / (m + 1.0)
-                nxt = powt / (a + m + 1.0)
-                total += nxt
-                m += 1
-                if nxt < 1e-18 * total or m > 400:
-                    break
-            return pref + a * math.log(x) + math.log(total)
+            return pref + a * _map(math.log, x) + _map(math.log, _series_totals(x, *self._near))
+        out = np.empty(rs.shape)
+        xn = x[near]
+        out[near] = pref + a * _map(math.log, xn) + _map(math.log, _series_totals(xn, *self._near))
         # complement: full Beta minus the stretch [0, r]
         full = math.exp(betaln(a, 0.5))
-        y = 1.0 - x  # = r^2 <= 1/2
-        powt = 1.0
-        total = 2.0  # 1/b with b = 1/2
-        m = 0
-        while True:
-            powt *= y * (m + 1.0 - a) / (m + 1.0)
-            nxt = powt / (m + 1.5)
-            total += nxt
-            m += 1
-            if abs(nxt) < 1e-18 * abs(total) or m > 400:
-                break
-        comp = math.sqrt(y) * total
-        if not full - comp > 0.0:
+        y = 1.0 - x[~near]  # = r^2 <= 1/2
+        diff = full - np.sqrt(y) * _series_totals(y, *self._inner)
+        cancels = ~(diff > 0.0)
+        if cancels.any():
+            k = int(np.argmax(cancels))
+            r, left = float(rs[~near][k]), float(diff[k])
             raise QuadratureError(f"tail({r}) of {self.label} (alpha = {self.alpha:g}) cancels: "
                                   f"the full Beta integral {full:.6e} minus the stretch [0, r] "
-                                  f"leaves {full - comp:.3e}", residual=full - comp)
-        return pref + math.log(full - comp)
+                                  f"leaves {left:.3e}", residual=left)
+        out[~near] = pref + _map(math.log, diff)
+        return out
+
+    @functools.cached_property
+    def _edge_log_tails(self):
+        """log tails at the dyadic cell edges 1 - 2^-j, j = 0..MAX_MESH_DEPTH."""
+        return self.log_tails(1.0 - np.ldexp(1.0, -np.arange(quad.MAX_MESH_DEPTH + 1)))
 
     def _moment_impl(self, x):
         a = self.alpha + 1.0
@@ -268,16 +394,13 @@ class StandardWeight(RadialWeight):
     def _build_rule(self, x_scale, order):
         # dyadic cells until the closed-form tail drops below 1e-13 of the
         # total AND the mesh reaches past where s^x_scale still moves
-        total_lt = self.log_tail(0.0)
+        depths = np.arange(quad.MAX_MESH_DEPTH + 1)
+        lts = self._edge_log_tails  # lts[0] is the total
         peak_depth = int(math.ceil(math.log2(max(x_scale, 2.0)))) + 12
-        depth = 1
-        while depth < quad.MAX_MESH_DEPTH:
-            deep_enough = self.log_tail(1.0 - 2.0 ** (-depth)) - total_lt < math.log(1e-13)
-            if deep_enough and depth >= min(peak_depth, quad.MAX_MESH_DEPTH - 1):
-                break
-            depth += 1
-        boundary = math.exp(self.log_tail(1.0 - 2.0 ** (-depth)))
-        return self._dyadic_rule(depth, x_scale, order, boundary)
+        done = (lts - lts[0] < math.log(1e-13)) & (depths >= min(peak_depth, quad.MAX_MESH_DEPTH - 1))
+        done[-1] = True
+        depth = int(np.argmax(done[1:])) + 1
+        return self._dyadic_rule(depth, x_scale, order, math.exp(lts[depth]))
 
 
 class LogWeight(RadialWeight):
@@ -364,16 +487,12 @@ class LogWeight(RadialWeight):
         # s(w) ~ w at the origin, so fractional powers of s need grading there
         grades = [base[1] * 2.0 ** (-l) for l in range(1, 17)]
         edges = np.unique(np.concatenate([base, np.asarray(cuts + grades, dtype=float)]))
-        nodes = []
-        weights = []
-        for w0, w1 in zip(edges[:-1], edges[1:]):
-            x, gw = quad.cell_nodes(w0, w1, order)
-            s = self._s_of_w(x)
-            nodes.append(s)
-            weights.append(gw * (1.0 + x * x) ** (-al) * x / s * self.amplitude)
+        x, gw = quad.cell_nodes(edges[:-1], edges[1:], order)
+        s = self._s_of_w(x)
+        weights = gw * (1.0 + x * x) ** (-al) * x / s * self.amplitude
         # weight mass beyond the mesh, computed in w-space so the cut is seamless
         boundary = self.amplitude * self._transformed_integral(0.0, W)
-        return quad.RadialRule(np.concatenate(nodes), np.concatenate(weights), boundary)
+        return quad.RadialRule(s.ravel(), weights.ravel(), boundary)
 
 
 class ExponentialWeight(RadialWeight):
@@ -430,11 +549,14 @@ class ExponentialWeight(RadialWeight):
 class TabulatedWeight(RadialWeight):
     """A weight given only by a sampler s -> w(s) >= 0 on [0, 1).
 
-    Samples are taken lazily on the dyadic mesh graded toward 1 and cached;
-    tails beyond the resolved mesh are extrapolated geometrically from the
-    last cells, and the extrapolation failing to shrink raises
-    :class:`QuadratureError` with the residual estimate.
+    Samples are taken lazily on the dyadic mesh graded toward 1, in the
+    weight's order-12 cell table, which its moment rules share; tails beyond
+    the resolved mesh are extrapolated geometrically from the last cells,
+    and the extrapolation failing to shrink raises :class:`QuadratureError`
+    with the residual estimate.
     """
+
+    _order = 12  # Gauss order of the mesh behind tails, = that of moment rules
 
     def __init__(self, sampler, label="tabulated", amplitude=1.0, check=True):
         try:
@@ -445,8 +567,6 @@ class TabulatedWeight(RadialWeight):
         except Exception:
             self._sampler = np.vectorize(sampler, otypes=[float])
         super().__init__(label, amplitude)
-        self._cells = {}  # j -> (nodes, Gauss weights, sampler values, cell integral)
-        self._order = 12
         if check:
             probe = np.linspace(0.0, 0.95, 20)
             vals = np.asarray(self._sampler(probe), dtype=float)
@@ -460,34 +580,25 @@ class TabulatedWeight(RadialWeight):
     def density(self, s):
         return self.amplitude * np.asarray(self._sampler(np.asarray(s, dtype=float)), dtype=float)
 
-    def _cell(self, j):
-        """Cached Gauss data for the dyadic cell [1-2^-j, 1-2^-(j+1)]."""
-        try:
-            return self._cells[j]
-        except KeyError:
-            pass
-        lo, hi = 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1)
-        x, w = quad.cell_nodes(lo, hi, self._order)
-        dens = np.asarray(self._sampler(x), dtype=float)
+    def _cell_density(self, x):
+        dens = super()._cell_density(x)
         if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
             raise DomainError(f"{self.label}: sampler must be finite and >= 0 on [0, 1)")
-        entry = (x, w, dens, float(np.dot(w, dens)))
-        self._cells[j] = entry
-        return entry
+        return dens
 
     def _mesh_extent(self, min_depth=4):
         """Resolve cells until the tail estimate beyond them is negligible.
 
-        Returns (depth, boundary_estimate); both exclude the amplitude.
-        The criterion needs three consecutive negligible cells so that
-        weights vanishing on single annuli are not truncated early, and
-        ``min_depth`` lets rule construction push the mesh past the point
-        where a peaked integrand s^x concentrates.
+        Returns (depth, boundary_estimate).  The criterion needs three
+        consecutive negligible cells so that weights vanishing on single
+        annuli are not truncated early, and ``min_depth`` lets rule
+        construction push the mesh past the point where a peaked integrand
+        s^x concentrates.
         """
         total = 0.0
         vals = []
         for j in range(quad.MAX_MESH_DEPTH):
-            val = self._cell(j)[3]
+            val = self._cells(self._order, j + 1).mass[j]
             total += val
             vals.append(val)
             if j >= max(4, min_depth) and all(v <= 1e-16 * total for v in vals[-3:]):
@@ -507,11 +618,11 @@ class TabulatedWeight(RadialWeight):
             )
         return quad.MAX_MESH_DEPTH, last * ratio / (1.0 - ratio)
 
-    def _tail_raw(self, r):
-        """Tail without the amplitude factor."""
+    def _tail(self, r):
         depth, boundary = self._mesh_extent()
+        mass = self._cells(self._order, depth).mass
         if r == 0.0:
-            return sum(self._cell(j)[3] for j in range(depth)) + boundary
+            return sum(mass[:depth]) + boundary
         u = 1.0 - r
         j0 = min(int(math.floor(-math.log2(u))), depth - 1)
         # partial piece of cell j0 from r to its right edge
@@ -519,37 +630,33 @@ class TabulatedWeight(RadialWeight):
         part = 0.0
         if hi > r:
             x, w = quad.cell_nodes(r, hi, self._order)
-            part = float(np.dot(w, np.asarray(self._sampler(x), dtype=float)))
-        rest = sum(self._cell(j)[3] for j in range(j0 + 1, depth))
-        return part + rest + boundary
+            part = float(np.dot(w, self.density(x)))
+        return part + sum(mass[j0 + 1:depth]) + boundary
 
     def log_tail(self, r):
         _check_radius(r)
-        t = self._tail_raw(r)
+        t = self._tail(r)
         if t <= 0.0:
             raise DomainError(
                 f"{self.label}: tail vanishes at r = {r}; weights must keep "
                 "positive mass up to the boundary"
             )
-        return math.log(t) + math.log(self.amplitude)
+        return math.log(t)
 
     def _build_rule(self, x_scale, order):
         # the mesh must reach past 1 - 1/x_scale, where s^x_scale still
         # moves; 12 dyadic levels beyond leave it flat to 2^-12
         peak_depth = int(math.ceil(math.log2(max(x_scale, 2.0)))) + 12
         depth, boundary = self._mesh_extent(min_depth=min(peak_depth, quad.MAX_MESH_DEPTH - 1))
-        return self._dyadic_rule(depth, x_scale, order, boundary * self.amplitude)
-
-    def _dyadic_cell(self, j, order):
-        # at the cache's order the cell reuses the cached samples
-        if order != self._order:
-            return super()._dyadic_cell(j, order)
-        x, w, dens, _ = self._cell(j)
-        return x, w * dens * self.amplitude, dens * self.amplitude
+        return self._dyadic_rule(depth, x_scale, order, boundary)
 
 
 def scaled_weight(omega, mu, p):
-    """The weight s -> omega(s) * tail_mu(s)^p as a tabulated weight."""
+    """The weight s -> omega(s) * tail_mu(s)^p as a tabulated weight.
+
+    Its sampler takes mu's tails in one ``tail_many`` call per density
+    evaluation, which is one array pass for ``standard`` mu.
+    """
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError(f"power p must be positive, got {p!r}")
 
@@ -723,12 +830,12 @@ def _inf_margin_verdict(vals):
 def default_r_grid(w, i_max=DEFAULT_I_MAX):
     """Dyadic radii 1 - 2^-i, truncated where the tail falls below
     TAIL_FLOOR_RATIO of the total mass (and hard-capped at i = 30)."""
-    lt0 = w.log_tail(0.0)
+    lt0 = w._grid_log_tail(0.0)
     floor = math.log(TAIL_FLOOR_RATIO)
     radii = []
     for i in range(min(i_max, HARD_I_CAP) + 1):
         r = 1.0 - 2.0 ** (-i)
-        if w.log_tail(r) - lt0 <= floor:
+        if w._grid_log_tail(r) - lt0 <= floor:
             break
         radii.append(r)
     if not radii:
@@ -741,7 +848,7 @@ def _dcheck_curve(w, k, r_grid, log_tails):
     stopped where the log ratio leaves the +-700 range exp() keeps finite."""
     vals = []
     for r, lt in zip(r_grid, log_tails):
-        log_ratio = lt - w.log_tail(1.0 - (1.0 - float(r)) / k)
+        log_ratio = lt - w._grid_log_tail(1.0 - (1.0 - float(r)) / k)
         if abs(log_ratio) > 700.0:
             break
         vals.append(log_ratio)
@@ -785,10 +892,10 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     if np.any(x_grid < 1):
         raise DomainError("x_grid must lie inside [1, x_max]")
 
-    log_tails = np.array([w.log_tail(float(r)) for r in r_grid])
+    log_tails = np.array([w._grid_log_tail(r) for r in r_grid])
     curves = {}
 
-    mid_lt = np.array([w.log_tail((1.0 + float(r)) / 2.0) for r in r_grid])
+    mid_lt = np.array([w._grid_log_tail((1.0 + float(r)) / 2.0) for r in r_grid])
     curves["dhat"] = (r_grid, np.exp(log_tails - mid_lt))
 
     per_k = {}
@@ -834,7 +941,7 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     comp = []
     comp_xs = []
     for x, mom in zip(xs_ok, moments):
-        log_ratio = math.log(mom) - w.log_tail(1.0 - 1.0 / x if x > 1 else 0.0)
+        log_ratio = math.log(mom) - w._grid_log_tail(1.0 - 1.0 / x if x > 1 else 0.0)
         if abs(log_ratio) > 700.0:
             break
         comp.append(math.exp(log_ratio))
@@ -892,5 +999,5 @@ def dcheck_margin(w, k):
     memo = w._dcheck_memo
     if k not in memo:
         r_grid = default_r_grid(w)
-        memo[k] = _dcheck_curve(w, k, r_grid, [w.log_tail(float(r)) for r in r_grid])
+        memo[k] = _dcheck_curve(w, k, r_grid, [w._grid_log_tail(r) for r in r_grid])
     return _inf_margin_verdict(memo[k][1])
