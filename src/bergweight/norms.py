@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .series import circle_power_means, flushed, parseval_means
 from .weights import dcheck_margin
 from . import cesaro
@@ -123,6 +123,21 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     return values
 
 
+def _radial_rule(w, x_scale):
+    """The order-GL_ORDER rule of ``w`` for ``x_scale``; raises when all of its
+    mass sits below the normal double range, where the rule weights have
+    flushed to zero or to subnormals that keep only a few digits."""
+    rule = w.radial_rule(x_scale, order=GL_ORDER)
+    tiny = np.finfo(float).tiny
+    if rule.boundary_mass < tiny and not np.any(rule.weights >= tiny):
+        raise QuadratureError(
+            f"the radial rule of {w.label} underflows double precision (log tail(0) = "
+            f"{w.log_tail(0.0):.1f}); rescale the weight with scaled() first",
+            residual=float(np.max(rule.weights, initial=0.0)),
+        )
+    return rule
+
+
 def integral_mean(f, r, p, settings=DEFAULT_SETTINGS):
     """The L^p average of |f| on the circle of radius r."""
     if not (0.0 <= r <= 1.0):
@@ -153,7 +168,7 @@ def bergman_norm(f, w, p, settings=DEFAULT_SETTINGS):
     if f.is_zero:
         return 0.0
     degree = f.degree
-    rule = w.radial_rule(p * degree + 2.0, order=GL_ORDER)
+    rule = _radial_rule(w, p * degree + 2.0)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)
@@ -230,7 +245,7 @@ def block_sum_compare(a, eta, k, p):
     if not np.any(a > 0.0):
         return 0.0, 0.0
     degree = int(np.nonzero(a)[0][-1])
-    rule = eta.radial_rule(p * degree + 1.0, order=GL_ORDER)
+    rule = _radial_rule(eta, p * degree + 1.0)
     poly_at_nodes = np.polynomial.polynomial.polyval(rule.nodes, a)
     lhs = rule.integrate(poly_at_nodes**p, float(np.sum(a)) ** p)
     rhs = float(eta.moment(1.0)) * float(np.sum(a[:k])) ** p

@@ -167,8 +167,9 @@ def evaluate_circle(f, r, q):
     return np.fft.ifft(folded) * q
 
 
-# keep each batch of scaled rows under ~2^22 entries
-_BATCH_ENTRIES = 1 << 22
+# keep each batch of scaled rows under ~2^18 entries, small enough to stay in
+# cache; rows are independent, so no mean depends on the batch size
+_BATCH_ENTRIES = 1 << 18
 # a circle whose row maximum max_n r^n |c_n| is below this has mean 0
 _FLUSH_BELOW = 1e-290
 

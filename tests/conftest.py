@@ -72,15 +72,6 @@ def oracle_log_moment(alpha, x, t_max=46.0):
     return body + correction
 
 
-def oracle_exp_tail(c, gamma, r):
-    def density(s, u):
-        with np.errstate(over="ignore", divide="ignore"):
-            e = -c / u**gamma
-        return np.where(e < -700, 0.0, np.exp(np.maximum(e, -700)))
-
-    return graded_integral(density, lo=r)
-
-
 @functools.lru_cache(maxsize=None)
 def oracle_exp_moment(c, gamma, x, std1_tail_power=0):
     """int_0^1 s^x exp(-c/(1-s)^gamma) T(s)^k ds with T the standard:1 tail

@@ -128,6 +128,14 @@ def test_identical_config_gives_identical_bytes(tmp_path):
 # command runs
 
 
+def test_cli_norm_exits_2_when_the_weight_underflows(capsys):
+    assert main(["norm", "--f", "monomial:2", "--weight", "exp:1e3,5", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "underflows" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -8,6 +8,7 @@ from bergweight import (
     DomainError,
     LogWeight,
     NormSettings,
+    QuadratureError,
     StandardWeight,
     TaylorSeries,
     bergman_norm,
@@ -16,6 +17,7 @@ from bergweight import (
     build_basis,
     hardy_norm,
     integral_mean,
+    parse_weight_spec,
     scaled_weight,
 )
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
@@ -57,7 +59,7 @@ def test_mean_example_values():
         math.sqrt(1.25), rel=1e-12
     )
     f = random_series(9)
-    assert integral_mean(f, 0.0, 2.0) == pytest.approx(abs(f.coeff(0)), rel=1e-12)
+    assert integral_mean(f, 0.0, 2.0) == pytest.approx(abs(f.coeff(0)), rel=1e-12, abs=0.0)
     assert integral_mean(TaylorSeries([0.0, 0.0]), 0.7, 1.0) == 0.0
 
 
@@ -187,7 +189,7 @@ def test_block_vs_bergman_bracket(std1):
 def test_block_norm_homogeneous(std1):
     f = random_series(100)
     base = block_norm(f, std1, 2, 2.0)
-    assert block_norm(0.5 * f, std1, 2, 2.0) == pytest.approx(0.5 * base, rel=1e-12)
+    assert block_norm(0.5 * f, std1, 2, 2.0) == pytest.approx(0.5 * base, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_block_norm_homogeneous(std1):
 def test_block_sum_compare_unit_mass(std0):
     lhs, rhs = block_sum_compare(np.array([1.0, 0.0, 0.0]), std0, 2, 1.0)
     assert lhs == pytest.approx(1.0, rel=1e-10)
-    assert rhs == pytest.approx(0.5, rel=1e-12)
+    assert rhs == pytest.approx(0.5, rel=1e-12, abs=0.0)
     assert lhs / rhs == pytest.approx(2.0, rel=1e-9)
 
 
@@ -315,11 +317,11 @@ def test_reduced_bergman_norms_against_dense_oracles(std1, a, g):
     for p in (0.5, 1.0, 2.0, 3.0):
         means = np.mean(values**p, axis=1)
         want = 2.0 * np.sum(wts * s * means * 2.0 * (1.0 - s * s))
-        assert bergman_norm(f, std1, p) ** p == pytest.approx(want, rel=1e-10)
+        assert bergman_norm(f, std1, p) ** p == pytest.approx(want, rel=1e-10, abs=0.0)
     # at p = 2 the squared norm is sum 2 |c_n|^2 / ((n + 1)(n + 2)) exactly
     n = np.arange(len(f.coeffs))
     exact = np.sum(2.0 * np.abs(f.coeffs) ** 2 / ((n + 1.0) * (n + 2.0)))
-    assert bergman_norm(f, std1, 2.0) ** 2 == pytest.approx(exact, rel=1e-12)
+    assert bergman_norm(f, std1, 2.0) ** 2 == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("a", [0, 1, 7, 300])
@@ -330,7 +332,7 @@ def test_single_term_mean_against_mpmath(a):
         for r in (0.6, 0.9, 0.99, 1.0):
             got = norms._power_means(f.coeffs, np.array([r]), p, f.degree, DEFAULT_SETTINGS)[0]
             want = mpmath.power(abs(mpmath.mpc(c)), p) * mpmath.power(mpmath.mpf(r), a * p)
-            assert got == pytest.approx(float(want), rel=1e-14)
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, 4.0])
@@ -358,6 +360,29 @@ def test_bergman_norm_of_high_monomial_against_exp_weights(exp11, std1):
     for w, tail_power in ((exp11, 0), (scaled_weight(exp11, std1, 2.0), 2)):
         want = 2.0 * oracle_exp_moment(1.0, 1.0, 4097.0, tail_power)
         assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["exp:1e3,5", "exp:700,1"])
+def test_norms_refuse_rules_below_the_normal_range(spec):
+    # exp:1e3,5 flushes every rule weight to 0 and exp:700,1 keeps only
+    # subnormals (6.7e-309 at most), although the norms are representable
+    w = parse_weight_spec(spec)
+    for p in (1.0, 2.0):
+        with pytest.raises(QuadratureError, match=r"underflows.*scaled\(\)") as err:
+            bergman_norm(TaylorSeries.monomial(2), w, p)
+        assert w.label in str(err.value) and f"{w.log_tail(0.0):.1f}" in str(err.value)
+        with pytest.raises(QuadratureError, match="underflows"):
+            block_sum_compare([1.0, 0.0, 1.0], w, 2, p)
+
+
+@pytest.mark.parametrize("c, gamma", [(1.0, 1.0), (0.5, 2.0)])
+def test_bergman_norm_of_exp_weights_in_range(c, gamma):
+    # ||z^2||_p^p = 2 moment(2p + 1)
+    w = parse_weight_spec(f"exp:{c:g},{gamma:g}")
+    for p in (1.0, 2.0):
+        want = 2.0 * oracle_exp_moment(c, gamma, 2.0 * p + 1.0)
+        assert bergman_norm(TaylorSeries.monomial(2), w, p) ** p == pytest.approx(
+            want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 300])

@@ -17,11 +17,11 @@ from bergweight import (
     parse_weight_spec,
     scaled_weight,
 )
+from bergweight.quadrature import cell_nodes
 from bergweight.weights import dcheck_margin, default_r_grid
 
 from conftest import (
     oracle_exp_moment,
-    oracle_exp_tail,
     oracle_log_moment,
     oracle_std_moment,
     oracle_std_tail,
@@ -34,7 +34,7 @@ from conftest import (
 
 def test_tail_constant_weight_is_one_minus_r(std0):
     for r in [0.0, 0.1, 0.5, 0.9, 0.999, 1 - 2.0**-20]:
-        assert std0.tail(r) == pytest.approx(1.0 - r, rel=1e-12)
+        assert std0.tail(r) == pytest.approx(1.0 - r, rel=1e-12, abs=0.0)
 
 
 def test_tail_std1_at_zero_is_four_thirds(std1):
@@ -45,7 +45,7 @@ def test_tail_std1_at_zero_is_four_thirds(std1):
 def test_std_tail_against_riemann_oracle(alpha):
     w = StandardWeight(alpha)
     for r in [0.0, 0.3, 0.7, 0.9, 0.99]:
-        assert w.tail(r) == pytest.approx(oracle_std_tail(alpha, r), rel=1e-8)
+        assert w.tail(r) == pytest.approx(oracle_std_tail(alpha, r), rel=1e-8, abs=0.0)
 
 
 def test_std1_tail_bracket(std1):
@@ -73,6 +73,23 @@ def test_cli_means_check_exits_2_on_tail_cancellation(capsys):
     assert err.startswith("error:") and "alpha = 50" in err and "Traceback" not in err
 
 
+_TAIL_RADII = np.concatenate([np.linspace(0.0, 0.99, 100), 1.0 - 2.0 ** -np.linspace(7.0, 40.0, 67)])
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 2.5, 5.0])
+def test_std_tail_against_mpmath_betainc(alpha):
+    # tail(r) = (a/2) B(1 - r^2; a, 1/2), a = alpha + 1; the array and scalar
+    # faces run one routine and must agree bit for bit
+    w = StandardWeight(alpha)
+    a = alpha + 1.0
+    tails = w.tail_many(_TAIL_RADII)
+    assert np.array_equal(tails, [math.exp(w.log_tail(float(r))) for r in _TAIL_RADII])
+    with mpmath.workdps(30):
+        want = [float(a / 2 * mpmath.betainc(a, 0.5, 0, 1 - mpmath.mpf(float(r)) ** 2))
+                for r in _TAIL_RADII]
+    assert tails == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_tail_rejects_bad_radius(std1):
     with pytest.raises(DomainError):
         std1.tail(1.0)
@@ -90,8 +107,11 @@ def test_tail_decreasing_all_families(std1, log2w, exp11):
 
 
 def test_exp_tail_log_space_against_oracle(exp11):
+    # gamma = 1: the tail is integral_0^u e^(-1/v) dv = u E_2(1/u), u = 1 - r
     for r in [0.0, 0.5, 0.9, 0.99]:
-        assert exp11.tail(r) == pytest.approx(oracle_exp_tail(1.0, 1.0, r), rel=1e-7)
+        u = mpmath.mpf(1.0 - r)
+        oracle = float(u * mpmath.expint(2, 1 / u))
+        assert exp11.tail(r) == pytest.approx(oracle, rel=1e-12, abs=0.0)
     # deep radii are only reachable in log space
     assert exp11.log_tail(1 - 2.0**-20) == pytest.approx(-1048603.7259, rel=1e-6)
     with pytest.raises(QuadratureError):
@@ -104,12 +124,12 @@ def test_exp_tail_log_space_against_oracle(exp11):
 
 def test_moment_constant_weight(std0):
     for x in [0.0, 1.0, 3.0, 10.0, 100.0]:
-        assert std0.moment(x) == pytest.approx(1.0 / (x + 1.0), rel=1e-12)
+        assert std0.moment(x) == pytest.approx(1.0 / (x + 1.0), rel=1e-12, abs=0.0)
 
 
 def test_moment_std1_closed_value(std1):
     # 2 * int s^3 (1-s^2) ds = 2 (1/4 - 1/6) = 1/6
-    assert std1.moment(3.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert std1.moment(3.0) == pytest.approx(1.0 / 6.0, rel=1e-12, abs=0.0)
 
 
 def test_moment_zero_equals_tail_zero(std1, log2w, exp11):
@@ -122,7 +142,7 @@ def test_moment_zero_equals_tail_zero(std1, log2w, exp11):
 def test_std_moments_against_riemann_oracle(alpha):
     w = StandardWeight(alpha)
     for x in [0.0, 0.5, 1.0, 3.0, 10.0, 100.0]:
-        assert w.moment(x) == pytest.approx(oracle_std_moment(alpha, x), rel=1e-8)
+        assert w.moment(x) == pytest.approx(oracle_std_moment(alpha, x), rel=1e-8, abs=0.0)
 
 
 def test_log_moments_against_transformed_oracle(log2w):
@@ -151,7 +171,7 @@ def test_quadrature_consistency_std_vs_tabulated():
         tab = TabulatedWeight(lambda s, a=alpha: (a + 1.0) * (1.0 - s * s) ** a,
                               label=f"tab-std{alpha}")
         for x in [0.0, 0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4]:
-            assert tab.moment(x) == pytest.approx(w.moment(x), rel=1e-8)
+            assert tab.moment(x) == pytest.approx(w.moment(x), rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +292,81 @@ def test_tabulated_survives_interior_zero_cell():
     assert direct == pytest.approx(oracle, rel=1e-9)
 
 
+def test_tabulated_negative_only_in_a_deep_cell():
+    # a constant weight resolves all 48 cells; only cell 30 goes negative
+    lo, hi = 1.0 - 2.0**-30, 1.0 - 2.0**-31
+
+    def sampler(s):
+        s = np.asarray(s, dtype=float)
+        return np.where((s > lo) & (s < hi), -1.0, 1.0)
+
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        TabulatedWeight(sampler, label="deep")
+
+
+def test_tabulated_bad_cell_past_the_mesh_is_never_reached():
+    # 3(1-s^2)^2 resolves its tail by cell 21; cell 25 is bad but unread
+    lo, hi = 1.0 - 2.0**-25, 1.0 - 2.0**-26
+
+    def sampler(s):
+        s = np.asarray(s, dtype=float)
+        return np.where((s > lo) & (s < hi), np.nan, 3.0 * (1.0 - s * s) ** 2)
+
+    w = TabulatedWeight(sampler, label="late")
+    clean = TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="clean")
+    assert w.log_tail(0.0) == clean.log_tail(0.0)
+    assert w.moment(3.0) == clean.moment(3.0)
+    with pytest.raises(DomainError):
+        w.moment(2.0**13)  # its rule reaches cell 25
+
+
+def test_tabulated_sampler_error_names_the_first_bad_cell():
+    edge = 1.0 - 2.0**-20
+
+    def sampler(s):
+        s = np.asarray(s, dtype=float)
+        if s.max() > edge:
+            raise DomainError(f"no samples past {s.max()!r}")
+        return np.ones_like(s)
+
+    with pytest.raises(DomainError) as err:
+        TabulatedWeight(sampler, label="edge")
+    x, _ = cell_nodes(1.0 - 2.0**-20, 1.0 - 2.0**-21, 12)  # cell 20, the first past the edge
+    assert str(err.value) == f"no samples past {x.max()!r}"
+
+
+# ---------------------------------------------------------------------------
+# radial rules
+
+
+def _rule_weights():
+    return {
+        "standard:-0.5": lambda: StandardWeight(-0.5),
+        "standard:3": lambda: StandardWeight(3.0),
+        "log:2": lambda: LogWeight(2.0),
+        "exp:1,1": lambda: ExponentialWeight(1.0, 1.0),
+        "exp:0.5,2": lambda: ExponentialWeight(0.5, 2.0),
+        "tabulated": lambda: TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab"),
+        "scaled": lambda: scaled_weight(ExponentialWeight(1.0, 1.0), StandardWeight(1.0), 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rule_weights()))
+def test_rules_do_not_depend_on_request_order(name):
+    # rules share one cell table per weight and order; the order in which
+    # buckets and orders are requested must not leak into any rule
+    make = _rule_weights()[name]
+    keys = [(2.0**k, order) for k in range(1, 15) for order in (8, 12)]
+    up, down = make(), make()
+    rules_up = {key: up.radial_rule(*key) for key in keys}
+    rules_down = {key: down.radial_rule(*key) for key in reversed(keys)}
+    for key in keys:
+        a, b = rules_up[key], rules_down[key]
+        assert np.array_equal(a.nodes, b.nodes), key
+        assert np.array_equal(a.weights, b.weights), key
+        assert a.boundary_mass == b.boundary_mass, key
+
+
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -299,15 +394,15 @@ def test_scaled_weight_by_exp_tail_flushes_underflow_against_mpmath(std1, exp11)
             return mpmath.quad(density, [s, 1]) if s < 1 else mpmath.mpf(0)
 
         oracle = mpmath.quad(lambda s: s**3 * 2 * (1 - s**2) * tail(s) ** 2, [0, 0.5, 0.9, 1])
-    assert w.moment(3.0) == pytest.approx(float(oracle), rel=1e-10)
+    assert w.moment(3.0) == pytest.approx(float(oracle), rel=1e-10, abs=0.0)
 
 
 def test_scalar_multiple_scales_exactly(std1):
     w = std1.scaled(7.3)
     for x in [0.0, 1.0, 10.0, 1e3]:
-        assert w.moment(x) == pytest.approx(7.3 * std1.moment(x), rel=1e-14)
+        assert w.moment(x) == pytest.approx(7.3 * std1.moment(x), rel=1e-14, abs=0.0)
     for r in [0.0, 0.5, 0.99]:
-        assert w.tail(r) == pytest.approx(7.3 * std1.tail(r), rel=1e-14)
+        assert w.tail(r) == pytest.approx(7.3 * std1.tail(r), rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
