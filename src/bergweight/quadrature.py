@@ -2,7 +2,9 @@
 
 Everything here works on [0, 1) (or a transformed axis) with dyadic grading
 toward the right endpoint, because every integral in this package either
-degenerates or piles up its mass at the boundary of the disc.
+degenerates or piles up its mass at the boundary of the disc.  ``cell_nodes``
+and ``subdivided_nodes`` take arrays of intervals, so a whole radial rule is
+laid out in one call.
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ def subdivided_nodes(lo, hi, parts, order):
     own and the nodes come out interval by interval, left to right.  The
     edges are those of ``np.linspace(lo, hi, parts + 1)``, bit for bit.
     """
-    if np.ndim(lo) == 0 and parts <= 1:
-        return cell_nodes(lo, hi, order)
-    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     parts = np.maximum(np.broadcast_to(parts, lo.shape), 1)
     cell = np.repeat(np.arange(lo.size), parts)
     k = np.arange(cell.size) - np.repeat(np.cumsum(parts) - parts, parts)

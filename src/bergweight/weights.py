@@ -33,6 +33,7 @@ from .errors import DomainError, QuadratureError
 LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in doubles
 LEFT_LEVELS = 16  # cells [2^-l, 2^-l+1], l = LEFT_LEVELS..1, grade [0, 1/2] toward 0
 SERIES_TERMS = 401  # most terms a standard tail series sums
+_COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
 
 # Default classification grids.
 DEFAULT_I_MAX = 40
@@ -66,9 +67,9 @@ def _series_totals(z, num, den, total):
     the first m with |t_m| < 1e-18 |sum| or at m = SERIES_TERMS - 1.
 
     Terms and partial sums run in the scalar loop's order (running products
-    and sums along each row), so every entry is that loop's float.  Columns
-    of terms come in blocks, at least SERIES_TERMS entries each, and entries
-    leave once stopped.
+    and sums along each row), so every entry is that loop's float.  Terms
+    come in blocks of columns, the first about SERIES_TERMS terms in all,
+    each next one twice as wide; entries leave once stopped.
     """
     out = np.empty(z.size)
     idx = np.arange(z.size)
@@ -97,18 +98,14 @@ def _series_totals(z, num, den, total):
     return out
 
 
-_COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
-
-
 @dataclass(frozen=True)
 class _CellTable:
     """The unsplit dyadic cells [1 - 2^-j, 1 - 2^-j-1], j = 0, 1, ..., of one
-    weight at one Gauss order, each sampled once: Gauss nodes and their logs
+    weight at one Gauss order, each sampled once: the logs of the Gauss nodes
     (one row per cell), the density there, its log and that log's spread
     over the cell's live nodes, and the cell's integral.  Extending returns
     a new table, so a reader never sees one half-grown."""
 
-    nodes: np.ndarray
     log_nodes: np.ndarray
     dens: np.ndarray
     log_dens: np.ndarray
@@ -118,7 +115,7 @@ class _CellTable:
     @classmethod
     def empty(cls, order):
         rows = np.empty((0, order))
-        return cls(rows, rows, rows, rows, np.empty(0), ())
+        return cls(rows, rows, rows, np.empty(0), ())
 
     def __len__(self):
         return len(self.mass)
@@ -130,7 +127,6 @@ class _CellTable:
         spread = np.max(ld, axis=1, where=live, initial=-np.inf) - np.min(
             ld, axis=1, where=live, initial=np.inf)
         return _CellTable(
-            np.concatenate([self.nodes, x]),
             np.concatenate([self.log_nodes, np.log(x)]),
             np.concatenate([self.dens, dens]),
             np.concatenate([self.log_dens, ld]),
@@ -266,7 +262,7 @@ class RadialWeight:
         except Exception:
             for k in range(depth - start):
                 table = table.extended(x[k:k + 1], gw[k:k + 1], self._cell_density(x[k:k + 1]))
-                self._tables[order] = table
+                self._tables[order] = table  # keep the good cells if the next one raises
         self._tables[order] = table
         return table
 
@@ -361,13 +357,13 @@ class StandardWeight(RadialWeight):
         x = u * (2.0 - u)
         a = self.alpha + 1.0
         pref = math.log(self.amplitude * a / 2.0)
-        near = x <= 0.5
-        if near.all():
-            # series for the incomplete Beta integral, all terms positive
-            return pref + a * _map(math.log, x) + _map(math.log, _series_totals(x, *self._near))
         out = np.empty(rs.shape)
+        near = x <= 0.5
+        # series for the incomplete Beta integral, all terms positive
         xn = x[near]
         out[near] = pref + a * _map(math.log, xn) + _map(math.log, _series_totals(xn, *self._near))
+        if near.all():
+            return out
         # complement: full Beta minus the stretch [0, r]
         full = math.exp(betaln(a, 0.5))
         y = 1.0 - x[~near]  # = r^2 <= 1/2
