@@ -153,7 +153,7 @@ class RadialWeight:
         self._tables = {}  # Gauss order -> _CellTable
         self._classify_memo = None
         self._dcheck_memo = {}  # k -> dcheck curve on the default r-grid
-        self._grid_tails = {}  # radius -> log tail, for the classification curves
+        self._tail_memo = {}  # radius -> log tail
 
     # -- family hooks -------------------------------------------------------
 
@@ -178,7 +178,7 @@ class RadialWeight:
 
     def tail(self, r):
         """Mass of the weight beyond radius r; raises if it underflows doubles."""
-        lt = self.log_tail(r)
+        lt = self._memo_log_tail(r)
         if lt < LOG_UNDERFLOW:
             raise QuadratureError(
                 f"tail({r}) of {self.label} underflows double precision "
@@ -192,14 +192,15 @@ class RadialWeight:
         rs = np.asarray(rs, dtype=float)
         return np.array([self.log_tail(float(r)) for r in rs.ravel()]).reshape(rs.shape)
 
-    def _grid_log_tail(self, r):
-        """log_tail(r), memoized: the classification curves revisit radii
-        (on the dyadic grid, 1 - (1-r)/k for k = 2^i is a later grid radius)."""
+    def _memo_log_tail(self, r):
+        """log_tail(r), memoized per weight instance: ``tail`` callers and the
+        classification curves revisit radii (on the dyadic grid, 1 - (1-r)/k
+        for k = 2^i is a later grid radius)."""
         r = float(r)
         try:
-            return self._grid_tails[r]
+            return self._tail_memo[r]
         except KeyError:
-            lt = self._grid_tails[r] = self.log_tail(r)
+            lt = self._tail_memo[r] = self.log_tail(r)
             return lt
 
     def tail_many(self, rs):
@@ -826,12 +827,12 @@ def _inf_margin_verdict(vals):
 def default_r_grid(w, i_max=DEFAULT_I_MAX):
     """Dyadic radii 1 - 2^-i, truncated where the tail falls below
     TAIL_FLOOR_RATIO of the total mass (and hard-capped at i = 30)."""
-    lt0 = w._grid_log_tail(0.0)
+    lt0 = w._memo_log_tail(0.0)
     floor = math.log(TAIL_FLOOR_RATIO)
     radii = []
     for i in range(min(i_max, HARD_I_CAP) + 1):
         r = 1.0 - 2.0 ** (-i)
-        if w._grid_log_tail(r) - lt0 <= floor:
+        if w._memo_log_tail(r) - lt0 <= floor:
             break
         radii.append(r)
     if not radii:
@@ -844,7 +845,7 @@ def _dcheck_curve(w, k, r_grid, log_tails):
     stopped where the log ratio leaves the +-700 range exp() keeps finite."""
     vals = []
     for r, lt in zip(r_grid, log_tails):
-        log_ratio = lt - w._grid_log_tail(1.0 - (1.0 - float(r)) / k)
+        log_ratio = lt - w._memo_log_tail(1.0 - (1.0 - float(r)) / k)
         if abs(log_ratio) > 700.0:
             break
         vals.append(log_ratio)
@@ -888,10 +889,10 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     if np.any(x_grid < 1):
         raise DomainError("x_grid must lie inside [1, x_max]")
 
-    log_tails = np.array([w._grid_log_tail(r) for r in r_grid])
+    log_tails = np.array([w._memo_log_tail(r) for r in r_grid])
     curves = {}
 
-    mid_lt = np.array([w._grid_log_tail((1.0 + float(r)) / 2.0) for r in r_grid])
+    mid_lt = np.array([w._memo_log_tail((1.0 + float(r)) / 2.0) for r in r_grid])
     curves["dhat"] = (r_grid, np.exp(log_tails - mid_lt))
 
     per_k = {}
@@ -937,7 +938,7 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     comp = []
     comp_xs = []
     for x, mom in zip(xs_ok, moments):
-        log_ratio = math.log(mom) - w._grid_log_tail(1.0 - 1.0 / x if x > 1 else 0.0)
+        log_ratio = math.log(mom) - w._memo_log_tail(1.0 - 1.0 / x if x > 1 else 0.0)
         if abs(log_ratio) > 700.0:
             break
         comp.append(math.exp(log_ratio))
@@ -995,5 +996,5 @@ def dcheck_margin(w, k):
     memo = w._dcheck_memo
     if k not in memo:
         r_grid = default_r_grid(w)
-        memo[k] = _dcheck_curve(w, k, r_grid, [w._grid_log_tail(r) for r in r_grid])
+        memo[k] = _dcheck_curve(w, k, r_grid, [w._memo_log_tail(r) for r in r_grid])
     return _inf_margin_verdict(memo[k][1])
