@@ -31,6 +31,7 @@ from . import quadrature as quad
 from .errors import DomainError, QuadratureError
 
 LOG_UNDERFLOW = -745.0  # below this, exp() is exactly 0 in doubles
+LOG_TINY = math.log(np.finfo(float).tiny)  # below this, exp() is subnormal
 LEFT_LEVELS = 16  # cells [2^-l, 2^-l+1], l = LEFT_LEVELS..1, grade [0, 1/2] toward 0
 SERIES_TERMS = 401  # most terms a standard tail series sums
 _COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
@@ -516,7 +517,12 @@ class ExponentialWeight(RadialWeight):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             expo = -self.c / (1.0 - s) ** self.gamma
-        return self.amplitude * np.where(expo < LOG_UNDERFLOW, 0.0, np.exp(np.maximum(expo, LOG_UNDERFLOW)))
+        # below the normal range the amplitude enters the exponent, so that a
+        # scaled weight keeps the digits exp() alone would lose there
+        low = expo < LOG_TINY
+        expo = np.where(low, expo + math.log(self.amplitude), expo)
+        dens = np.where(expo < LOG_UNDERFLOW, 0.0, np.exp(np.maximum(expo, LOG_UNDERFLOW)))
+        return np.where(low, dens, self.amplitude * dens)
 
     def log_tail(self, r):
         # exact boundary-layer form: with a = c/u^gamma,
@@ -535,7 +541,7 @@ class ExponentialWeight(RadialWeight):
     def _build_rule(self, x_scale, order):
         c, g = self.c, self.gamma
         depth = 1
-        while depth < quad.MAX_MESH_DEPTH and c * 2.0 ** (g * depth) <= -LOG_UNDERFLOW:
+        while depth < quad.MAX_MESH_DEPTH and c * 2.0 ** (g * depth) <= math.log(self.amplitude) - LOG_UNDERFLOW:
             depth += 1
 
         # the density itself varies like exp(-c/u^gamma) over the left half;

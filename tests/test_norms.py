@@ -375,6 +375,18 @@ def test_norms_refuse_rules_below_the_normal_range(spec):
             block_sum_compare([1.0, 0.0, 1.0], w, 2, p)
 
 
+def test_scaled_exp_weight_is_back_in_range():
+    # exp:1e3,5 underflows everywhere; scaled by 1e300 its amplitude enters
+    # the exponent, so the norm of z^2 is representable and right
+    w = parse_weight_spec("exp:1e3,5").scaled(1e300)
+    breaks = [0.0] + [t / 5000.0 for t in (0.25, 0.5, 1, 2, 5, 10, 20, 50, 100)] + [0.5, 1.0]
+    for p in (1.0, 2.0):
+        with mpmath.workdps(30):
+            mass = mpmath.quad(lambda s: s ** (2 * p + 1) * mpmath.exp(-1000 / (1 - s) ** 5), breaks)
+            want = float((2 * mass * mpmath.mpf(1e300)) ** (1 / mpmath.mpf(p)))
+        assert bergman_norm(TaylorSeries.monomial(2), w, p) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize("c, gamma", [(1.0, 1.0), (0.5, 2.0)])
 def test_bergman_norm_of_exp_weights_in_range(c, gamma):
     # ||z^2||_p^p = 2 moment(2p + 1)
