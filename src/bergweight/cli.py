@@ -38,8 +38,6 @@ class RunConfig:
             raise ConfigError(f"experiment {self.experiment!r} needs {key}", key=key)
         return val
 
-    require_weight = require
-
     @property
     def config_hash(self):
         return hashlib.sha256(self.raw.encode("utf-8")).hexdigest()

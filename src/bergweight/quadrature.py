@@ -22,6 +22,9 @@ MAX_MESH_DEPTH = 48
 THETA = 6.0  # variation of log(s^x * w) that one Gauss cell of a radial rule absorbs
 SPLIT_CAP = 256  # most equal parts a dyadic cell of a radial rule is cut into
 PEAK_MARGIN = 32.0  # log drop below the integrand's peak past which a cell stays whole
+GAUSS_REL_TOL = 1e-13  # relative tolerance of adaptive_gauss
+GAUSS_ORDER = 16  # Gauss order of each adaptive_gauss cell
+GAUSS_MAX_DEPTH = 46  # most bisections of an adaptive_gauss cell
 
 
 def gauss_rule(order):
@@ -65,19 +68,20 @@ def subdivided_nodes(lo, hi, parts, order):
     return x.ravel(), w.ravel()
 
 
-def adaptive_gauss(fn, lo, hi, rel_tol=5e-13, order=16, max_depth=46):
+def adaptive_gauss(fn, lo, hi):
     """Globally adaptive Gauss-Legendre integral of a vectorized ``fn``.
 
-    Cells are bisected until the refinement correction is below a
-    width-proportional share of ``rel_tol`` times the running total.
-    Raises :class:`QuadratureError` when the unresolved residual stays
-    above tolerance at the depth limit.
+    Order-GAUSS_ORDER cells are bisected until the refinement correction is
+    below a width-proportional share of GAUSS_REL_TOL times the running
+    total, or GAUSS_MAX_DEPTH bisections deep.  Raises
+    :class:`QuadratureError` when the unresolved residual there stays
+    above 1e-9 of the total.
     """
     if hi <= lo:
         return 0.0
 
     def estimate(a, b):
-        x, w = cell_nodes(a, b, order)
+        x, w = cell_nodes(a, b, GAUSS_ORDER)
         return float(np.dot(w, fn(x)))
 
     first = estimate(lo, hi)
@@ -92,8 +96,8 @@ def adaptive_gauss(fn, lo, hi, rel_tol=5e-13, order=16, max_depth=46):
         right = estimate(mid, b)
         fine = left + right
         err = abs(fine - coarse)
-        budget = rel_tol * scale * max((b - a) / (hi - lo), 1e-6)
-        if err <= budget or depth >= max_depth:
+        budget = GAUSS_REL_TOL * scale * max((b - a) / (hi - lo), 1e-6)
+        if err <= budget or depth >= GAUSS_MAX_DEPTH:
             total += fine
             if err > budget:
                 residual += err

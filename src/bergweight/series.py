@@ -204,7 +204,9 @@ def flushed(coeffs, radii, lead):
     absc = np.abs(coeffs)
     dead = lead * np.max(absc) < _FLUSH_BELOW
     unsure = np.nonzero(~dead & (lead * absc[0] < _FLUSH_BELOW))[0]
-    for rows in np.array_split(unsure, 1 + unsure.size * absc.size // _BATCH_ENTRIES):
+    chunk = max(1, _BATCH_ENTRIES // absc.size)
+    for start in range(0, unsure.size, chunk):
+        rows = unsure[start : start + chunk]
         _, rowmax, gone = _normalised_powers(absc, radii[rows])
         dead[rows] = gone | (lead[rows] * rowmax < _FLUSH_BELOW)
     return dead

@@ -24,6 +24,9 @@ from .weights import classify, parse_weight_spec, scaled_weight
 
 DEFAULT_SEED = 20250401
 BOUNDED_GROWTH_FACTOR = 1.05
+GRID_PER_DECADE = 8  # points per decade of geometric_int_grid
+SUMA_TERM_FLOOR = 1e-16  # suma_check drops terms below this share of the sum
+SUMA_MAX_TERMS = 200  # most lacunary terms suma_check sums per radius
 
 
 @dataclass
@@ -86,7 +89,7 @@ def _jsonable(v):
     return v
 
 
-def stability_verdict(values, window=10, factor=BOUNDED_GROWTH_FACTOR):
+def stability_verdict(values, window=10):
     """('bounded'|'growing', growth of the running max over the last window).
 
     ``window`` should cover one decade of a geometric grid, or one parameter
@@ -96,7 +99,7 @@ def stability_verdict(values, window=10, factor=BOUNDED_GROWTH_FACTOR):
     rm = np.maximum.accumulate(vals)
     w = min(window, max(1, vals.size - 1))
     growth = float(rm[-1] / rm[-1 - w])
-    return ("bounded" if growth < factor else "growing"), growth
+    return ("bounded" if growth < BOUNDED_GROWTH_FACTOR else "growing"), growth
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +136,12 @@ def default_family(
     return family
 
 
-def geometric_int_grid(n_max, per_decade=8, start=1):
-    """Distinct integers, geometrically spaced from ``start`` to ``n_max``."""
-    if n_max < start:
-        raise DomainError(f"n_max must be >= {start}, got {n_max}")
-    decades = math.log10(n_max / start)
-    count = int(math.ceil(per_decade * decades)) + 1
-    grid = start * 10.0 ** (np.arange(count) / per_decade)
+def geometric_int_grid(n_max):
+    """Distinct integers, GRID_PER_DECADE a decade from 1 to ``n_max``."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    count = int(math.ceil(GRID_PER_DECADE * math.log10(n_max))) + 1
+    grid = 10.0 ** (np.arange(count) / GRID_PER_DECADE)
     return np.unique(np.round(grid).astype(int))
 
 
@@ -200,7 +202,7 @@ def equivalence_sweep(family, omega, mu, p, settings=DEFAULT_SETTINGS, check=Tru
     return report
 
 
-def monomial_necessity_curve(omega, mu, p, n_max, per_decade=8):
+def monomial_necessity_curve(omega, mu, p, n_max):
     """The reverse-inequality diagnostic on monomials, from moments alone.
 
     Row n carries R_n = omega_{np+1} * mu_{2n+1}^p / (omega*tail_mu^p)_{np+1};
@@ -210,7 +212,7 @@ def monomial_necessity_curve(omega, mu, p, n_max, per_decade=8):
     if n_max < 8:
         raise DomainError(f"n_max must be >= 8, got {n_max}")
     nu = scaled_weight(omega, mu, p)
-    grid = geometric_int_grid(n_max, per_decade)
+    grid = geometric_int_grid(n_max)
     rows = []
     for n in grid:
         num = omega.moment(n * p + 1.0) * mu.moment(2.0 * n + 1.0) ** p
@@ -281,13 +283,14 @@ def integral_means_check(family, mu, p, r_grid=None, rho_grid=None, settings=DEF
     )
 
 
-def suma_check(mu, gamma, k, r_grid=None, check=True, term_floor=1e-16, max_terms=200):
-    """Lacunary-sum vs tail-power comparison on a dyadic radius grid.
+def suma_check(mu, gamma, k, r_grid=None, check=True):
+    """Lacunary-sum vs tail-power comparison on a radius grid (default the
+    dyadic radii 1 - 2^-i, i = 0..25).
 
     Row r carries (1 + sum_n r^(k^n) / mu_{k^n}^gamma) * tail_mu(r)^gamma;
     for weights in the doubling intersection the curve stays in a bracket.
-    Terms are truncated once they fall below ``term_floor`` of the running
-    sum (after the peak).
+    The sum stops at the first term past its peak below SUMA_TERM_FLOOR of
+    the running sum, or after SUMA_MAX_TERMS terms.
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise DomainError(f"gamma must be positive, got {gamma!r}")
@@ -309,12 +312,12 @@ def suma_check(mu, gamma, k, r_grid=None, check=True, term_floor=1e-16, max_term
         total = 1.0
         log_r = math.log(r) if r > 0 else -math.inf
         previous = math.inf
-        for n in range(max_terms):
+        for n in range(SUMA_MAX_TERMS):
             power = float(k) ** n
             term = math.exp(power * log_r) if r > 0 else (1.0 if power == 0 else 0.0)
             term /= mu.moment(power) ** gamma
             total += term
-            if term < previous and term < term_floor * total:
+            if term < previous and term < SUMA_TERM_FLOOR * total:
                 break
             previous = term
         ratios.append(total * mu.tail(float(r)) ** gamma)

@@ -21,6 +21,7 @@ diagnostics, never certificates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,13 +37,13 @@ LEFT_LEVELS = 16  # cells [2^-l, 2^-l+1], l = LEFT_LEVELS..1, grade [0, 1/2] tow
 SERIES_TERMS = 401  # most terms a standard tail series sums
 _COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
 
-# Default classification grids.
-DEFAULT_I_MAX = 40
-HARD_I_CAP = 30
+# Classification grids.
+HARD_I_CAP = 30  # deepest dyadic radius 1 - 2^-i of the r-grid
 TAIL_FLOOR_RATIO = 1e-14
 DEFAULT_K_SET = (2, 4, 8, 16)
-DEFAULT_X_MAX = 1.0e4
-X_PER_DECADE = 8
+X_GRID = 10.0 ** (np.arange(33) / 8)  # moment orders 10^(j/8), 1 to 10^4
+X_GRID.flags.writeable = False  # reports hold slices of it
+LOG_RATIO_CAP = 700.0  # a ratio curve stops before |log ratio| passes this
 
 # Verdict thresholds (documented in ClassReport.thresholds).
 SUP_STABLE_TOL = 0.01     # running sup moved < 1% over the last decade of points
@@ -449,7 +450,7 @@ class LogWeight(RadialWeight):
                 log_val = log_val + (x - 1.0) * np.log(s)
             return np.where(log_val < LOG_UNDERFLOW, 0.0, np.exp(np.minimum(log_val, 700.0)))
 
-        body = quad.adaptive_gauss(integrand, w_lo, W, rel_tol=1e-13)
+        body = quad.adaptive_gauss(integrand, w_lo, W)
         analytic_tail = (1.0 + W * W) ** (1.0 - al) / (2.0 * (al - 1.0))
         return body + analytic_tail
 
@@ -535,7 +536,7 @@ class ExponentialWeight(RadialWeight):
         def layer(y):
             return np.exp(-y) * (1.0 + y / a) ** (-1.0 / g - 1.0)
 
-        J = quad.adaptive_gauss(layer, 0.0, -LOG_UNDERFLOW, rel_tol=1e-13)
+        J = quad.adaptive_gauss(layer, 0.0, -LOG_UNDERFLOW)
         return -a + math.log(u / (a * g)) + math.log(J) + math.log(self.amplitude)
 
     def _build_rule(self, x_scale, order):
@@ -830,13 +831,13 @@ def _inf_margin_verdict(vals):
     return "inconclusive", info
 
 
-def default_r_grid(w, i_max=DEFAULT_I_MAX):
-    """Dyadic radii 1 - 2^-i, truncated where the tail falls below
-    TAIL_FLOOR_RATIO of the total mass (and hard-capped at i = 30)."""
+def default_r_grid(w):
+    """Dyadic radii 1 - 2^-i, i <= HARD_I_CAP, truncated where the tail falls
+    below TAIL_FLOOR_RATIO of the total mass."""
     lt0 = w._memo_log_tail(0.0)
     floor = math.log(TAIL_FLOOR_RATIO)
     radii = []
-    for i in range(min(i_max, HARD_I_CAP) + 1):
+    for i in range(HARD_I_CAP + 1):
         r = 1.0 - 2.0 ** (-i)
         if w._memo_log_tail(r) - lt0 <= floor:
             break
@@ -846,40 +847,53 @@ def default_r_grid(w, i_max=DEFAULT_I_MAX):
     return np.array(radii)
 
 
-def _dcheck_curve(w, k, r_grid, log_tails):
-    """(radii, tail(r) / tail(1 - (1-r)/k)) given the log tails on ``r_grid``,
-    stopped where the log ratio leaves the +-700 range exp() keeps finite."""
+def _ratio_curve(xs, log_nums, log_den):
+    """(xs, exp(log_num - log_den(x))) for the log numerators ``log_nums``,
+    both taken lazily and in order, cut before the first point whose log
+    ratio is not finite or passes +-LOG_RATIO_CAP: every ratio it reports
+    is a positive double."""
     vals = []
-    for r, lt in zip(r_grid, log_tails):
-        log_ratio = lt - w._memo_log_tail(1.0 - (1.0 - float(r)) / k)
-        if abs(log_ratio) > 700.0:
+    for x, num in zip(xs, log_nums):
+        log_ratio = num - log_den(x)
+        if not abs(log_ratio) <= LOG_RATIO_CAP:
             break
         vals.append(log_ratio)
-    return r_grid[:len(vals)], np.exp(np.array(vals))
+    return xs[:len(vals)], np.exp(np.array(vals))
 
 
-def default_x_grid(x_max=DEFAULT_X_MAX, per_decade=X_PER_DECADE):
-    n = int(math.ceil(per_decade * math.log10(x_max)))
-    return np.unique(np.concatenate([[1.0], 10.0 ** (np.arange(n + 1) / per_decade)]))
+def _dcheck_curve(w, k, r_grid):
+    """(radii, tail(r) / tail(1 - (1-r)/k)) on ``r_grid``."""
+    return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
+                        lambda r: w._memo_log_tail(1.0 - (1.0 - float(r)) / k))
 
 
-def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
+def _log_moment(w, x):
+    """log moment(x), or nan where the moment leaves double range."""
+    try:
+        return math.log(w.moment(x))
+    except QuadratureError:
+        return math.nan
+
+
+def classify(w, r_grid=None, k_set=DEFAULT_K_SET):
     """Sample the doubling-ratio curves of ``w`` and render class verdicts.
 
-    Curves reported:
+    Curves reported, tails on the r-grid (default: ``default_r_grid``) and
+    moments at the orders of ``X_GRID``:
 
-    * ``dhat``          tail(r) / tail((1+r)/2) on the dyadic r-grid
-    * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per tested k, kept while
-                        inside double range
+    * ``dhat``          tail(r) / tail((1+r)/2)
+    * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per tested k
     * ``moment[k]``     moment(x) / moment(kx) per tested k
     * ``moment_vs_tail``  moment(x) / tail(1 - 1/x), the comparability curve
 
-    Verdicts are heuristics over the finite grids: the upper class needs the
-    running sup of ``dhat`` to stabilize, the lower classes need a running
-    inf to stabilize strictly above 1 for some k.  The exact thresholds are
-    echoed in the report.
+    Each curve stops before its first ratio outside e^+-700 (or whose
+    moment leaves double range), so every reported ratio is a positive
+    double.  Verdicts are heuristics over the finite grids: the upper class
+    needs the running sup of ``dhat`` to stabilize, the lower classes need a
+    running inf to stabilize strictly above 1 for some k.  The exact
+    thresholds are echoed in the report.
     """
-    used_defaults = r_grid is None and x_grid is None and tuple(k_set) == DEFAULT_K_SET
+    used_defaults = r_grid is None and tuple(k_set) == DEFAULT_K_SET
     if used_defaults and w._classify_memo is not None:
         return w._classify_memo
     k_set = tuple(int(k) for k in k_set)
@@ -887,69 +901,34 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
         raise DomainError(f"k_set must hold integers >= 2, got {k_set!r}")
     default_grid = r_grid is None
     r_grid = default_r_grid(w) if default_grid else np.asarray(r_grid, dtype=float)
-    x_grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    if r_grid.size == 0 or x_grid.size == 0:
-        raise DomainError("classification grids must be non-empty")
-    if np.any(r_grid < 0) or np.any(r_grid >= 1):
-        raise DomainError("r_grid must lie inside [0, 1)")
-    if np.any(x_grid < 1):
-        raise DomainError("x_grid must lie inside [1, x_max]")
+    if r_grid.size == 0 or np.any(r_grid < 0) or np.any(r_grid >= 1):
+        raise DomainError("r_grid must be non-empty and lie inside [0, 1)")
 
-    log_tails = np.array([w._memo_log_tail(r) for r in r_grid])
-    curves = {}
-
-    mid_lt = np.array([w._memo_log_tail((1.0 + float(r)) / 2.0) for r in r_grid])
-    curves["dhat"] = (r_grid, np.exp(log_tails - mid_lt))
-
+    curves = {"dhat": _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
+                                   lambda r: w._memo_log_tail((1.0 + float(r)) / 2.0))}
     per_k = {}
     dcheck_verdicts = {}
     for k in k_set:
-        curve = curves[f"dcheck[{k}]"] = _dcheck_curve(w, k, r_grid, log_tails)
+        curve = curves[f"dcheck[{k}]"] = _dcheck_curve(w, k, r_grid)
         if default_grid:
             w._dcheck_memo[k] = curve  # what dcheck_margin(w, k) reads
         verdict, info = _inf_margin_verdict(curve[1])
         dcheck_verdicts[k] = verdict
         per_k[f"dcheck[{k}]"] = {"verdict": verdict, **info}
 
-    # moment curves; drop grid points whose moments leave double precision
-    moments = []
-    xs_ok = []
-    for x in x_grid:
-        try:
-            moments.append(w.moment(float(x)))
-            xs_ok.append(float(x))
-        except QuadratureError:
-            break
-    xs_ok = np.array(xs_ok)
-    moments = np.array(moments)
-
+    # the moment orders stop at the first moment outside double range
+    log_moments = list(itertools.takewhile(math.isfinite, (_log_moment(w, x) for x in X_GRID)))
+    xs = X_GRID[:len(log_moments)]
     m_verdicts = {}
     for k in k_set:
-        vals = []
-        xs_k = []
-        for x, mom in zip(xs_ok, moments):
-            try:
-                vals.append(mom / w.moment(float(k * x)))
-                xs_k.append(x)
-            except QuadratureError:
-                break
-        vals = np.array(vals)
-        curves[f"moment[{k}]"] = (np.array(xs_k), vals)
-        verdict, info = _inf_margin_verdict(vals)
+        curve = curves[f"moment[{k}]"] = _ratio_curve(xs, log_moments,
+                                                      lambda x: _log_moment(w, k * x))
+        verdict, info = _inf_margin_verdict(curve[1])
         m_verdicts[k] = verdict
         per_k[f"moment[{k}]"] = {"verdict": verdict, **info}
-
-    # comparability curve moment(x) / tail(1 - 1/x), kept while it stays
-    # inside double range (it genuinely explodes outside the upper class)
-    comp = []
-    comp_xs = []
-    for x, mom in zip(xs_ok, moments):
-        log_ratio = math.log(mom) - w._memo_log_tail(1.0 - 1.0 / x if x > 1 else 0.0)
-        if abs(log_ratio) > 700.0:
-            break
-        comp.append(math.exp(log_ratio))
-        comp_xs.append(x)
-    curves["moment_vs_tail"] = (np.array(comp_xs), np.array(comp))
+    # the comparability curve genuinely explodes outside the upper class
+    curves["moment_vs_tail"] = _ratio_curve(
+        xs, log_moments, lambda x: w._memo_log_tail(1.0 - 1.0 / x if x > 1 else 0.0))
 
     dhat_verdict, dhat_info = _sup_verdict(curves["dhat"][1])
     per_k["dhat"] = {"verdict": dhat_verdict, **dhat_info}
@@ -973,7 +952,7 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET, x_grid=None):
     report = ClassReport(
         label=w.label,
         r_grid=r_grid,
-        x_grid=xs_ok,
+        x_grid=xs,
         k_set=k_set,
         curves=curves,
         verdicts={"dhat": dhat_verdict, "dcheck": dcheck, "m": m_class, "d": d_class},
@@ -1001,6 +980,5 @@ def dcheck_margin(w, k):
     default r-grid memoized per weight and k."""
     memo = w._dcheck_memo
     if k not in memo:
-        r_grid = default_r_grid(w)
-        memo[k] = _dcheck_curve(w, k, r_grid, [w._memo_log_tail(r) for r in r_grid])
+        memo[k] = _dcheck_curve(w, k, default_r_grid(w))
     return _inf_margin_verdict(memo[k][1])

@@ -20,7 +20,7 @@ def test_parse_config_basic():
         "experiment = lp-sweep\nomega = standard:1.0\nmu = standard:1.0\np = 2.0"
     )
     assert cfg.experiment == "lp-sweep"
-    assert isinstance(cfg.require_weight("omega"), StandardWeight)
+    assert isinstance(cfg.require("omega"), StandardWeight)
     assert cfg.require("p") == 2.0
 
 
@@ -28,7 +28,7 @@ def test_parse_config_comments_and_log_weight():
     cfg = parse_config(
         "# a comment\nexperiment = classify\nweight = log:2.0  # inline\n\n"
     )
-    w = cfg.require_weight("weight")
+    w = cfg.require("weight")
     assert w.alpha == 2.0
 
 
@@ -161,6 +161,12 @@ def test_cli_classify_with_expectation(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "classify" in printed and "d=in" in printed
     assert out.exists() and (tmp_path / "cls.csv.meta").exists()
+
+
+def test_cli_classify_steep_exp_weight_exits_ok(capsys):
+    # tail(r) / tail((1+r)/2) passes e^700 at the second dyadic radius here
+    assert main(["classify", "--weight", "exp:0.1,8"]) == 0
+    assert "classify exp:0.1,8" in capsys.readouterr().out
 
 
 def test_cli_classify_failed_expectation(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from bergweight import (
     scaled_weight,
 )
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
-from bergweight import norms
+from bergweight import norms, series
 from bergweight.norms import DEFAULT_SETTINGS
 
 from conftest import oracle_circle_values, oracle_exp_moment, oracle_parseval_mean
@@ -404,6 +405,21 @@ def test_integral_mean_of_monomial_is_r_to_the_n(n):
         for p in (0.5, 2.0, 3.0):
             got = integral_mean(TaylorSeries.monomial(n), r, p)
             assert got == pytest.approx(r**n, rel=1e-13, abs=0.0)
+
+
+def test_monomial_norm_scans_no_radius_for_the_flush(std1, monkeypatch):
+    # a monomial's row maximum is its one coefficient, so no radius is in doubt
+    calls = []
+    original = series._normalised_powers
+
+    def spy(absc, rr):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(absc, rr)
+
+    monkeypatch.setattr(series, "_normalised_powers", spy)
+    for p in (0.5, 2.0):
+        assert bergman_norm(TaylorSeries.monomial(64), std1, p) > 0.0
+    assert calls and "flushed" not in calls
 
 
 def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):

@@ -132,7 +132,7 @@ def test_necessity_curve_validation(std1):
 
 
 def test_geometric_int_grid_shape():
-    grid = geometric_int_grid(10_000, per_decade=8)
+    grid = geometric_int_grid(10_000)
     assert grid[0] == 1 and grid[-1] == 10_000
     assert np.all(np.diff(grid) > 0)
 

@@ -516,9 +516,10 @@ def test_dcheck_margin_memoized_and_shared_with_classify(spec, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("spec", ["exp:0.5,2", "exp:1,2"])
+@pytest.mark.parametrize("spec", ["exp:0.5,2", "exp:1,2", "exp:0.1,8", "exp:1,5"])
 def test_classify_exp_gamma_two_keeps_curves_in_double_range(spec):
-    # dcheck log ratios reach thousands here; the curves stop before exp overflows
+    # dcheck log ratios reach thousands here, and at gamma = 8 so do dhat's;
+    # the curves stop before exp overflows
     report = classify(parse_weight_spec(spec))
     for name, (xs, vals) in report.curves.items():
         assert len(xs) == len(vals), name
