@@ -16,6 +16,7 @@ presentations sometimes start the Gamma-quotient sum at n = 1.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.special import gammaln
@@ -230,7 +231,57 @@ def parseval_means(coeffs, radii):
     return out
 
 
-def circle_power_means(coeffs, radii, p, q, half_step=False, even=False):
+_WORKSPACE = threading.local()
+
+
+def _workspace(rows, q):
+    """This thread's (rows, q) complex and real scratch arrays.
+
+    The circle batches are megabytes; fresh arrays that size are mapped and
+    page-faulted anew on every call, which costs as much CPU time as the
+    FFTs, so each thread keeps one pair and grows it when a batch outgrows it.
+    """
+    size = rows * q
+    spare = getattr(_WORKSPACE, "arrays", None)
+    if spare is None or spare[0].size < size:
+        spare = (np.empty(size, dtype=complex), np.empty(size, dtype=float))
+        _WORKSPACE.arrays = spare
+    return spare[0][:size].reshape(rows, q), spare[1][:size].reshape(rows, q)
+
+
+def _circle_batches(coeffs, radii, q, half_step=False):
+    """Samples f(r e^{2 pi i j/q}) / rowmax in blocks of radii.
+
+    Yields (slice, samples, rowmax, dead, real scratch) per block, with one
+    scaled coefficient matrix and one batched FFT each; the samples and the
+    scratch array are reused by the next block.  ``half_step`` turns the
+    grid by half a step, as in ``circle_power_means``.
+    """
+    import scipy.fft
+
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = len(coeffs)
+    powers = np.arange(n)
+    absc = np.abs(coeffs)
+    if half_step:
+        coeffs = coeffs * np.exp((1j * np.pi / q) * powers)
+    chunk = max(1, _BATCH_ENTRIES // max(q, 1))
+    for start in range(0, radii.size, chunk):
+        rows = slice(start, start + chunk)
+        scal, rowmax, dead = _normalised_powers(absc, radii[rows])
+        folded, scratch = _workspace(scal.shape[0], q)
+        if n <= q:
+            np.multiply(scal, coeffs[None, :], out=folded[:, :n])
+            folded[:, n:] = 0.0
+        else:
+            folded[:] = 0.0
+            np.add.at(folded.T, powers % q, (scal * coeffs[None, :]).T)
+        # without the 1/q factor the samples are f / rowmax, O(1) for every p
+        values = scipy.fft.ifft(folded, axis=1, overwrite_x=True, norm="forward")
+        yield rows, values, rowmax, dead, scratch
+
+
+def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=None):
     """mean_j |f(r e^{2 pi i j/q})|^p for each radius, batched over radii.
 
     This is the workhorse behind the norm computations: one scaled
@@ -238,55 +289,105 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False):
     ``half_step`` turns the grid by half a step, to r e^{pi i (2j+1)/q}: the
     odd samples of the 2q grid, from the same size-q FFT of c_n e^{pi i n/q}.
     ``even`` also returns the mean over the even-indexed samples, which are
-    the samples of the q/2 grid.
+    the samples of the q/2 grid.  The samples are f / rowmax, rowmax =
+    max_n r^n |c_n|, so a mean overflows only when rowmax^p does.
+    ``mask`` = (rows, columns, weights), rows ascending, takes the mean of
+    (1 - w_ij) |f_ij|^p instead, w_ij the weight given for sample j of
+    radius i and 0 for the samples not listed.
     """
-    import scipy.fft
-
-    coeffs = np.asarray(coeffs, dtype=complex)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    n = len(coeffs)
-    powers = np.arange(n)
-    absc = np.abs(coeffs)
-    if half_step:
-        coeffs = coeffs * np.exp((1j * np.pi / q) * powers)
     out = np.empty(radii.size, dtype=float)
     out_even = np.empty(radii.size, dtype=float) if even else None
-    chunk = max(1, _BATCH_ENTRIES // max(q, 1))
-    for start in range(0, radii.size, chunk):
-        scal, rowmax, dead = _normalised_powers(absc, radii[start : start + chunk])
-        mat = coeffs[None, :] * scal
-        folded = np.zeros((scal.shape[0], q), dtype=complex)
-        if n <= q:
-            folded[:, :n] = mat
-        else:
-            np.add.at(folded.T, powers % q, mat.T)
-        values = scipy.fft.ifft(folded, axis=1, workers=-1, overwrite_x=True)
-        mag2 = values.real**2 + values.imag**2
-        powered = _half_power(mag2, 0.5 * p)
-        scale = (float(q) * rowmax) ** p
-        out[start : start + chunk] = np.where(dead, 0.0, np.mean(powered, axis=1) * scale)
-        if even:
-            means = np.mean(powered[:, ::2], axis=1)
-            out_even[start : start + chunk] = np.where(dead, 0.0, means * scale)
+    for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
+        powered = _abs_power(values, p, scratch)
+        sums = np.sum(powered, axis=1)
+        if mask is not None:
+            lo, hi = np.searchsorted(mask[0], [rows.start, rows.start + powered.shape[0]])
+            row, col = mask[0][lo:hi] - rows.start, mask[1][lo:hi]
+            sums -= np.bincount(row, mask[2][lo:hi] * powered[row, col], powered.shape[0])
+        # past the double range the means come out inf or nan; the norms refuse them
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = rowmax**p
+            out[rows] = np.where(dead, 0.0, sums * (scale / q))
+            if even:
+                means = np.mean(powered[:, ::2], axis=1)
+                out_even[rows] = np.where(dead, 0.0, means * scale)
     return (out, out_even) if even else out
 
 
-def _half_power(mag2, half_p):
-    """mag2 ** half_p with cheap paths for the common exponents."""
-    if half_p == 1.0:
-        return mag2
-    if half_p == 0.5:
-        return np.sqrt(mag2)
-    if half_p == 0.25:
-        return np.sqrt(np.sqrt(mag2))
-    if half_p == 2.0:
-        return mag2 * mag2
-    frac, whole = math.modf(half_p)
+def grid_dips(coeffs, radii, q):
+    """Zeros of f near each circle, roughly, from the dips of |f| on its size-q grid.
+
+    At each local minimum of |f| over the grid, the quartic in the angle
+    through f at the minimum and two neighbours on each side has a root t
+    near the angle of the zero behind the dip, with Im t the zero's log
+    distance from the circle; Newton steps on the quartic, started from the
+    root of its quadratic part, find it.  Returns those roots as points
+    r e^{i t} and their |Im t|.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    step = 2.0 * np.pi / q
+    points, depths = [], []
+    for rows, values, _, dead, scratch in _circle_batches(coeffs, radii, q):
+        mag = np.abs(values, out=scratch)
+        row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1))
+                            & (mag < np.roll(mag, -1, axis=1)) & ~dead[:, None])
+        f = [values[row, (j + k) % q] for k in (-2, -1, 0, 1, 2)]
+        # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
+        a0 = f[2]
+        a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
+        a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
+        a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
+        a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the root of a0 + a1 t + a2 t^2 nearer 0, without cancellation
+            disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+            disc = np.where((np.conj(a1) * disc).real < 0.0, -disc, disc)
+            t = -2.0 * a0 / (a1 + disc)
+            for _ in range(4):
+                t = t - (a0 + t * (a1 + t * (a2 + t * (a3 + t * a4)))) / (
+                    a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * 4.0 * a4)))
+        found = np.isfinite(t) & (np.abs(t) < 2.0)
+        t = np.where(found, t, 0.0)
+        points.append(radii[rows][row] * np.exp(1j * step * (j + t)))
+        depths.append(np.where(found, step * np.abs(t.imag), np.inf))
+    if not points:
+        return np.zeros(0, dtype=complex), np.zeros(0)
+    return np.concatenate(points), np.concatenate(depths)
+
+
+def horner(coeffs, z):
+    """f(z) for the coefficients c_0..c_N, exact at every point rather than
+    only at roots of unity.
+
+    One pass over the nonzero coefficients, vectorised over the points, so
+    a sparse series costs its support: O(N) per point at most.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    support = np.nonzero(coeffs)[0][::-1]
+    value = np.full(z.shape, coeffs[support[0]] if support.size else 0.0j)
+    for top, k in zip(support[:-1], support[1:]):
+        value = value * z ** int(top - k) + coeffs[k]
+    return value * z ** int(support[-1]) if support.size else value
+
+
+def _abs_power(values, p, out=None):
+    """|values| ** p, into ``out`` if given, with cheap paths for the common
+    exponents; every step after the modulus works in place."""
+    out = np.abs(values, out=out)
+    if p == 1.0:
+        return out
+    if p == 0.5:
+        return np.sqrt(out, out=out)
+    if p == 2.0:
+        return np.square(out, out=out)
+    frac, whole = math.modf(0.5 * p)
     if frac == 0.0 and whole <= 8:
-        return mag2 ** int(whole)
-    if frac == 0.5 and whole <= 8:
-        return mag2 ** int(whole) * np.sqrt(mag2)
-    return mag2**half_p
+        np.square(out, out=out)
+        return out if whole == 1 else np.power(out, int(whole), out=out)
+    with np.errstate(over="ignore"):
+        return np.power(out, p, out=out)
 
 
 # ---------------------------------------------------------------------------

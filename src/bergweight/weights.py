@@ -237,6 +237,11 @@ class RadialWeight:
         must resolve; it is bucketed to the next power of two so the memo
         stays small.
         """
+        if not x_scale <= 2.0**1023:
+            raise DomainError(
+                f"rule scale {x_scale!r} is not representable: the rule for it would "
+                "resolve monomials past s^(2^1023)"
+            )
         bucket = 1 << max(0, math.ceil(math.log2(max(2.0, x_scale))))
         key = (bucket, order)
         try:

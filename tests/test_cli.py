@@ -136,6 +136,14 @@ def test_cli_norm_exits_2_when_the_weight_underflows(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("args", [["--weight", "standard:1"], ["--kind", "hardy"]])
+def test_cli_norm_exits_2_past_the_double_range(args, capsys):
+    assert main(["norm", "--f", "geometric:0.5,1", *args, "--p", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -436,3 +436,33 @@ def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):
     assert calls and all(q <= 4 for _, q in calls)
     assert sum(n * q for n, q in calls) <= 4 * (rule.nodes.size + 1)
     assert got**0.5 == pytest.approx(2.0 * std1.moment(0.5 * 1024 + 1.0), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# large exponents: the samples are f / rowmax, so only a mean past the double
+# range itself is refused
+
+
+def test_hardy_norm_at_large_p_against_mpmath():
+    # geometric:0.5,1 is 1 / (1 - z / 2) truncated; its Hardy norm at p = 100
+    f = series.geometric_series(0.5, 1.0, 1024)
+    with mpmath.workdps(30):
+        mean = mpmath.quad(lambda t: abs(1 / (1 - mpmath.expj(t) / 2)) ** 100,
+                           [0, mpmath.pi / 8, mpmath.pi / 2, mpmath.pi, 2 * mpmath.pi])
+        want = float((mean / (2 * mpmath.pi)) ** (mpmath.mpf(1) / 100))
+    assert hardy_norm(f, 100.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [520.0, 1000.0])
+def test_monomial_bergman_norm_at_large_p(std1, p):
+    # ||z^3||_p^p = 2 int s^(3p + 1) 2 (1 - s^2) ds = 8 / ((3p + 2)(3p + 4))
+    want = (8.0 / ((3 * p + 2) * (3 * p + 4))) ** (1.0 / p)
+    assert bergman_norm(TaylorSeries.monomial(3), std1, p) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_means_past_the_double_range_are_refused(std1):
+    f = series.geometric_series(0.5, 1.0, 64)  # |f| reaches 2 at z = 1
+    with pytest.raises(DomainError, match="overflows double precision"):
+        hardy_norm(f, 2000.0)
+    with pytest.raises(DomainError, match="not representable"):
+        bergman_norm(TaylorSeries.monomial(3), std1, 1e308)

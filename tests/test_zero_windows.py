@@ -1,0 +1,170 @@
+"""Circle means near the zeros of f, where |f|^p is not smooth on the circle.
+
+The oracle is mpmath's tanh-sinh quadrature over one turn of the circle,
+broken at the angles of the zeros near it, so each near singularity sits at
+an end of a piece.  The series are small enough for np.roots, or carry a
+planted zero a: f = (z - a) g with g's zeros far from the circles used.
+"""
+
+import cmath
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bergweight import TaylorSeries, bergman_norm, parse_series_spec, parse_weight_spec
+from bergweight import norms
+from bergweight.norms import DEFAULT_SETTINGS
+
+
+def oracle_power_mean(coeffs, r, p, breaks, pieces=8):
+    """(1 / 2 pi) int |f(r e^{it})|^p dt by mpmath, broken at ``breaks`` and
+    into ``pieces`` equal arcs besides."""
+    powers = np.nonzero(coeffs)[0]
+    terms = np.asarray(coeffs)[powers]
+    cache = {}
+
+    def value(t):
+        t = float(t)
+        if t not in cache:
+            cache[t] = abs(np.dot(terms, (r * cmath.exp(1j * t)) ** powers))
+        return cache[t] ** p
+
+    start = float(breaks[0])
+    breaks = list(breaks) + [start + 2.0 * math.pi * k / pieces for k in range(1, pieces)]
+    points = sorted({start, *(start + (float(b) - start) % (2.0 * math.pi) for b in breaks)})
+    return float(mpmath.fp.quad(value, points + [start + 2.0 * math.pi])) / (2.0 * math.pi)
+
+
+def near_zero_angles(zeros, r, width=0.1):
+    return [cmath.phase(z) for z in zeros if abs(math.log(abs(z) / r)) < width]
+
+
+def planted_series(degree, zero, seed, shrink=0.9):
+    """(z - zero) g(z), g random with coefficients shrinking like shrink^k: its
+    zeros lie near |z| = 1 / shrink, far from the circles near |zero|."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    g *= shrink ** np.arange(degree)
+    coeffs = np.zeros(degree + 1, dtype=complex)
+    coeffs[1:] += g
+    coeffs[:-1] -= zero * g
+    return coeffs
+
+
+def lacunary_case():
+    coeffs = parse_series_spec("lacunary:2,128").coeffs
+    zeros = np.roots(coeffs[1:][::-1])  # f = z h(z), h of degree 127
+    return coeffs, zeros, zeros[np.argmin(np.abs(zeros))]  # -0.6586, isolated
+
+
+def random24_case():
+    rng = np.random.default_rng(24)
+    coeffs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    zeros = np.roots(coeffs[::-1])
+    return coeffs, zeros, zeros[np.argmin(np.abs(zeros))]  # 0.8056, another at 0.8111
+
+
+def planted_case(degree):
+    zero = 0.7 * cmath.exp(1.1j)
+    return planted_series(degree, zero, seed=degree), np.array([zero]), zero
+
+
+CASES = {
+    "lacunary:2,128": lacunary_case,
+    "random:24": random24_case,
+    "planted:256": lambda: planted_case(256),
+    "planted:1024": lambda: planted_case(1024),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_means_near_a_zero_modulus_against_mpmath(name):
+    coeffs, zeros, zero = CASES[name]()
+    degree = len(coeffs) - 1
+    radii = abs(zero) - np.array([1e-3, 1e-5, 1e-7, 0.0])
+    for p in (0.5, 1.0, 3.0):
+        got = norms._power_means(coeffs, radii, p, degree, DEFAULT_SETTINGS)
+        for r, value in zip(radii, got):
+            want = oracle_power_mean(coeffs, r, p, near_zero_angles(zeros, r))
+            assert value == pytest.approx(want, rel=1e-10, abs=0.0), (r, p)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, -1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -1.0j]])
+def test_mean_with_a_zero_on_a_grid_point(coeffs):
+    # 1 - z and z^3 (1 - i z^3) vanish at grid points of the unit circle, where
+    # an FFT sample and a direct value of |f|^p hold only rounding
+    f = TaylorSeries(coeffs)
+    for p in (0.5, 1.0, 3.0):
+        want = mpmath.quad(lambda t: abs(2 * mpmath.sin(t / 2)) ** p, [0, 2 * mpmath.pi])
+        got = norms._power_means(f.coeffs, np.array([1.0]), p, f.degree, DEFAULT_SETTINGS)[0]
+        assert got == pytest.approx(float(want / (2 * mpmath.pi)), rel=1e-10, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# properties of the means that hold whatever the windows do
+
+
+def random_poly(data):
+    degree = data.draw(st.integers(1, 64), label="degree")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_means_invariant_under_rotations(data):
+    # e^{i phi} f(e^{i psi} z) has the same |f| on every circle, turned by psi,
+    # so the windows fall elsewhere on the grid and must still give the same
+    # means; a radius the first pass settles gets no windows and keeps the
+    # ladder's 1e-9 (degree 5, seed 0, psi = 1, p = 3 moves r = 1 by 1.9e-10)
+    coeffs = random_poly(data)
+    phi, psi = data.draw(st.tuples(st.floats(0.0, 6.28), st.floats(0.0, 6.28)), label="angles")
+    p = data.draw(st.sampled_from([0.5, 1.0, 3.0]), label="p")
+    turned = coeffs * np.exp(1j * (phi + psi * np.arange(coeffs.size)))
+    zeros = np.roots(coeffs[::-1])
+    # circles through zeros and just off them, where the ladder needs windows
+    moduli = np.abs(zeros)
+    radii = np.unique(np.clip(np.concatenate([moduli, moduli * (1 - 1e-6)]), 0.05, 1.0))
+    degree = coeffs.size - 1
+    base = norms._power_means(coeffs, radii, p, degree, DEFAULT_SETTINGS)
+    other = norms._power_means(turned, radii, p, degree, DEFAULT_SETTINGS)
+    np.testing.assert_allclose(other, base, rtol=norms.CIRCLE_DOUBLING_TOL, atol=0.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_means_nondecreasing_in_r(data):
+    coeffs = random_poly(data)
+    p = data.draw(st.sampled_from([0.5, 1.0, 3.0]), label="p")
+    zeros = np.abs(np.roots(coeffs[::-1]))
+    radii = np.sort(np.clip(np.concatenate([zeros, zeros * (1 - 1e-7), zeros * (1 + 1e-7),
+                                            np.linspace(0.0, 1.0, 9)]), 0.0, 1.0))
+    means = norms._power_means(coeffs, radii, p, coeffs.size - 1, DEFAULT_SETTINGS)
+    assert np.all(np.diff(means) >= -1e-12 * means[1:])
+
+
+# ---------------------------------------------------------------------------
+# the ladder stays clear of its cap where it used to reach it
+
+
+@pytest.mark.parametrize("spec", ["lacunary:2,256", "random:1024"])
+def test_norms_against_log_weight_stay_below_half_the_cap(spec, monkeypatch):
+    if spec == "random:1024":
+        rng = np.random.default_rng(7)
+        f = TaylorSeries(rng.standard_normal(1025) + 1j * rng.standard_normal(1025))
+    else:
+        f = parse_series_spec(spec)
+    sizes = []
+    original = norms.circle_power_means
+
+    def spy(coeffs, radii, p, q, **kwargs):
+        sizes.append(q)
+        return original(coeffs, radii, p, q, **kwargs)
+
+    monkeypatch.setattr(norms, "circle_power_means", spy)
+    assert bergman_norm(f, parse_weight_spec("log:2"), 0.5) > 0.0
+    assert sizes and max(sizes) < norms.CIRCLE_Q_CAP // 2
