@@ -31,7 +31,6 @@ from .series import (
 )
 from .cesaro import CesaroBasis, SmoothCutoff, block, build_basis, cutoff_seminorm, make_cutoff
 from .norms import (
-    NormSettings,
     bergman_norm,
     block_norm,
     block_sum_compare,
@@ -60,7 +59,6 @@ __all__ = [
     "ExperimentReport",
     "ExponentialWeight",
     "LogWeight",
-    "NormSettings",
     "QuadratureError",
     "RadialWeight",
     "ResourceError",

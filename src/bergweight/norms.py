@@ -42,7 +42,6 @@ from scipy.special import erf, gammaln
 from .errors import DomainError, QuadratureError
 from .series import (
     _abs_power,
-    _normalised_powers,
     circle_power_means,
     flushed,
     grid_dips,
@@ -77,7 +76,11 @@ TAYLOR_TERMS = 24
 
 @dataclass(frozen=True)
 class NormSettings:
-    """Circle-sampling profile used by the norm computations."""
+    """Circle-sampling profile: ``_power_means`` starts h on ``q_for(deg h)`` points.
+
+    Every norm passes DEFAULT_SETTINGS; the argument stays because
+    ``bench/tracing.py`` reads the base grid from it.
+    """
 
     q_oversample: int = 4
 
@@ -133,7 +136,8 @@ def _taylor(h, centers):
 
 
 def _near_zeros(h, rho, q, band):
-    """Zeros of h within ``band`` (in log modulus) of some circle of radius ``rho``.
+    """Zeros of h within ``band`` (in log modulus) of some circle of radius
+    ``rho``, and the circles' row maxima and dead mask from ``grid_dips``.
 
     ``grid_dips`` places a zero near each dip of |h| on every circle's
     size-q grid, to within a fraction of a step; starts that may lie in the
@@ -141,7 +145,7 @@ def _near_zeros(h, rho, q, band):
     Newton steps on h's Taylor expansion about them.  Zeros the search
     misses are left to the doubling ladder.
     """
-    z, depth = grid_dips(h, rho, q)
+    z, depth, rowmax, dead = grid_dips(h, rho, q)
     step = 2.0 * np.pi / q
     # the dips overstate depths by up to a quarter step
     z = z[depth < band + 0.3 * step]
@@ -149,7 +153,7 @@ def _near_zeros(h, rho, q, band):
     cell = 0.25 * step
     z = np.exp(np.unique(np.round(np.log(z) / cell)) * cell)
     if not z.size:
-        return z
+        return z, rowmax, dead
     taylor, v = _taylor(h, z), np.zeros(z.size, dtype=complex)
     with np.errstate(all="ignore"):
         for _ in range(12):
@@ -164,7 +168,7 @@ def _near_zeros(h, rho, q, band):
                  & (np.abs(move) <= 1e-12 * np.abs(h.size - 1 + v)))
     z = z[found] * (1.0 + v[found] / (h.size - 1))
     _, first = np.unique(np.round(np.log(z) * 1e10), return_index=True)
-    return z[first]
+    return z[first], rowmax, dead
 
 
 class _ZeroWindows:
@@ -185,11 +189,10 @@ class _ZeroWindows:
         self.h, self.rho, self.p = h, rho, p
         self.rowmax = np.ones(rho.size)
         self.integral = np.zeros(rho.size)
-        _, self.rowmax[search], dead = _normalised_powers(np.abs(h), rho[search])
-        search = search[~dead]
         self.edge = WINDOW_EDGE * 2.0 * np.pi / q
         band, reach = ZERO_BAND * self.edge, WINDOW_REACH * self.edge
-        zeros = _near_zeros(h, rho[search], q, band)
+        zeros, self.rowmax[search], dead = _near_zeros(h, rho[search], q, band)
+        search = search[~dead]
         depth = np.abs(np.log(np.abs(zeros))[None, :] - np.log(rho[search])[:, None])
         near = depth < band
         owner, lo, hi, zero_of, angle_of, depth_of = [], [], [], [], [], []
@@ -417,7 +420,7 @@ def _radial_rule(w, x_scale):
     return rule
 
 
-def integral_mean(f, r, p, settings=DEFAULT_SETTINGS):
+def integral_mean(f, r, p):
     """The L^p average of |f| on the circle of radius r."""
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {r!r}")
@@ -431,16 +434,16 @@ def integral_mean(f, r, p, settings=DEFAULT_SETTINGS):
     h, radius, lead = f.coeffs[a:], np.array([r]), np.array([r**a])
     if flushed(h, radius, lead)[0]:
         return 0.0
-    return lead[0] * _power_means(h, radius, p, f.degree - a, settings)[0] ** (1.0 / p)
+    return lead[0] * _power_means(h, radius, p, f.degree - a, DEFAULT_SETTINGS)[0] ** (1.0 / p)
 
 
-def hardy_norm(f, p, settings=DEFAULT_SETTINGS):
+def hardy_norm(f, p):
     """Hardy norm of a polynomial: the integral mean at r = 1, where the
     nondecreasing means attain their supremum."""
-    return integral_mean(f, 1.0, p, settings)
+    return integral_mean(f, 1.0, p)
 
 
-def bergman_norm(f, w, p, settings=DEFAULT_SETTINGS):
+def bergman_norm(f, w, p):
     """Weighted Bergman norm (2 int r M_p^p(r, f) w(r) dr)^(1/p)."""
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError(f"exponent p must be positive, got {p!r}")
@@ -452,14 +455,14 @@ def bergman_norm(f, w, p, settings=DEFAULT_SETTINGS):
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)
     masses = np.append(rule.weights * rule.nodes, rule.boundary_mass)
-    mpp = _power_means(f.coeffs, radii, p, degree, settings, masses=masses)
+    mpp = _power_means(f.coeffs, radii, p, degree, DEFAULT_SETTINGS, masses=masses)
     total = 2.0 * float(np.dot(masses, mpp))
     if not math.isfinite(total):
         raise DomainError(f"the Bergman integral of |f|^p at p = {p!r} overflows double precision")
     return total ** (1.0 / p)
 
 
-def block_norm(f, eta, k, p, settings=DEFAULT_SETTINGS, check=True):
+def block_norm(f, eta, k, p, check=True):
     """Block norm (sum_n eta_{k^n} ||V_{n,k} * f||_{H^p}^p)^(1/p).
 
     The truncation covers every block that meets deg f; higher blocks vanish
@@ -486,7 +489,7 @@ def block_norm(f, eta, k, p, settings=DEFAULT_SETTINGS, check=True):
         piece = cesaro.block(f, basis, n)
         if piece.is_zero:
             continue
-        hn = hardy_norm(piece, p, settings)
+        hn = hardy_norm(piece, p)
         total += eta.moment(float(k) ** n) * hn**p
     return total ** (1.0 / p)
 

@@ -323,12 +323,15 @@ def grid_dips(coeffs, radii, q):
     near the angle of the zero behind the dip, with Im t the zero's log
     distance from the circle; Newton steps on the quartic, started from the
     root of its quadratic part, find it.  Returns those roots as points
-    r e^{i t} and their |Im t|.
+    r e^{i t} and their |Im t|, then each circle's row maximum and dead mask
+    as ``_normalised_powers`` gives them; dead circles have no dips.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     step = 2.0 * np.pi / q
     points, depths = [], []
-    for rows, values, _, dead, scratch in _circle_batches(coeffs, radii, q):
+    rowmaxes, deads = np.ones(radii.size), np.zeros(radii.size, dtype=bool)
+    for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q):
+        rowmaxes[rows], deads[rows] = rowmax, dead
         mag = np.abs(values, out=scratch)
         row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1))
                             & (mag < np.roll(mag, -1, axis=1)) & ~dead[:, None])
@@ -352,8 +355,8 @@ def grid_dips(coeffs, radii, q):
         points.append(radii[rows][row] * np.exp(1j * step * (j + t)))
         depths.append(np.where(found, step * np.abs(t.imag), np.inf))
     if not points:
-        return np.zeros(0, dtype=complex), np.zeros(0)
-    return np.concatenate(points), np.concatenate(depths)
+        return np.zeros(0, dtype=complex), np.zeros(0), rowmaxes, deads
+    return np.concatenate(points), np.concatenate(depths), rowmaxes, deads
 
 
 def horner(coeffs, z):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .norms import DEFAULT_SETTINGS, bergman_norm, block_norm, hardy_norm, integral_mean
+from .norms import bergman_norm, block_norm, hardy_norm, integral_mean
 from .cesaro import build_basis
 from .series import (TaylorSeries, frac_deriv_mu, geometric_series, lacunary_series,
                      parse_series_spec, read_series_csv)
@@ -27,6 +27,7 @@ BOUNDED_GROWTH_FACTOR = 1.05
 GRID_PER_DECADE = 8  # points per decade of geometric_int_grid
 SUMA_TERM_FLOOR = 1e-16  # suma_check drops terms below this share of the sum
 SUMA_MAX_TERMS = 200  # most lacunary terms suma_check sums per radius
+RANDOM_MEMBERS = 10  # random polynomials in default_family
 
 
 @dataclass
@@ -115,22 +116,16 @@ def monomial_family(n_max):
     return family
 
 
-def default_family(
-    n_max=2048,
-    geometric_degree=1024,
-    random_degree=512,
-    n_random=10,
-    seed=DEFAULT_SEED,
-):
+def default_family(n_max=2048, geometric_degree=1024, random_degree=512, seed=DEFAULT_SEED):
     """The standard suite: dyadic monomials, truncated geometric kernels,
-    a lacunary series, and seeded random-coefficient polynomials."""
+    a lacunary series, and RANDOM_MEMBERS seeded random-coefficient polynomials."""
     family = monomial_family(n_max)
     for lam in (0.5, 0.9, 0.99):
         for s in (1, 2):
             family.append((f"geometric:{lam},{s}", geometric_series(lam, s, geometric_degree)))
     family.append((f"lacunary:2,{geometric_degree}", lacunary_series(2, geometric_degree)))
     rng = np.random.default_rng(seed)
-    for i in range(n_random):
+    for i in range(RANDOM_MEMBERS):
         coeffs = rng.standard_normal(random_degree + 1) + 1j * rng.standard_normal(random_degree + 1)
         family.append((f"random:{i}", TaylorSeries(coeffs)))
     return family
@@ -149,7 +144,7 @@ def geometric_int_grid(n_max):
 # experiments
 
 
-def lp_ratio(f, omega, mu, p, settings=DEFAULT_SETTINGS, nu=None, check=True):
+def lp_ratio(f, omega, mu, p, nu=None, check=True):
     """Ratio of the derivative-side weighted norm to the plain weighted norm.
 
     Numerator: ||D_mu f||^p in the Bergman space of omega * tail_mu^p.
@@ -160,28 +155,28 @@ def lp_ratio(f, omega, mu, p, settings=DEFAULT_SETTINGS, nu=None, check=True):
     if nu is None:
         nu = scaled_weight(omega, mu, p)
     df = frac_deriv_mu(f, mu, check=check)
-    num = bergman_norm(df, nu, p, settings) ** p
-    den = bergman_norm(f, omega, p, settings) ** p
+    num = bergman_norm(df, nu, p) ** p
+    den = bergman_norm(f, omega, p) ** p
     if den == 0.0:
         raise DomainError("zero denominator norm in lp_ratio")
     return num / den
 
 
-def equivalence_sweep(family, omega, mu, p, settings=DEFAULT_SETTINGS, check=True):
+def equivalence_sweep(family, omega, mu, p, check=True):
     """lp_ratio across a function family; max/min is the empirical constant.
 
     Boundedness verdicts are read off the monomial rows (the canonical
     witnesses, whose index doubles row to row); the bracket covers the whole
     family.
     """
-    if not family:
-        raise DomainError("equivalence_sweep needs a non-empty family")
+    if len(family) < 2:
+        raise DomainError(f"equivalence_sweep needs at least two functions, got {len(family)}")
     nu = scaled_weight(omega, mu, p)
     labels = []
     ratios = []
     for label, f in family:
         labels.append(label)
-        ratios.append(lp_ratio(f, omega, mu, p, settings, nu=nu, check=check))
+        ratios.append(lp_ratio(f, omega, mu, p, nu=nu, check=check))
     witness = [r for lab, r in zip(labels, ratios) if lab.startswith("monomial:")]
     if len(witness) < 3:
         witness = ratios
@@ -229,8 +224,9 @@ def monomial_necessity_curve(omega, mu, p, n_max):
     )
 
 
-def integral_means_check(family, mu, p, r_grid=None, rho_grid=None, settings=DEFAULT_SETTINGS):
-    """Ratio M_p(r, D_mu f) * tail_mu(r/rho) / M_p(rho, f) over pairs r < rho.
+def integral_means_check(family, mu, p, grid=None):
+    """Ratio M_p(r, D_mu f) * tail_mu(r/rho) / M_p(rho, f) over pairs r < rho
+    of one radius grid (default 0.1, 0.2, ..., 0.9).
 
     The derivative-means bound predicts a uniform constant; the summary max
     is the empirical one.  Rows with a vanishing denominator are skipped and
@@ -238,13 +234,12 @@ def integral_means_check(family, mu, p, r_grid=None, rho_grid=None, settings=DEF
     """
     if not family:
         raise DomainError("integral_means_check needs a non-empty family")
-    r_grid = np.linspace(0.1, 0.9, 9) if r_grid is None else np.asarray(r_grid, dtype=float)
-    rho_grid = np.linspace(0.1, 0.9, 9) if rho_grid is None else np.asarray(rho_grid, dtype=float)
-    if np.any(r_grid < 0) or np.any(r_grid >= 1) or np.any(rho_grid < 0) or np.any(rho_grid >= 1):
-        raise DomainError("grids must lie inside [0, 1)")
-    pairs = [(r, rho) for rho in rho_grid for r in r_grid if r < rho]
+    grid = np.linspace(0.1, 0.9, 9) if grid is None else np.asarray(grid, dtype=float)
+    if np.any(grid < 0) or np.any(grid >= 1):
+        raise DomainError("grid must lie inside [0, 1)")
+    pairs = [(i, j) for j in range(grid.size) for i in range(grid.size) if grid[i] < grid[j]]
     if not pairs:
-        raise DomainError("no pairs with r < rho in the supplied grids")
+        raise DomainError("no pairs with r < rho in the supplied grid")
     labels = []
     col_r = []
     col_rho = []
@@ -252,22 +247,22 @@ def integral_means_check(family, mu, p, r_grid=None, rho_grid=None, settings=DEF
     skipped = 0
     for label, f in family:
         df = frac_deriv_mu(f, mu)
-        mean_cache = {}
-        dmean_cache = {}
-        for r, rho in pairs:
-            denom = mean_cache.get(rho)
-            if denom is None:
-                denom = mean_cache[rho] = integral_mean(f, rho, p, settings)
-            if denom == 0.0:
+        # means of f at rho and of D_mu f at r, by grid index, taken when first needed
+        means = [None] * grid.size
+        dmeans = [None] * grid.size
+        for i, j in pairs:
+            r, rho = grid[i], grid[j]
+            if means[j] is None:
+                means[j] = integral_mean(f, rho, p)
+            if means[j] == 0.0:
                 skipped += 1
                 continue
-            numer = dmean_cache.get(r)
-            if numer is None:
-                numer = dmean_cache[r] = integral_mean(df, r, p, settings)
-            if numer == 0.0:
+            if dmeans[i] is None:
+                dmeans[i] = integral_mean(df, r, p)
+            if dmeans[i] == 0.0:
                 skipped += 1  # zero rows carry no bound information
                 continue
-            quotients.append(numer * mu.tail(r / rho) / denom)
+            quotients.append(dmeans[i] * mu.tail(r / rho) / means[j])
             labels.append(label)
             col_r.append(float(r))
             col_rho.append(float(rho))
@@ -283,9 +278,9 @@ def integral_means_check(family, mu, p, r_grid=None, rho_grid=None, settings=DEF
     )
 
 
-def suma_check(mu, gamma, k, r_grid=None, check=True):
-    """Lacunary-sum vs tail-power comparison on a radius grid (default the
-    dyadic radii 1 - 2^-i, i = 0..25).
+def suma_check(mu, gamma, k, depth=25, check=True):
+    """Lacunary-sum vs tail-power comparison on the dyadic radii 1 - 2^-i,
+    i = 0..depth.
 
     Row r carries (1 + sum_n r^(k^n) / mu_{k^n}^gamma) * tail_mu(r)^gamma;
     for weights in the doubling intersection the curve stays in a bracket.
@@ -296,17 +291,15 @@ def suma_check(mu, gamma, k, r_grid=None, check=True):
         raise DomainError(f"gamma must be positive, got {gamma!r}")
     if int(k) != k or k < 2:
         raise DomainError(f"k must be an integer >= 2, got {k!r}")
-    k = int(k)
+    if int(depth) != depth or depth < 1:
+        raise DomainError(f"depth must be an integer >= 1, got {depth!r}")
+    k, depth = int(k), int(depth)
     if check and classify(mu).verdicts["d"] == "out":
         raise DomainError(
             f"weight {mu.label} looks outside the doubling intersection; "
             "pass check=False to run the comparison anyway"
         )
-    if r_grid is None:
-        r_grid = np.array([1.0 - 2.0 ** (-i) for i in range(26)])
-    r_grid = np.asarray(r_grid, dtype=float)
-    if np.any(r_grid < 0) or np.any(r_grid >= 1):
-        raise DomainError("r_grid must lie inside [0, 1)")
+    r_grid = np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)])
     ratios = []
     for r in r_grid:
         total = 1.0
@@ -315,7 +308,15 @@ def suma_check(mu, gamma, k, r_grid=None, check=True):
         for n in range(SUMA_MAX_TERMS):
             power = float(k) ** n
             term = math.exp(power * log_r) if r > 0 else (1.0 if power == 0 else 0.0)
-            term /= mu.moment(power) ** gamma
+            try:
+                scale = mu.moment(power) ** gamma
+            except OverflowError:
+                scale = math.inf
+            if not 0.0 < scale < math.inf:
+                raise DomainError(
+                    f"moment({power:g})^gamma of {mu.label} leaves double precision "
+                    f"at gamma = {gamma!r}; use a smaller gamma")
+            term /= scale
             total += term
             if term < previous and term < SUMA_TERM_FLOOR * total:
                 break
@@ -324,14 +325,14 @@ def suma_check(mu, gamma, k, r_grid=None, check=True):
     verdict, growth = stability_verdict(ratios)
     return ExperimentReport(
         experiment="suma-check",
-        params={"mu": mu.label, "gamma": gamma, "k": k, "depth": len(r_grid) - 1},
+        params={"mu": mu.label, "gamma": gamma, "k": k, "depth": depth},
         columns={"r": [float(r) for r in r_grid], "sum_ratio": ratios},
         ratio_names=["sum_ratio"],
         verdict=f"bracket max/min {max(ratios)/min(ratios):.6g}, running-max {verdict}",
     )
 
 
-def norm_equivalence_check(family, eta, k, p, settings=DEFAULT_SETTINGS, check=True):
+def norm_equivalence_check(family, eta, k, p, check=True):
     """Bergman-to-block norm ratio across a family; the bracket is reported."""
     if not family:
         raise DomainError("norm_equivalence_check needs a non-empty family")
@@ -345,8 +346,8 @@ def norm_equivalence_check(family, eta, k, p, settings=DEFAULT_SETTINGS, check=T
     for label, f in family:
         if f.is_zero:
             continue
-        bn = bergman_norm(f, eta, p, settings) ** p
-        blk = block_norm(f, eta, k, p, settings, check=check) ** p
+        bn = bergman_norm(f, eta, p) ** p
+        blk = block_norm(f, eta, k, p, check=check) ** p
         labels.append(label)
         ratios.append(bn / blk)
     return ExperimentReport(
@@ -454,8 +455,8 @@ _FAMILY = (Key("family", "choice", choices=("default", "monomials"), default="de
            replace(_SEED, only=("family", ("default",))))
 
 
-def _weight(name, required=True):
-    return Key(name, "weight", required=required)
+def _weight(name):
+    return Key(name, "weight", required=True)
 
 
 def _family_from_config(cfg):
@@ -488,18 +489,8 @@ def _boundedness_expectation(verdict_of):
 
 
 def _means_check(cfg):
-    grids = {}
-    if cfg.depth:
-        grid = np.linspace(0.05, 0.95, cfg.depth)
-        grids = {"r_grid": grid, "rho_grid": grid}
-    return integral_means_check(_family_from_config(cfg), cfg.mu, cfg.p, **grids)
-
-
-def _suma_check(cfg):
-    depth = cfg.depth or 25
-    return suma_check(cfg.mu, cfg.gamma, cfg.k,
-                      r_grid=np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)]),
-                      check=not cfg.force)
+    grid = np.linspace(0.05, 0.95, cfg.depth) if cfg.depth else None
+    return integral_means_check(_family_from_config(cfg), cfg.mu, cfg.p, grid)
 
 
 @dataclass(frozen=True)
@@ -554,7 +545,7 @@ EXPERIMENTS = {spec.name: spec for spec in (
     ),
     Experiment(
         "suma-check", "lacunary sum vs tail power on a dyadic radius grid",
-        _suma_check,
+        lambda cfg: suma_check(cfg.mu, cfg.gamma, cfg.k, cfg.depth or 25, check=not cfg.force),
         (_weight("mu"), Key("gamma", "positive", required=True), _required(_K), _DEPTH)
         + _REPORT + (_FORCE,),
         expect=_boundedness_expectation(

@@ -40,7 +40,7 @@ _COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
 # Classification grids.
 HARD_I_CAP = 30  # deepest dyadic radius 1 - 2^-i of the r-grid
 TAIL_FLOOR_RATIO = 1e-14
-DEFAULT_K_SET = (2, 4, 8, 16)
+K_SET = (2, 4, 8, 16)  # the k that classify tests
 X_GRID = 10.0 ** (np.arange(33) / 8)  # moment orders 10^(j/8), 1 to 10^4
 X_GRID.flags.writeable = False  # reports hold slices of it
 LOG_RATIO_CAP = 700.0  # a ratio curve stops before |log ratio| passes this
@@ -880,15 +880,16 @@ def _log_moment(w, x):
         return math.nan
 
 
-def classify(w, r_grid=None, k_set=DEFAULT_K_SET):
-    """Sample the doubling-ratio curves of ``w`` and render class verdicts.
+def classify(w):
+    """Sample the doubling-ratio curves of ``w`` and render class verdicts,
+    memoized per weight.
 
-    Curves reported, tails on the r-grid (default: ``default_r_grid``) and
-    moments at the orders of ``X_GRID``:
+    Curves reported, tails on ``default_r_grid`` and moments at the orders
+    of ``X_GRID``:
 
     * ``dhat``          tail(r) / tail((1+r)/2)
-    * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per tested k
-    * ``moment[k]``     moment(x) / moment(kx) per tested k
+    * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per k of K_SET
+    * ``moment[k]``     moment(x) / moment(kx) per k of K_SET
     * ``moment_vs_tail``  moment(x) / tail(1 - 1/x), the comparability curve
 
     Each curve stops before its first ratio outside e^+-700 (or whose
@@ -898,25 +899,15 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET):
     running inf to stabilize strictly above 1 for some k.  The exact
     thresholds are echoed in the report.
     """
-    used_defaults = r_grid is None and tuple(k_set) == DEFAULT_K_SET
-    if used_defaults and w._classify_memo is not None:
+    if w._classify_memo is not None:
         return w._classify_memo
-    k_set = tuple(int(k) for k in k_set)
-    if len(k_set) == 0 or any(k < 2 for k in k_set):
-        raise DomainError(f"k_set must hold integers >= 2, got {k_set!r}")
-    default_grid = r_grid is None
-    r_grid = default_r_grid(w) if default_grid else np.asarray(r_grid, dtype=float)
-    if r_grid.size == 0 or np.any(r_grid < 0) or np.any(r_grid >= 1):
-        raise DomainError("r_grid must be non-empty and lie inside [0, 1)")
-
+    r_grid = default_r_grid(w)
     curves = {"dhat": _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
                                    lambda r: w._memo_log_tail((1.0 + float(r)) / 2.0))}
     per_k = {}
     dcheck_verdicts = {}
-    for k in k_set:
-        curve = curves[f"dcheck[{k}]"] = _dcheck_curve(w, k, r_grid)
-        if default_grid:
-            w._dcheck_memo[k] = curve  # what dcheck_margin(w, k) reads
+    for k in K_SET:
+        curve = curves[f"dcheck[{k}]"] = w._dcheck_memo[k] = _dcheck_curve(w, k, r_grid)
         verdict, info = _inf_margin_verdict(curve[1])
         dcheck_verdicts[k] = verdict
         per_k[f"dcheck[{k}]"] = {"verdict": verdict, **info}
@@ -925,7 +916,7 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET):
     log_moments = list(itertools.takewhile(math.isfinite, (_log_moment(w, x) for x in X_GRID)))
     xs = X_GRID[:len(log_moments)]
     m_verdicts = {}
-    for k in k_set:
+    for k in K_SET:
         curve = curves[f"moment[{k}]"] = _ratio_curve(xs, log_moments,
                                                       lambda x: _log_moment(w, k * x))
         verdict, info = _inf_margin_verdict(curve[1])
@@ -958,7 +949,7 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET):
         label=w.label,
         r_grid=r_grid,
         x_grid=xs,
-        k_set=k_set,
+        k_set=K_SET,
         curves=curves,
         verdicts={"dhat": dhat_verdict, "dcheck": dcheck, "m": m_class, "d": d_class},
         per_k=per_k,
@@ -970,8 +961,7 @@ def classify(w, r_grid=None, k_set=DEFAULT_K_SET):
             "tail_floor_ratio": TAIL_FLOOR_RATIO,
         },
     )
-    if used_defaults:
-        w._classify_memo = report
+    w._classify_memo = report
     return report
 
 

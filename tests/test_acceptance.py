@@ -183,14 +183,8 @@ def test_09_integral_means_bound_stable():
         std1 = StandardWeight(1.0)
         fam = default_family()
         for p in (0.5, 2.0):
-            coarse = integral_means_check(
-                fam, std1, p,
-                r_grid=np.linspace(0.1, 0.9, 9), rho_grid=np.linspace(0.1, 0.9, 9),
-            )
-            fine = integral_means_check(
-                fam, std1, p,
-                r_grid=np.linspace(0.1, 0.9, 17), rho_grid=np.linspace(0.1, 0.9, 17),
-            )
+            coarse = integral_means_check(fam, std1, p, np.linspace(0.1, 0.9, 9))
+            fine = integral_means_check(fam, std1, p, np.linspace(0.1, 0.9, 17))
             m1 = coarse.summary["bound_quotient"]["max"]
             m2 = fine.summary["bound_quotient"]["max"]
             factor = max(m1, m2) / min(m1, m2)
@@ -202,14 +196,8 @@ def test_10_lacunary_sum_vs_tail_power():
         for mu in (StandardWeight(1.0), StandardWeight(0.5)):
             for gamma in (1.0, 2.0):
                 for k in (2, 4):
-                    deep = suma_check(
-                        mu, gamma, k,
-                        r_grid=np.array([1.0 - 2.0**-i for i in range(26)]),
-                    )
-                    shallow = suma_check(
-                        mu, gamma, k,
-                        r_grid=np.array([1.0 - 2.0**-i for i in range(21)]),
-                    )
+                    deep = suma_check(mu, gamma, k, depth=25)
+                    shallow = suma_check(mu, gamma, k, depth=20)
                     b_deep = deep.summary["sum_ratio"]["max_over_min"]
                     b_shallow = shallow.summary["sum_ratio"]["max_over_min"]
                     assert math.isfinite(b_deep)
@@ -258,9 +246,8 @@ def test_12_scale_invariance():
         )
 
         grid = np.array([0.2, 0.5, 0.8])
-        means = integral_means_check(fam, std1, 2.0, r_grid=grid, rho_grid=grid)
-        means_scaled = integral_means_check(fam, std1.scaled(7.3), 2.0,
-                                            r_grid=grid, rho_grid=grid)
+        means = integral_means_check(fam, std1, 2.0, grid)
+        means_scaled = integral_means_check(fam, std1.scaled(7.3), 2.0, grid)
         np.testing.assert_allclose(
             means_scaled.columns["bound_quotient"],
             means.columns["bound_quotient"], rtol=1e-12,

@@ -74,7 +74,7 @@ def test_config_hash_is_stable():
 
 @pytest.fixture()
 def small_report(std1):
-    return suma_check(std1, 1.0, 2, r_grid=np.array([1.0 - 2.0**-i for i in range(9)]))
+    return suma_check(std1, 1.0, 2, depth=8)
 
 
 def test_emit_csv_roundtrip(tmp_path, small_report):
@@ -378,6 +378,21 @@ def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unrea
     else:
         cfg_path.write_text("\n".join(lines) + "\n")
         assert _exit_code(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+
+# valid flags whose run the numerics refuse, and the word the error must name
+REFUSED_RUNS = [
+    # moment(2^n)^50 of standard:1 underflows to 0 before the sum settles
+    (["suma-check", "--mu", "standard:1", "--gamma", "50", "--k", "2"], "gamma"),
+]
+
+
+@pytest.mark.parametrize("argv, named", REFUSED_RUNS, ids=[row[0][0] for row in REFUSED_RUNS])
+def test_cli_refused_run_exits_2(capsys, argv, named):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_keys_read_for_some_values_only(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from bergweight import (
     DomainError,
     LogWeight,
-    NormSettings,
     QuadratureError,
     StandardWeight,
     TaylorSeries,
@@ -23,7 +22,7 @@ from bergweight import (
 )
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
 from bergweight import norms, series
-from bergweight.norms import DEFAULT_SETTINGS
+from bergweight.norms import DEFAULT_SETTINGS, NormSettings
 
 from conftest import oracle_circle_values, oracle_exp_moment, oracle_parseval_mean
 

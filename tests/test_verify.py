@@ -90,6 +90,12 @@ def test_equivalence_sweep_needs_family(std1):
         equivalence_sweep([], std1, std1, 2.0)
 
 
+def test_equivalence_sweep_one_member_family_is_a_domain_error(std1):
+    # a boundedness verdict compares at least two ratios
+    with pytest.raises(DomainError, match="at least two"):
+        equivalence_sweep([("monomial:1", TaylorSeries.monomial(1))], std1, std1, 2.0)
+
+
 def test_theorem_direction_consistency(std1, log2w):
     # upper class membership must come with a bounded upper column; full
     # membership with both columns bounded
@@ -144,7 +150,7 @@ def test_geometric_int_grid_shape():
 def test_means_check_monomial_rows_match_closed_form(std1):
     fam = [("monomial:6", TaylorSeries.monomial(6))]
     grid = np.array([0.2, 0.5, 0.8])
-    report = integral_means_check(fam, std1, 2.0, r_grid=grid, rho_grid=grid)
+    report = integral_means_check(fam, std1, 2.0, grid)
     mu3 = std1.moment(2.0 * 6 + 1.0)
     for r, rho, got in zip(
         report.columns["r"], report.columns["rho"], report.columns["bound_quotient"]
@@ -155,8 +161,7 @@ def test_means_check_monomial_rows_match_closed_form(std1):
 
 def test_means_check_constant_row_value(std1):
     fam = [("monomial:0", TaylorSeries.monomial(0))]
-    report = integral_means_check(fam, std1, 2.0,
-                                  r_grid=np.array([0.0]), rho_grid=np.array([0.5]))
+    report = integral_means_check(fam, std1, 2.0, np.array([0.0, 0.5]))
     expect = (1.0 / std1.moment(1.0)) * std1.tail(0.0)
     assert report.columns["bound_quotient"][0] == pytest.approx(expect, rel=1e-8)
 
@@ -165,12 +170,12 @@ def test_means_check_skips_degenerate_rows(std1):
     # f = z: the derivative means vanish at r = 0, those pairs are skipped
     fam = [("odd", TaylorSeries([0.0, 1.0]))]
     grid = np.array([0.0, 0.3, 0.5])
-    report = integral_means_check(fam, std1, 2.0, r_grid=grid, rho_grid=grid)
+    report = integral_means_check(fam, std1, 2.0, grid)
     assert report.skipped == 2
     assert len(report.rows()) == 1
     zero = TaylorSeries([0.0, 0.0])
     with pytest.raises(DomainError):
-        integral_means_check([("zero", zero)], std1, 2.0, r_grid=grid, rho_grid=grid)
+        integral_means_check([("zero", zero)], std1, 2.0, grid)
 
 
 def test_means_check_validation(std1):
@@ -178,15 +183,14 @@ def test_means_check_validation(std1):
         integral_means_check([], std1, 2.0)
     fam = [("monomial:1", TaylorSeries.monomial(1))]
     with pytest.raises(DomainError):
-        integral_means_check(fam, std1, 2.0, r_grid=np.array([0.9]),
-                             rho_grid=np.array([0.5]))
+        integral_means_check(fam, std1, 2.0, np.array([0.5]))
 
 
 def test_means_check_scale_invariant_in_mu(std1):
     fam = [("monomial:4", TaylorSeries.monomial(4))]
     grid = np.array([0.3, 0.6])
-    base = integral_means_check(fam, std1, 2.0, r_grid=grid, rho_grid=grid)
-    scaled = integral_means_check(fam, std1.scaled(7.3), 2.0, r_grid=grid, rho_grid=grid)
+    base = integral_means_check(fam, std1, 2.0, grid)
+    scaled = integral_means_check(fam, std1.scaled(7.3), 2.0, grid)
     np.testing.assert_allclose(
         scaled.columns["bound_quotient"], base.columns["bound_quotient"], rtol=1e-12
     )
@@ -232,7 +236,7 @@ def test_suma_check_validation(std1):
 
 
 def test_norm_equivalence_rows_and_scale(std1):
-    fam = default_family(n_max=64, geometric_degree=64, random_degree=32, n_random=2)
+    fam = default_family(n_max=64, geometric_degree=64, random_degree=32)
     report = norm_equivalence_check(fam, std1, 2, 2.0)
     ratios = report.columns["norm_ratio"]
     assert np.all(np.isfinite(ratios)) and np.all(np.asarray(ratios) > 0)

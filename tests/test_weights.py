@@ -476,17 +476,6 @@ def test_classify_scale_invariant_curves(std1):
     assert scaled.verdicts == base.verdicts
 
 
-def test_classify_rejects_bad_grids(std1):
-    with pytest.raises(DomainError):
-        classify(std1, r_grid=np.array([]))
-    with pytest.raises(DomainError):
-        classify(std1, r_grid=np.array([0.5, 1.5]))
-    with pytest.raises(DomainError):
-        classify(std1, k_set=())
-    with pytest.raises(DomainError):
-        classify(std1, k_set=(1,))
-
-
 def test_default_grid_caps_at_tail_floor(exp11):
     grid = default_r_grid(exp11)
     assert grid.size <= 6  # super-exponential tails leave few usable radii
