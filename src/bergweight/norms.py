@@ -4,13 +4,15 @@ Every circle mean first factors f = z^a h(z^g) (a the first nonzero index,
 g the gcd of the support's gaps); M_p^p(r, f) = r^(ap) M_p^p(r^g, h) is
 exact, so only h is sampled, on grids sized by its degree: a monomial is one
 coefficient.  At p = 2 the circle integral is Parseval's sum
-M_2^2(r) = sum |c_n|^2 r^(2n), taken from the coefficients without sampling.  Otherwise it is a trapezoid
-sum over roots-of-unity samples, which is exact for |f|^p whenever p is an
-even integer and the sample count beats the bandwidth; other exponents
-double the sample count until the value settles, computing only the new
-samples of each doubled grid.
+M_2^2(r) = sum |c_n|^2 r^(2n), taken from the coefficients without
+sampling.  Otherwise it is a trapezoid sum over roots-of-unity samples,
+doubling the sample count until the value settles and computing only the
+new samples of each doubled grid.  For even integer p, |f|^p is a
+trigonometric polynomial and the trapezoid rule is exact once the sample
+count beats its bandwidth, so even p start on such a grid and settle at the
+first check.
 
-At those other exponents |f|^p is analytic on the circle |z| = r only away
+At other exponents |f|^p is analytic on the circle |z| = r only away
 from f's zeros, and the trapezoid rule's error decays like e^(-q d), d the
 log distance from the circle to the nearest zero (Trefethen and Weideman,
 SIAM Review 56 (2014)).  So after the first pass the zeros of h near each
@@ -42,9 +44,9 @@ from scipy.special import erf, gammaln
 from .errors import DomainError, QuadratureError
 from .series import (
     _abs_power,
+    _circle_batches,
     circle_power_means,
     flushed,
-    grid_dips,
     horner,
     parseval_means,
 )
@@ -76,7 +78,9 @@ TAYLOR_TERMS = 24
 
 @dataclass(frozen=True)
 class NormSettings:
-    """Circle-sampling profile: ``_power_means`` starts h on ``q_for(deg h)`` points.
+    """Circle-sampling profile: ``_power_means`` starts h on ``q_for(deg h)``
+    points, and at even p on ``q_for(p deg h / 4)`` where that is at most
+    CIRCLE_Q_CAP.
 
     Every norm passes DEFAULT_SETTINGS; the argument stays because
     ``bench/tracing.py`` reads the base grid from it.
@@ -95,13 +99,6 @@ class NormSettings:
 
 
 DEFAULT_SETTINGS = NormSettings()
-
-
-def _is_exact_exponent(p, q, degree):
-    # |f|^p is a trig polynomial of bandwidth (p/2)*degree for even integer p
-    if p <= 0 or p != int(p) or int(p) % 2:
-        return False
-    return q > (int(p) // 2) * degree
 
 
 def _taylor(h, centers):
@@ -137,21 +134,48 @@ def _taylor(h, centers):
 
 def _near_zeros(h, rho, q, band):
     """Zeros of h within ``band`` (in log modulus) of some circle of radius
-    ``rho``, and the circles' row maxima and dead mask from ``grid_dips``.
+    ``rho``, and the circles' row maxima and dead mask as
+    ``_normalised_powers`` gives them.
 
-    ``grid_dips`` places a zero near each dip of |h| on every circle's
-    size-q grid, to within a fraction of a step; starts that may lie in the
-    band, merged when nearby circles give the same one, are polished by
-    Newton steps on h's Taylor expansion about them.  Zeros the search
-    misses are left to the doubling ladder.
+    At each local minimum of |h| over a circle's size-q grid, the quartic in
+    the angle through h at the minimum and two neighbours on each side has a
+    root t near the angle of the zero behind the dip, with Im t the zero's
+    log distance from the circle; Newton steps on the quartic, started from
+    the root of its quadratic part, find it.  Dead circles have no dips.
+    The roots that may lie in the band, merged when nearby circles give the
+    same one, are polished by Newton steps on h's Taylor expansion about
+    them.  Zeros the search misses are left to the doubling ladder.
     """
-    z, depth, rowmax, dead = grid_dips(h, rho, q)
     step = 2.0 * np.pi / q
-    # the dips overstate depths by up to a quarter step
-    z = z[depth < band + 0.3 * step]
+    starts = []
+    rowmax, dead = np.ones(rho.size), np.zeros(rho.size, dtype=bool)
+    for rows, values, batch_max, batch_dead, scratch in _circle_batches(h, rho, q):
+        rowmax[rows], dead[rows] = batch_max, batch_dead
+        mag = np.abs(values, out=scratch)
+        row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1))
+                            & (mag < np.roll(mag, -1, axis=1)) & ~batch_dead[:, None])
+        f = [values[row, (j + k) % q] for k in (-2, -1, 0, 1, 2)]
+        # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
+        a0 = f[2]
+        a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
+        a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
+        a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
+        a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the root of a0 + a1 t + a2 t^2 nearer 0, without cancellation
+            disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+            disc = np.where((np.conj(a1) * disc).real < 0.0, -disc, disc)
+            t = -2.0 * a0 / (a1 + disc)
+            for _ in range(4):
+                t = t - (a0 + t * (a1 + t * (a2 + t * (a3 + t * a4)))) / (
+                    a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * 4.0 * a4)))
+        # the dips overstate depths by up to a quarter step
+        keep = (np.isfinite(t) & (np.abs(t) < 2.0)
+                & (step * np.abs(t.imag) < band + 0.3 * step))
+        starts.append(rho[rows][row[keep]] * np.exp(1j * step * (j[keep] + t[keep])))
     # starts from nearby circles fall in the same quarter-step cell
     cell = 0.25 * step
-    z = np.exp(np.unique(np.round(np.log(z) / cell)) * cell)
+    z = np.exp(np.unique(np.round(np.log(np.concatenate(starts)) / cell)) * cell)
     if not z.size:
         return z, rowmax, dead
     taylor, v = _taylor(h, z), np.zeros(z.size, dtype=complex)
@@ -328,19 +352,22 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     lifted means, and a radius flushes to 0 by f's row maximum
     r^a max_k |h_k| r^(gk), as it would unreduced.
 
-    p = 2 is Parseval's sum over the coefficients and other even p take one
-    exact circle pass.  Other exponents double the sample count until the
-    value settles.  The first check compares the mean over the q samples
-    with the mean over their even-indexed half, which is the q/2 grid; each
-    doubling q -> 2q samples only the q new odd points and averages them in,
-    so no sample is computed twice.  Radii the first check leaves unsettled
+    p = 2 is Parseval's sum over the coefficients.  Other exponents double
+    the sample count until the value settles.  The first check compares the
+    mean over the q samples with the mean over their even-indexed half,
+    which is the q/2 grid; each doubling q -> 2q samples only the q new odd
+    points and averages them in, so no sample is computed twice.  Other even
+    p start, where it fits under the cap, on a grid whose half beats the
+    bandwidth (p/2) deg h of |h|^p: both means are then exact and the first
+    check settles every radius.  Radii the first check leaves unsettled
     get a ``_ZeroWindows``: their means become the masked trapezoid means
     plus the window integrals, and a radius cannot settle while what the
     grid may still miss of its windows exceeds 1e-2 of its budget.
-    Unsettled radii keep doubling up to the cap.  ``masses`` (same shape as ``radii``), the quadrature mass each
-    radius carries, adds a per-radius absolute budget of 1e-11 of the
-    mass-weighted total over that mass on top of the relative rule, letting
-    a radial quadrature spend samples where its weights actually look.
+    Unsettled radii keep doubling up to the cap.  ``masses`` (same shape as
+    ``radii``), the quadrature mass each radius carries, adds a per-radius
+    absolute budget of 1e-11 of the mass-weighted total over that mass on
+    top of the relative rule, letting a radial quadrature spend samples
+    where its weights actually look.
     """
     coeffs = np.asarray(coeffs, dtype=complex)[: degree + 1]
     support = np.nonzero(coeffs)[0]
@@ -353,10 +380,11 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     if p == 2.0:
         return lift * parseval_means(coeffs, radii)
     q = settings.q_for(degree)
-    if _is_exact_exponent(p, q, degree):
-        values = lift * circle_power_means(coeffs, radii, p, q)
-        _check_representable(values, radii ** (1.0 / g), p)
-        return values
+    if p % 2 == 0:
+        # |h|^p has bandwidth (p/2) deg h, below half of this grid: both means
+        # of the first check are exact trapezoid sums (min keeps huge p finite)
+        exact_q = settings.q_for(min(0.25 * p * degree, CIRCLE_Q_CAP))
+        q = exact_q if exact_q <= CIRCLE_Q_CAP else q
     values, coarse = circle_power_means(coeffs, radii, p, q, even=True)
     values, coarse = lift * values, lift * coarse
     _check_representable(values, radii ** (1.0 / g), p)

@@ -157,15 +157,15 @@ def hadamard(w, f):
 
 
 def evaluate_circle(f, r, q):
-    """Values f(r e^{2 pi i j/q}), j = 0..q-1, via an FFT at roots of unity."""
+    """Values f(r e^{2 pi i j/q}), j = 0..q-1, via an FFT at roots of unity:
+    the one row of ``_circle_batches`` times its row maximum, which is also
+    a copy out of the thread's workspace."""
     if q < 1:
         raise DomainError(f"sample count must be >= 1, got {q}")
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {r!r}")
-    scaled = f.coeffs * (r ** np.arange(len(f)))
-    folded = np.zeros(q, dtype=complex)
-    np.add.at(folded, np.arange(len(f)) % q, scaled)
-    return np.fft.ifft(folded) * q
+    [(_, values, rowmax, _, _)] = _circle_batches(f.coeffs, np.array([r]), q)
+    return values[0] * rowmax[0]
 
 
 # keep each batch of scaled rows under ~2^18 entries, small enough to stay in
@@ -300,63 +300,19 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     out_even = np.empty(radii.size, dtype=float) if even else None
     for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
         powered = _abs_power(values, p, scratch)
-        sums = np.sum(powered, axis=1)
-        if mask is not None:
-            lo, hi = np.searchsorted(mask[0], [rows.start, rows.start + powered.shape[0]])
-            row, col = mask[0][lo:hi] - rows.start, mask[1][lo:hi]
-            sums -= np.bincount(row, mask[2][lo:hi] * powered[row, col], powered.shape[0])
         # past the double range the means come out inf or nan; the norms refuse them
         with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.sum(powered, axis=1)
+            if mask is not None:
+                lo, hi = np.searchsorted(mask[0], [rows.start, rows.start + powered.shape[0]])
+                row, col = mask[0][lo:hi] - rows.start, mask[1][lo:hi]
+                sums -= np.bincount(row, mask[2][lo:hi] * powered[row, col], powered.shape[0])
             scale = rowmax**p
             out[rows] = np.where(dead, 0.0, sums * (scale / q))
             if even:
                 means = np.mean(powered[:, ::2], axis=1)
                 out_even[rows] = np.where(dead, 0.0, means * scale)
     return (out, out_even) if even else out
-
-
-def grid_dips(coeffs, radii, q):
-    """Zeros of f near each circle, roughly, from the dips of |f| on its size-q grid.
-
-    At each local minimum of |f| over the grid, the quartic in the angle
-    through f at the minimum and two neighbours on each side has a root t
-    near the angle of the zero behind the dip, with Im t the zero's log
-    distance from the circle; Newton steps on the quartic, started from the
-    root of its quadratic part, find it.  Returns those roots as points
-    r e^{i t} and their |Im t|, then each circle's row maximum and dead mask
-    as ``_normalised_powers`` gives them; dead circles have no dips.
-    """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    step = 2.0 * np.pi / q
-    points, depths = [], []
-    rowmaxes, deads = np.ones(radii.size), np.zeros(radii.size, dtype=bool)
-    for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q):
-        rowmaxes[rows], deads[rows] = rowmax, dead
-        mag = np.abs(values, out=scratch)
-        row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1))
-                            & (mag < np.roll(mag, -1, axis=1)) & ~dead[:, None])
-        f = [values[row, (j + k) % q] for k in (-2, -1, 0, 1, 2)]
-        # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
-        a0 = f[2]
-        a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
-        a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
-        a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
-        a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the root of a0 + a1 t + a2 t^2 nearer 0, without cancellation
-            disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
-            disc = np.where((np.conj(a1) * disc).real < 0.0, -disc, disc)
-            t = -2.0 * a0 / (a1 + disc)
-            for _ in range(4):
-                t = t - (a0 + t * (a1 + t * (a2 + t * (a3 + t * a4)))) / (
-                    a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * 4.0 * a4)))
-        found = np.isfinite(t) & (np.abs(t) < 2.0)
-        t = np.where(found, t, 0.0)
-        points.append(radii[rows][row] * np.exp(1j * step * (j + t)))
-        depths.append(np.where(found, step * np.abs(t.imag), np.inf))
-    if not points:
-        return np.zeros(0, dtype=complex), np.zeros(0), rowmaxes, deads
-    return np.concatenate(points), np.concatenate(depths), rowmaxes, deads
 
 
 def horner(coeffs, z):
@@ -383,8 +339,6 @@ def _abs_power(values, p, out=None):
         return out
     if p == 0.5:
         return np.sqrt(out, out=out)
-    if p == 2.0:
-        return np.square(out, out=out)
     frac, whole = math.modf(0.5 * p)
     if frac == 0.0 and whole <= 8:
         np.square(out, out=out)

@@ -291,8 +291,9 @@ def suma_check(mu, gamma, k, depth=25, check=True):
         raise DomainError(f"gamma must be positive, got {gamma!r}")
     if int(k) != k or k < 2:
         raise DomainError(f"k must be an integer >= 2, got {k!r}")
-    if int(depth) != depth or depth < 1:
-        raise DomainError(f"depth must be an integer >= 1, got {depth!r}")
+    if int(depth) != depth or not 1 <= depth <= 53:
+        # past 53 the radius 1 - 2^-depth rounds to 1
+        raise DomainError(f"depth must be an integer in [1, 53], got {depth!r}")
     k, depth = int(k), int(depth)
     if check and classify(mu).verdicts["d"] == "out":
         raise DomainError(
@@ -307,7 +308,7 @@ def suma_check(mu, gamma, k, depth=25, check=True):
         previous = math.inf
         for n in range(SUMA_MAX_TERMS):
             power = float(k) ** n
-            term = math.exp(power * log_r) if r > 0 else (1.0 if power == 0 else 0.0)
+            term = math.exp(power * log_r)
             try:
                 scale = mu.moment(power) ** gamma
             except OverflowError:

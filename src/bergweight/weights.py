@@ -57,6 +57,17 @@ def _check_radius(r):
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
 
 
+def _log_tail_integral(w, r, integral):
+    """log of the tail integral ``integral`` of ``w`` at r; one that came out
+    0 (it underflowed, or the quadrature missed its mass) has no log."""
+    if not integral > 0.0:
+        raise QuadratureError(
+            f"tail({r!r}) of {w.label} is not resolved: its integral came out {integral!r}",
+            residual=integral,
+        )
+    return math.log(integral)
+
+
 def _map(fn, values):
     """``fn`` (a ``math`` function) at each entry, so that array and scalar
     callers round alike."""
@@ -464,7 +475,8 @@ class LogWeight(RadialWeight):
         u = 1.0 - r
         x2 = u * (2.0 - u)  # 1 - r^2
         w_lo = math.sqrt(-math.log(x2)) if x2 < 1.0 else 0.0
-        return math.log(self.amplitude * self._transformed_integral(0.0, w_lo))
+        integral = self.amplitude * self._transformed_integral(0.0, w_lo)
+        return _log_tail_integral(self, r, integral)
 
     def _transition_edges(self, x_scale):
         """w-values where x_scale * (-log s(w)) crosses multiples of THETA.
@@ -541,8 +553,8 @@ class ExponentialWeight(RadialWeight):
         def layer(y):
             return np.exp(-y) * (1.0 + y / a) ** (-1.0 / g - 1.0)
 
-        J = quad.adaptive_gauss(layer, 0.0, -LOG_UNDERFLOW)
-        return -a + math.log(u / (a * g)) + math.log(J) + math.log(self.amplitude)
+        log_j = _log_tail_integral(self, r, quad.adaptive_gauss(layer, 0.0, -LOG_UNDERFLOW))
+        return -a + math.log(u / (a * g)) + log_j + math.log(self.amplitude)
 
     def _build_rule(self, x_scale, order):
         c, g = self.c, self.gamma

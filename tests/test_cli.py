@@ -381,13 +381,20 @@ def test_cli_exit_contract(tmp_path, capsys, command, flags, expectations, unrea
 
 
 # valid flags whose run the numerics refuse, and the word the error must name
-REFUSED_RUNS = [
+REFUSED_RUNS = {
     # moment(2^n)^50 of standard:1 underflows to 0 before the sum settles
-    (["suma-check", "--mu", "standard:1", "--gamma", "50", "--k", "2"], "gamma"),
-]
+    "suma-check": (["suma-check", "--mu", "standard:1", "--gamma", "50", "--k", "2"], "gamma"),
+    # the radius 1 - 2^-54 rounds to 1
+    "suma-check-depth": (["suma-check", "--mu", "standard:1", "--gamma", "1", "--k", "2",
+                          "--depth", "60"], "depth"),
+    # tail integrals that come out 0, on the way to classify's radius grid
+    "classify-log": (["classify", "--weight", "log:1e4"], "log:10000"),
+    "classify-exp-1e-6": (["classify", "--weight", "exp:1e-6,1e-6"], "exp:1e-06,1e-06"),
+    "classify-exp-1e-3": (["classify", "--weight", "exp:1e-3,1e-3"], "exp:0.001,0.001"),
+}
 
 
-@pytest.mark.parametrize("argv, named", REFUSED_RUNS, ids=[row[0][0] for row in REFUSED_RUNS])
+@pytest.mark.parametrize("argv, named", REFUSED_RUNS.values(), ids=REFUSED_RUNS.keys())
 def test_cli_refused_run_exits_2(capsys, argv, named):
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()

@@ -265,6 +265,45 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# even p: |f|^p = |f^(p/2)|^2 is a trigonometric polynomial on each circle
+
+EVEN_P_SERIES = {
+    "random:24": lambda: random_series(24, np.random.default_rng(24)),
+    "random:64": lambda: random_series(64, np.random.default_rng(64)),
+    "lacunary:2,128": lambda: lacunary_series(2, 128),
+}
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0, 12.0])
+@pytest.mark.parametrize("name", sorted(EVEN_P_SERIES))
+def test_even_p_means_are_exact_at_the_first_check(name, p, monkeypatch):
+    # the base grid's half beats the bandwidth (p/2) deg f, so the first check
+    # compares two exact trapezoid means: one pass, no windows, no doubling
+    f = EVEN_P_SERIES[name]()
+    radii = np.array([0.3, 0.9, 1.0])
+    calls, windows = [], []
+    original_means, original_windows = norms.circle_power_means, norms._ZeroWindows
+
+    def spy(coeffs, radii, p, q, **kwargs):
+        calls.append(q)
+        return original_means(coeffs, radii, p, q, **kwargs)
+
+    def windows_spy(*args):
+        windows.append(args)
+        return original_windows(*args)
+
+    monkeypatch.setattr(norms, "circle_power_means", spy)
+    monkeypatch.setattr(norms, "_ZeroWindows", windows_spy)
+    got = norms._power_means(f.coeffs, radii, p, f.degree, DEFAULT_SETTINGS)
+    assert len(calls) == 1 and not windows
+    power = np.array([1.0 + 0.0j])
+    for _ in range(int(p) // 2):
+        power = np.convolve(power, f.coeffs)
+    want = [np.sum(np.abs(power) ** 2 * r ** (2.0 * np.arange(power.size))) for r in radii]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # the reduction f = z^a h(z^g) behind every circle mean
 
 REDUCTION_CASES = [(a, g) for a in (0, 1, 7, 300) for g in (1, 2, 3, 8)]
@@ -463,5 +502,7 @@ def test_means_past_the_double_range_are_refused(std1):
     f = series.geometric_series(0.5, 1.0, 64)  # |f| reaches 2 at z = 1
     with pytest.raises(DomainError, match="overflows double precision"):
         hardy_norm(f, 2000.0)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        hardy_norm(f, 1e308)  # even, with a bandwidth past the double range
     with pytest.raises(DomainError, match="not representable"):
         bergman_norm(TaylorSeries.monomial(3), std1, 1e308)

@@ -65,6 +65,17 @@ def test_std_tail_cancellation_raises_quadrature_error():
     assert err.value.residual <= 0.0
 
 
+@pytest.mark.parametrize("spec, r", [("log:1e4", 0.5), ("exp:1e-6,1e-6", 0.0),
+                                     ("exp:1e-3,1e-3", 0.0)])
+def test_unresolved_tail_integrals_raise_quadrature_error(spec, r):
+    # the tail integral comes out 0, whose log was a bare ValueError
+    w = parse_weight_spec(spec)
+    with pytest.raises(QuadratureError) as err:
+        w.log_tail(r)
+    assert w.label in str(err.value) and f"tail({r!r})" in str(err.value)
+    assert err.value.residual == 0.0
+
+
 def test_cli_means_check_exits_2_on_tail_cancellation(capsys):
     from bergweight.cli import main
 

@@ -103,6 +103,28 @@ def test_mean_with_a_zero_on_a_grid_point(coeffs):
         assert got == pytest.approx(float(want / (2 * mpmath.pi)), rel=1e-10, abs=0.0)
 
 
+def test_zeros_around_the_whole_circle_get_no_windows(monkeypatch):
+    # z^63 - 0.9^63 + 1e-9 z has 63 zeros within 2e-8 of |z| = 0.9, one every
+    # 4 steps of the 256-point base grid: windows would cover more than half
+    # the circle, so the search builds none and the ladder alone resolves it
+    coeffs = np.zeros(64, dtype=complex)
+    coeffs[[0, 1, 63]] = -(0.9**63), 1e-9, 1.0
+    zeros = np.roots(coeffs[::-1])
+    assert np.max(np.abs(np.abs(zeros) - 0.9)) < 2e-8
+    built, original = [], norms._ZeroWindows
+
+    def spy(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(norms, "_ZeroWindows", spy)
+    for p in (0.5, 1.0, 3.0):
+        got = norms._power_means(coeffs, np.array([0.9]), p, 63, DEFAULT_SETTINGS)[0]
+        want = oracle_power_mean(coeffs, 0.9, p, near_zero_angles(zeros, 0.9))
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), p
+    assert len(built) == 3 and not any(len(windows) for windows in built)
+
+
 # ---------------------------------------------------------------------------
 # properties of the means that hold whatever the windows do
 
