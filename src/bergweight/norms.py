@@ -9,16 +9,15 @@ sampling.  Otherwise it is a trapezoid sum over roots-of-unity samples,
 doubling the sample count until the value settles and computing only the
 new samples of each doubled grid.  For even integer p, |f|^p is a
 trigonometric polynomial and the trapezoid rule is exact once the sample
-count beats its bandwidth, so even p start on such a grid and settle at the
-first check.
+count beats its bandwidth, so even p sample once on such a grid.
 
 At other exponents |f|^p is analytic on the circle |z| = r only away
 from f's zeros, and the trapezoid rule's error decays like e^(-q d), d the
 log distance from the circle to the nearest zero (Trefethen and Weideman,
 SIAM Review 56 (2014)).  So after the first pass the zeros of h near each
-unsettled circle are located (Newton steps from the dips of |h| on the
-grid), and each gets a window phi, a few grid steps wide with erf edges:
-|h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.  The first part keeps the FFT
+unsettled circle are located (Newton steps from the dips of |h| among the
+first pass's samples), and each gets a window phi, a few grid steps wide
+with erf edges: |h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.  The first part keeps the FFT
 trapezoid and its doubling, which no longer sees the zeros; each window's
 part is integrated by Gauss panels graded toward its zeros, with h
 evaluated directly.  Radii without a near zero keep the plain doubling.
@@ -27,7 +26,9 @@ Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
 integral means extend continuously to the boundary) are integrated without
 truncation bias; the r = 1 circle is sampled to the same mass-weighted
-budget as the nodes.
+budget as the nodes.  Bounds on each mean from the coefficients alone
+settle the radii whose mass is too small for the bounds' spread to matter,
+without sampling them.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -43,8 +44,8 @@ from scipy.special import erf, gammaln
 
 from .errors import DomainError, QuadratureError
 from .series import (
+    CIRCLE_DOUBLING_TOL,
     _abs_power,
-    _circle_batches,
     circle_power_means,
     flushed,
     horner,
@@ -54,7 +55,6 @@ from .weights import dcheck_margin
 from .quadrature import cell_nodes
 from . import cesaro
 
-CIRCLE_DOUBLING_TOL = 1e-9
 CIRCLE_Q_CAP = 1 << 20
 #: Gauss order of the radial rules behind the Bergman and block-sum integrals.
 GL_ORDER = 8
@@ -79,8 +79,7 @@ TAYLOR_TERMS = 24
 @dataclass(frozen=True)
 class NormSettings:
     """Circle-sampling profile: ``_power_means`` starts h on ``q_for(deg h)``
-    points, and at even p on ``q_for(p deg h / 4)`` where that is at most
-    CIRCLE_Q_CAP.
+    points, except at even p.
 
     Every norm passes DEFAULT_SETTINGS; the argument stays because
     ``bench/tracing.py`` reads the base grid from it.
@@ -132,52 +131,58 @@ def _taylor(h, centers):
     return out
 
 
-def _near_zeros(h, rho, q, band):
-    """Zeros of h within ``band`` (in log modulus) of some circle of radius
-    ``rho``, and the circles' row maxima and dead mask as
-    ``_normalised_powers`` gives them.
+def _near_zeros(h, rho, samples, q):
+    """Zeros of h within ZERO_BAND edge widths (in log modulus) of some
+    circle of radius ``rho``, from the circles' samples h / rowmax on the
+    size-q grid (single precision will do: the roots are polished on h).
 
-    At each local minimum of |h| over a circle's size-q grid, the quartic in
-    the angle through h at the minimum and two neighbours on each side has a
-    root t near the angle of the zero behind the dip, with Im t the zero's
-    log distance from the circle; Newton steps on the quartic, started from
-    the root of its quadratic part, find it.  Dead circles have no dips.
-    The roots that may lie in the band, merged when nearby circles give the
-    same one, are polished by Newton steps on h's Taylor expansion about
-    them.  Zeros the search misses are left to the doubling ladder.
+    Circles in one quarter-step cell of log modulus form a cluster, and only
+    its middle circle is searched, with the band widened by the cluster's
+    half-width.  At each local minimum of |h| over that circle's grid, the
+    quartic in the angle through h at the minimum and two neighbours on each
+    side has a root t near the angle of the zero behind the dip, with Im t
+    the zero's log distance from the circle; Newton steps on the quartic,
+    started from the root of its quadratic part, find it.  The roots that
+    may lie in the band, merged when nearby circles give the same one, are
+    polished by Newton steps on h's Taylor expansion about them.  Zeros the
+    search misses are left to the doubling ladder.
     """
     step = 2.0 * np.pi / q
-    starts = []
-    rowmax, dead = np.ones(rho.size), np.zeros(rho.size, dtype=bool)
-    for rows, values, batch_max, batch_dead, scratch in _circle_batches(h, rho, q):
-        rowmax[rows], dead[rows] = batch_max, batch_dead
-        mag = np.abs(values, out=scratch)
-        row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1))
-                            & (mag < np.roll(mag, -1, axis=1)) & ~batch_dead[:, None])
-        f = [values[row, (j + k) % q] for k in (-2, -1, 0, 1, 2)]
-        # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
-        a0 = f[2]
-        a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
-        a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
-        a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
-        a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the root of a0 + a1 t + a2 t^2 nearer 0, without cancellation
-            disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
-            disc = np.where((np.conj(a1) * disc).real < 0.0, -disc, disc)
-            t = -2.0 * a0 / (a1 + disc)
-            for _ in range(4):
-                t = t - (a0 + t * (a1 + t * (a2 + t * (a3 + t * a4)))) / (
-                    a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * 4.0 * a4)))
-        # the dips overstate depths by up to a quarter step
-        keep = (np.isfinite(t) & (np.abs(t) < 2.0)
-                & (step * np.abs(t.imag) < band + 0.3 * step))
-        starts.append(rho[rows][row[keep]] * np.exp(1j * step * (j[keep] + t[keep])))
+    band, cell = ZERO_BAND * WINDOW_EDGE * step, 0.25 * step
+    log_rho = np.log(rho)
+    order = np.argsort(log_rho, kind="stable")
+    _, first, count = _groups(np.floor(log_rho[order] / cell))
+    last = first + count - 1
+    middle = order[(first + last) // 2]
+    half = np.maximum(log_rho[order[last]] - log_rho[middle],
+                      log_rho[middle] - log_rho[order[first]])
+    values = samples[middle]
+    mag = np.abs(values)
+    row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1)) & (mag < np.roll(mag, -1, axis=1)))
+    f = [values[row, (j + k) % q].astype(complex) for k in (-2, -1, 0, 1, 2)]
+    # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
+    a0 = f[2]
+    a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
+    a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
+    a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
+    a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the root of a0 + a1 t + a2 t^2 nearer 0, without cancellation
+        disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+        disc = np.where((np.conj(a1) * disc).real < 0.0, -disc, disc)
+        t = -2.0 * a0 / (a1 + disc)
+        for _ in range(4):
+            t = t - (a0 + t * (a1 + t * (a2 + t * (a3 + t * a4)))) / (
+                a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * 4.0 * a4)))
+    # the dips overstate depths by up to a quarter step
+    keep = (np.isfinite(t) & (np.abs(t) < 2.0)
+            & (step * np.abs(t.imag) < band + 0.3 * step + half[row]))
+    starts = rho[middle][row[keep]] * np.exp(1j * step * (j[keep] + t[keep]))
     # starts from nearby circles fall in the same quarter-step cell
-    cell = 0.25 * step
-    z = np.exp(np.unique(np.round(np.log(np.concatenate(starts)) / cell)) * cell)
+    z = np.exp(np.unique(np.round(np.log(starts) / cell)) * cell)
     if not z.size:
-        return z, rowmax, dead
+        return z
+    n = h.size - 1
     taylor, v = _taylor(h, z), np.zeros(z.size, dtype=complex)
     with np.errstate(all="ignore"):
         for _ in range(12):
@@ -187,12 +192,21 @@ def _near_zeros(h, rho, q, band):
                 value = value * v + b
             move = value / slope
             v = v - move
+            if not np.any(np.abs(move) > 1e-12 * np.abs(n + v)):
+                break
         # a root of the expansion is one of h where the expansion holds, |n w| <= 1
-        found = (np.isfinite(v) & (np.abs(v) <= 1.0)
-                 & (np.abs(move) <= 1e-12 * np.abs(h.size - 1 + v)))
-    z = z[found] * (1.0 + v[found] / (h.size - 1))
+        found = np.isfinite(v) & (np.abs(v) <= 1.0) & (np.abs(move) <= 1e-12 * np.abs(n + v))
+    z = z[found] * (1.0 + v[found] / n)
     _, first = np.unique(np.round(np.log(z) * 1e10), return_index=True)
-    return z[first], rowmax, dead
+    return z[first]
+
+
+def _groups(keys):
+    """Runs of equal values in the sorted ``keys``: each entry's run, and the
+    runs' first indices and lengths."""
+    first = np.flatnonzero(np.diff(keys, prepend=np.nan))
+    count = np.diff(np.append(first, keys.size))
+    return np.repeat(np.arange(first.size), count), first, count
 
 
 class _ZeroWindows:
@@ -208,46 +222,51 @@ class _ZeroWindows:
     rowmax^p, as ``circle_power_means`` computes them before scaling.
     """
 
-    def __init__(self, h, rho, p, q, search):
-        """Windows for the circles ``rho[search]``; q is the base grid."""
+    def __init__(self, h, rho, p, q, search, rowmax, zeros):
+        """Windows for the circles ``rho[search]``, of row maxima ``rowmax``,
+        around the ``zeros`` of h near them; q is the base grid."""
         self.h, self.rho, self.p = h, rho, p
         self.rowmax = np.ones(rho.size)
+        self.rowmax[search] = rowmax
         self.integral = np.zeros(rho.size)
         self.edge = WINDOW_EDGE * 2.0 * np.pi / q
         band, reach = ZERO_BAND * self.edge, WINDOW_REACH * self.edge
-        zeros, self.rowmax[search], dead = _near_zeros(h, rho[search], q, band)
-        search = search[~dead]
         depth = np.abs(np.log(np.abs(zeros))[None, :] - np.log(rho[search])[:, None])
-        near = depth < band
-        owner, lo, hi, zero_of, angle_of, depth_of = [], [], [], [], [], []
-        for i in np.nonzero(np.any(near, axis=1))[0]:
-            angles = np.mod(np.angle(zeros[near[i]]), 2.0 * np.pi)
-            order = np.argsort(angles)
-            angles, depths = angles[order], depth[i, near[i]][order]
-            gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-            if np.sum(np.minimum(gaps, 4.0 * reach)) > np.pi:
-                continue  # windows would cover half the circle: the ladder is cheaper
-            # open the circle at its widest gap, then cut it wherever windows part
-            start = int(np.argmax(gaps)) + 1
-            angles = np.concatenate([angles[start:], angles[:start] + 2.0 * np.pi])
-            depths = np.concatenate([depths[start:], depths[:start]])
-            parts = np.diff(angles, prepend=-np.inf) > 4.0 * reach
-            zero_of.append(len(owner) + np.cumsum(parts) - 1)
-            owner += [search[i]] * int(np.sum(parts))
-            lo.append(angles[parts] - 2.0 * reach)
-            hi.append(angles[np.append(parts[1:], True)] + 2.0 * reach)
-            angle_of.append(angles)
-            depth_of.append(depths)
-        self.owner = np.array(owner, dtype=int)
-        if not owner:
+        # (circle, zero) pairs within the band, by circle and then by angle
+        circle, zero = np.nonzero(depth < band)
+        angles = np.mod(np.angle(zeros[zero]), 2.0 * np.pi)
+        order = np.lexsort((angles, circle))
+        circle, angles, depths = circle[order], angles[order], depth[circle, zero][order]
+        group, first, count = _groups(circle)
+        last = first + count - 1
+        gaps = np.append(angles[1:], 0.0) - angles
+        gaps[last] = angles[first] + 2.0 * np.pi - angles[last]
+        # windows that would cover half the circle: the ladder is cheaper there
+        cover = np.bincount(group, np.minimum(gaps, 4.0 * reach), first.size)
+        keep = (cover <= np.pi)[group]
+        circle, angles, depths, gaps = circle[keep], angles[keep], depths[keep], gaps[keep]
+        if not circle.size:
+            self.owner = np.zeros(0, dtype=int)
             return
-        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
+        # open each circle at its widest gap, then cut it wherever windows part
+        group, first, count = _groups(circle)
+        index = np.arange(circle.size)
+        widest = np.maximum.reduceat(gaps, first)[group]
+        start = np.minimum.reduceat(np.where(gaps == widest, index, circle.size), first) + 1
+        wrapped = index < start[group]
+        position = first[group] + np.mod(index - start[group], count[group])
+        angles[position] = angles + np.where(wrapped, 2.0 * np.pi, 0.0)
+        depths[position] = depths.copy()
+        parts = np.diff(angles, prepend=-np.inf) > 4.0 * reach
+        parts[first] = True
+        self.owner = search[circle[parts]]
+        self.lo = angles[parts] - 2.0 * reach
+        self.hi = angles[np.append(parts[1:], True)] + 2.0 * reach
         self.scale = np.zeros(rho.size)
         self.scale[self.owner] = self.rowmax[self.owner] ** p
         # a series with fewer terms than an expansion is evaluated as it is
         self.taylor = self._expand() if np.count_nonzero(h) > TAYLOR_TERMS else None
-        self.integral = self._integrals(np.concatenate(zero_of), np.concatenate(angle_of),
-                                        np.concatenate(depth_of))
+        self.integral = self._integrals(np.cumsum(parts) - 1, angles, depths)
 
     def __len__(self):
         return self.owner.size
@@ -312,8 +331,15 @@ class _ZeroWindows:
         panel = (k[1:] == k[:-1]) & (cuts[1:] > cuts[:-1])
         theta, weights = cell_nodes(cuts[:-1][panel], cuts[1:][panel], PANEL_ORDER)
         k, theta = np.repeat(k[:-1][panel], PANEL_ORDER), theta.ravel()
-        terms = weights.ravel() * self._phi(k, theta) * _abs_power(self._values(k, theta), self.p)
-        return np.bincount(self.owner[k], weights=terms, minlength=self.rho.size) / (2.0 * np.pi)
+        weights, out = weights.ravel(), np.zeros(self.rho.size)
+        # blocks of nodes keep the integrand's temporaries, the largest arrays
+        # of a circle mean, to a few hundred kilobytes
+        for start in range(0, theta.size, 1 << 14):
+            part = slice(start, start + (1 << 14))
+            terms = weights[part] * self._phi(k[part], theta[part]) * _abs_power(
+                self._values(k[part], theta[part]), self.p)
+            out += np.bincount(self.owner[k[part]], weights=terms, minlength=self.rho.size)
+        return out / (2.0 * np.pi)
 
     def mask(self, q, rows, half_step=False):
         """The windows of the circles ``rows`` on the size-q grid (or on its
@@ -343,6 +369,46 @@ def _check_representable(values, radii, p):
         )
 
 
+def _bracket(coeffs, radii, p):
+    """Bounds below and above on M_p^p(r, h) from the coefficients of h
+    alone: |h_0|^p, since |h|^p is subharmonic, and the Parseval mean to the
+    power p/2 for p <= 2 (power means grow with their exponent) or
+    (sum_k |h_k| r^k)^p, a bound on max |h|, for p > 2.  Bounds past the
+    double range come out inf or nan."""
+    absc = np.abs(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the upper bound's sum_k w_k s^k, over blocks of radii small enough
+        # that their table of powers s^k adds little to a call's memory
+        weights, base = (absc**2, radii**2) if p <= 2.0 else (absc, radii)
+        sums = np.empty(radii.size)
+        chunk = max(1, (1 << 16) // absc.size)
+        for start in range(0, radii.size, chunk):
+            rows = slice(start, start + chunk)
+            powers = np.ones((base[rows].size, absc.size))
+            powers[:, 1:] = base[rows, None]
+            np.cumprod(powers, axis=1, out=powers)
+            sums[rows] = powers @ weights
+        return np.full(radii.size, absc[0] ** p), sums ** (0.5 * p if p <= 2.0 else p)
+
+
+def _settled_by_bracket(lower, upper, masses):
+    """The radii that may take their bracket's midpoint.
+
+    A radius of mass m whose bracket has half-width e moves the
+    mass-weighted sum by at most m e at its midpoint; the radii with the
+    smallest moves take it while those moves add up to at most 1e-11 of the
+    sum of mass times the lower bound.  Bounds that overflow settle nothing.
+    """
+    with np.errstate(invalid="ignore"):
+        move = 0.5 * masses * np.abs(upper - lower)
+        allowed = 1e-11 * float(np.dot(masses, lower))
+    settled = np.zeros(move.size, dtype=bool)
+    if math.isfinite(allowed):
+        order = np.argsort(move)
+        settled[order] = np.cumsum(move[order]) <= allowed
+    return settled
+
+
 def _power_means(coeffs, radii, p, degree, settings, masses=None):
     """M_p^p at each radius.
 
@@ -352,22 +418,25 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     lifted means, and a radius flushes to 0 by f's row maximum
     r^a max_k |h_k| r^(gk), as it would unreduced.
 
-    p = 2 is Parseval's sum over the coefficients.  Other exponents double
-    the sample count until the value settles.  The first check compares the
-    mean over the q samples with the mean over their even-indexed half,
-    which is the q/2 grid; each doubling q -> 2q samples only the q new odd
-    points and averages them in, so no sample is computed twice.  Other even
-    p start, where it fits under the cap, on a grid whose half beats the
-    bandwidth (p/2) deg h of |h|^p: both means are then exact and the first
-    check settles every radius.  Radii the first check leaves unsettled
-    get a ``_ZeroWindows``: their means become the masked trapezoid means
-    plus the window integrals, and a radius cannot settle while what the
-    grid may still miss of its windows exceeds 1e-2 of its budget.
-    Unsettled radii keep doubling up to the cap.  ``masses`` (same shape as
-    ``radii``), the quadrature mass each radius carries, adds a per-radius
-    absolute budget of 1e-11 of the mass-weighted total over that mass on
-    top of the relative rule, letting a radial quadrature spend samples
-    where its weights actually look.
+    p = 2 is Parseval's sum over the coefficients.  ``masses`` (same shape
+    as ``radii``), the quadrature mass each radius carries, lets a radial
+    quadrature spend samples where its weights actually look: the radii
+    that ``_settled_by_bracket`` picks take the midpoint of their
+    ``_bracket`` and get no samples, and the others get a per-radius
+    absolute budget of 1e-11 of the mass-weighted total over their mass on
+    top of the relative rule.  Other even p
+    sample once on the smallest power of two above the bandwidth
+    (p/2) deg h of |h|^p, where that fits under the cap: the trapezoid
+    rule is exact there.  Other exponents double the sample count until
+    the value settles.  The first check compares the mean over the q
+    samples with the mean over their even-indexed half, which is the q/2
+    grid; each doubling q -> 2q samples only the q new odd points and
+    averages them in, so no sample is computed twice.  Radii the first
+    check leaves unsettled get a ``_ZeroWindows`` from the first pass's
+    samples: their means become the masked trapezoid means plus the window
+    integrals, and a radius cannot settle while what the grid may still
+    miss of its windows exceeds 1e-2 of its budget.  Unsettled radii keep
+    doubling up to the cap.
     """
     coeffs = np.asarray(coeffs, dtype=complex)[: degree + 1]
     support = np.nonzero(coeffs)[0]
@@ -379,14 +448,27 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     lift = np.where(flushed(coeffs, radii, lead), 0.0, lead**p)
     if p == 2.0:
         return lift * parseval_means(coeffs, radii)
+    values = np.zeros(radii.size)
+    sample = np.arange(radii.size)
+    if masses is not None:
+        lower, upper = _bracket(coeffs, radii, p)
+        with np.errstate(invalid="ignore"):
+            lower, upper = lift * lower, lift * upper
+        settled = _settled_by_bracket(lower, upper, masses)
+        values[settled] = 0.5 * (lower[settled] + upper[settled])
+        sample = sample[~settled]
+        if not sample.size:
+            return values
+    bandwidth = int(p) // 2 * degree
+    if p % 2 == 0 and bandwidth < CIRCLE_Q_CAP:
+        values[sample] = lift[sample] * circle_power_means(
+            coeffs, radii[sample], p, 1 << bandwidth.bit_length())
+        _check_representable(values, radii ** (1.0 / g), p)
+        return values
     q = settings.q_for(degree)
-    if p % 2 == 0:
-        # |h|^p has bandwidth (p/2) deg h, below half of this grid: both means
-        # of the first check are exact trapezoid sums (min keeps huge p finite)
-        exact_q = settings.q_for(min(0.25 * p * degree, CIRCLE_Q_CAP))
-        q = exact_q if exact_q <= CIRCLE_Q_CAP else q
-    values, coarse = circle_power_means(coeffs, radii, p, q, even=True)
-    values, coarse = lift * values, lift * coarse
+    means, coarse, (kept, samples, rowmax) = circle_power_means(
+        coeffs, radii[sample], p, q, even=True)
+    values[sample] = lift[sample] * means
     _check_representable(values, radii ** (1.0 / g), p)
     # means this far below the batch maximum cannot move the norm, and their
     # circle values sit in denormal territory where relative error is noise
@@ -401,9 +483,17 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
             CIRCLE_DOUBLING_TOL * np.maximum(np.abs(vals), floor), abs_tols[idx]
         )
 
-    all_idx = np.arange(radii.size)
-    active = all_idx[np.abs(values - coarse) > budget(values, all_idx)]
-    windows = _ZeroWindows(coeffs, radii, p, q, active) if active.size and degree else None
+    unsettled = np.abs(values[sample] - lift[sample] * coarse) > budget(values[sample], sample)
+    active = sample[unsettled]
+    windows = None
+    if active.size and degree:
+        # the first pass keeps the samples of every unsettled circle, but for
+        # rounding at the margin of its relative test; those keep the ladder
+        search = unsettled[kept]
+        circles = sample[kept[search]]
+        zeros = _near_zeros(coeffs, radii[circles], samples[search], q)
+        del samples  # before the windows' integrals, the peak of a call's memory
+        windows = _ZeroWindows(coeffs, radii, p, q, circles, rowmax[search], zeros)
     if windows:
         # the masked pass, not direct values, takes the window samples out: near
         # a zero both hold only rounding, which |h|^p for p < 1 magnifies

@@ -168,6 +168,9 @@ def evaluate_circle(f, r, q):
     return values[0] * rowmax[0]
 
 
+#: relative tolerance of the circle means' doubling ladder; the first check
+#: keeps the samples of the circles it may leave unsettled
+CIRCLE_DOUBLING_TOL = 1e-9
 # keep each batch of scaled rows under ~2^18 entries, small enough to stay in
 # cache; rows are independent, so no mean depends on the batch size
 _BATCH_ENTRIES = 1 << 18
@@ -288,16 +291,24 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     coefficient matrix per radius block, one batched FFT, one power mean.
     ``half_step`` turns the grid by half a step, to r e^{pi i (2j+1)/q}: the
     odd samples of the 2q grid, from the same size-q FFT of c_n e^{pi i n/q}.
-    ``even`` also returns the mean over the even-indexed samples, which are
-    the samples of the q/2 grid.  The samples are f / rowmax, rowmax =
-    max_n r^n |c_n|, so a mean overflows only when rowmax^p does.
+    The samples are f / rowmax, rowmax = max_n r^n |c_n|, so a mean
+    overflows only when rowmax^p does.  ``even`` runs the doubling ladder's
+    first check: it also returns the mean over the even-indexed samples,
+    which are the samples of the q/2 grid, and (rows, samples, rowmax) of
+    the rows whose two means differ by more than CIRCLE_DOUBLING_TOL
+    relative, so that a search of those circles needs no FFT of its own.
+    Those samples are kept in single precision, which locates the dips of
+    |f| well enough and halves what they add to a call's peak memory.
     ``mask`` = (rows, columns, weights), rows ascending, takes the mean of
     (1 - w_ij) |f_ij|^p instead, w_ij the weight given for sample j of
     radius i and 0 for the samples not listed.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     out = np.empty(radii.size, dtype=float)
-    out_even = np.empty(radii.size, dtype=float) if even else None
+    if even:
+        out_even, peak = np.empty(radii.size), np.empty(radii.size)
+        far = np.zeros(radii.size, dtype=bool)
+        kept = [np.empty((0, q), dtype=np.complex64)]
     for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
         powered = _abs_power(values, p, scratch)
         # past the double range the means come out inf or nan; the norms refuse them
@@ -312,7 +323,13 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
             if even:
                 means = np.mean(powered[:, ::2], axis=1)
                 out_even[rows] = np.where(dead, 0.0, means * scale)
-    return (out, out_even) if even else out
+                far[rows] = (np.abs(out[rows] - out_even[rows])
+                             > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
+                kept.append(values[far[rows]].astype(np.complex64))
+                peak[rows] = rowmax
+    if not even:
+        return out
+    return out, out_even, (np.nonzero(far)[0], np.concatenate(kept), peak[far])
 
 
 def horner(coeffs, z):

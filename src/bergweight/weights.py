@@ -878,6 +878,12 @@ def _ratio_curve(xs, log_nums, log_den):
     return xs[:len(vals)], np.exp(np.array(vals))
 
 
+def _dhat_curve(w, r_grid):
+    """(radii, tail(r) / tail((1+r)/2)) on ``r_grid``."""
+    return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
+                        lambda r: w._memo_log_tail((1.0 + float(r)) / 2.0))
+
+
 def _dcheck_curve(w, k, r_grid):
     """(radii, tail(r) / tail(1 - (1-r)/k)) on ``r_grid``."""
     return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
@@ -914,8 +920,7 @@ def classify(w):
     if w._classify_memo is not None:
         return w._classify_memo
     r_grid = default_r_grid(w)
-    curves = {"dhat": _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
-                                   lambda r: w._memo_log_tail((1.0 + float(r)) / 2.0))}
+    curves = {"dhat": _dhat_curve(w, r_grid)}
     per_k = {}
     dcheck_verdicts = {}
     for k in K_SET:
@@ -978,8 +983,9 @@ def classify(w):
 
 
 def dhat_verdict(w):
-    """Cached upper-doubling verdict used as a sanity gate elsewhere."""
-    return classify(w).verdicts["dhat"]
+    """The upper-doubling verdict of ``classify``, used as a sanity gate
+    elsewhere, from the ``dhat`` curve alone."""
+    return _sup_verdict(_dhat_curve(w, default_r_grid(w))[1])[0]
 
 
 def dcheck_margin(w, k):

@@ -239,10 +239,10 @@ def test_block_sum_compare_bracket_stable_under_degree_doubling(std1):
 
 def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
     # the r = 1 circle carries the rule's boundary mass (1e-13 here), and it is
-    # budgeted like a node of that mass instead of climbing the doubling ladder
+    # budgeted like a node of that mass: its coefficient bracket settles it
+    # with no samples at all
     f = random_series(1024, np.random.default_rng(8))
     p = 0.5
-    q = DEFAULT_SETTINGS.q_for(f.degree)
     rule = std1.radial_rule(p * f.degree + 2.0, order=norms.GL_ORDER)
     assert 0.0 < rule.boundary_mass < 1e-12
     calls = []
@@ -254,7 +254,7 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
 
     monkeypatch.setattr(norms, "circle_power_means", spy)
     got = bergman_norm(f, std1, p)
-    assert [(q_, kw) for at_one, q_, kw in calls if at_one] == [(q, {"even": True})]
+    assert [(q_, kw) for at_one, q_, kw in calls if at_one] == []
     monkeypatch.undo()
 
     masses = rule.weights * rule.nodes
@@ -262,6 +262,69 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
     boundary = norms._power_means(f.coeffs, np.array([1.0]), p, f.degree, DEFAULT_SETTINGS)[0]
     unbudgeted = (2.0 * (np.dot(masses, nodes) + rule.boundary_mass * boundary)) ** (1.0 / p)
     assert got == pytest.approx(unbudgeted, rel=1e-10)
+
+
+def bergman_radii(f, w, p):
+    """The radii and masses ``bergman_norm`` integrates over: the rule's nodes
+    and its boundary atom at r = 1."""
+    rule = norms._radial_rule(w, p * f.degree + 2.0)
+    return (np.append(rule.nodes, 1.0),
+            np.append(rule.weights * rule.nodes, rule.boundary_mass))
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_bracketed_radii_are_never_sampled(std1, p, monkeypatch):
+    f = random_series(64, np.random.default_rng(64))
+    radii, masses = bergman_radii(f, std1, p)
+    lower, upper = norms._bracket(f.coeffs, radii, p)
+    settled = norms._settled_by_bracket(lower, upper, masses)
+    assert 0 < np.count_nonzero(settled) < radii.size
+    sampled = []
+    original = norms.circle_power_means
+
+    def spy(coeffs, radii, p, q, **kwargs):
+        sampled.extend(np.atleast_1d(radii))
+        return original(coeffs, radii, p, q, **kwargs)
+
+    monkeypatch.setattr(norms, "circle_power_means", spy)
+    assert bergman_norm(f, std1, p) > 0.0
+    assert sampled and not np.any(np.isin(radii[settled], sampled))
+
+
+BUDGET_SERIES = {
+    "random:64": lambda: random_series(64, np.random.default_rng(640)),
+    "random:256": lambda: random_series(256, np.random.default_rng(2560)),
+    "lacunary:2,128": lambda: lacunary_series(2, 128),
+}
+
+
+# The first check settles a radius when its q and q/2 means agree within the
+# radius' mass-weighted budget, but near r = 1 these cases have radii where
+# both grids miss the mean by far more than they differ: lacunary:2,128 at
+# p = 1 against standard:1 settles r = 0.99961 with a relative error of
+# 6.5e-4 where the budget allows 1.8e-5, and the norm is 1.3e-9 off a dense
+# 2^20-point sum, which the unbudgeted sum matches to 4e-15.  The coefficient
+# brackets settle none of those radii: without them the norms miss by
+# 1.3e-9, 1.9e-10 and 1.1e-10 as well.
+FIRST_CHECK_MISSES = {("lacunary:2,128", "standard:1", 0.5),
+                      ("lacunary:2,128", "standard:1", 1.0),
+                      ("random:64", "standard:1", 0.5)}
+
+
+@pytest.mark.parametrize("name, spec, p", [
+    pytest.param(name, spec, p, marks=pytest.mark.xfail(
+        reason="the first check can settle a radius far outside its budget")
+        if (name, spec, p) in FIRST_CHECK_MISSES else ())
+    for name in sorted(BUDGET_SERIES) for spec in ("standard:1", "log:2", "exp:1,1")
+    for p in (0.5, 1.0, 3.0)])
+def test_bergman_norm_matches_the_unbudgeted_sum(name, spec, p):
+    # the brackets and the mass-weighted budgets together move the norm by
+    # less than 1e-10 from the sum over means each settled to 1e-9 relative
+    f, w = BUDGET_SERIES[name](), parse_weight_spec(spec)
+    radii, masses = bergman_radii(f, w, p)
+    means = norms._power_means(f.coeffs, radii, p, f.degree, DEFAULT_SETTINGS)
+    want = (2.0 * np.dot(masses, means)) ** (1.0 / p)
+    assert bergman_norm(f, w, p) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +534,8 @@ def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):
     monkeypatch.setattr(norms, "circle_power_means", spy)
     got = bergman_norm(TaylorSeries.monomial(1024), std1, 0.5)
     rule = std1.radial_rule(0.5 * 1024 + 2.0, order=norms.GL_ORDER)
-    assert calls and all(q <= 4 for _, q in calls)
+    # h is one coefficient, so its bracket is exact and settles every radius
+    assert calls == []
     assert sum(n * q for n, q in calls) <= 4 * (rule.nodes.size + 1)
     assert got**0.5 == pytest.approx(2.0 * std1.moment(0.5 * 1024 + 1.0), rel=1e-6)
 

@@ -254,7 +254,7 @@ def test_exact_p2_mean_flushes_like_fft_path():
 def test_even_and_odd_samples_reproduce_fresh_passes(p, degree, q):
     f = random_series(degree)
     radii = np.array([0.3, 0.9, 1.0])
-    full, even = circle_power_means(f.coeffs, radii, p, q, even=True)
+    full, even, _ = circle_power_means(f.coeffs, radii, p, q, even=True)
     odd = circle_power_means(f.coeffs, radii, p, q, half_step=True)
     np.testing.assert_allclose(full, circle_power_means(f.coeffs, radii, p, q), rtol=0.0)
     np.testing.assert_allclose(even, circle_power_means(f.coeffs, radii, p, q // 2), rtol=1e-13)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergweight import TaylorSeries, bergman_norm, parse_series_spec, parse_weight_spec
-from bergweight import norms
+from bergweight import norms, series
 from bergweight.norms import DEFAULT_SETTINGS
 
 
@@ -125,6 +125,55 @@ def test_zeros_around_the_whole_circle_get_no_windows(monkeypatch):
     assert len(built) == 3 and not any(len(windows) for windows in built)
 
 
+def per_circle_windows(h, r, q, samples):
+    """(lo, hi) of the windows one circle gets when it is searched alone,
+    assembled one circle at a time as the windows were before they were
+    built in arrays."""
+    edge = norms.WINDOW_EDGE * 2.0 * np.pi / q
+    band, reach = norms.ZERO_BAND * edge, norms.WINDOW_REACH * edge
+    zeros = norms._near_zeros(h, np.array([r]), samples, q)
+    near = np.abs(np.log(np.abs(zeros)) - math.log(r)) < band
+    if not np.any(near):
+        return [], []
+    angles = np.sort(np.mod(np.angle(zeros[near]), 2.0 * np.pi))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    if np.sum(np.minimum(gaps, 4.0 * reach)) > np.pi:
+        return [], []
+    start = int(np.argmax(gaps)) + 1
+    angles = np.concatenate([angles[start:], angles[:start] + 2.0 * np.pi])
+    parts = np.diff(angles, prepend=-np.inf) > 4.0 * reach
+    return (list(angles[parts] - 2.0 * reach),
+            list(angles[np.append(parts[1:], True)] + 2.0 * reach))
+
+
+def test_cluster_search_finds_the_per_circle_windows():
+    # three planted zeros of modulus 0.7: two 2.5 grid steps apart, which share
+    # a window, and one far round the circle; 15 circles within the band
+    # around them fall in one or two quarter-step clusters
+    degree, q, p = 256, DEFAULT_SETTINGS.q_for(256), 0.5
+    step = 2.0 * np.pi / q
+    planted = 0.7 * np.exp(1j * np.array([1.1, 1.1 + 2.5 * step, 3.0]))
+    g = planted_series(degree - 3, 0.0, seed=256)[1:]
+    h = np.convolve(np.poly(planted)[::-1], g)
+    band = norms.ZERO_BAND * norms.WINDOW_EDGE * step
+    radii = 0.7 * np.exp(band * np.linspace(-0.95, 0.95, 15))
+    # the first pass keeps the samples in single precision
+    [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
+    values = values.astype(np.complex64)
+    search = np.arange(radii.size)
+    zeros = norms._near_zeros(h, radii, values, q)
+    together = norms._ZeroWindows(h, radii, p, q, search, rowmax, zeros)
+    assert len(together) == 2 * radii.size
+    for i, r in enumerate(radii):
+        lo, hi = per_circle_windows(h, r, q, values[i:i + 1])
+        mine = together.owner == i
+        np.testing.assert_allclose(together.lo[mine], lo, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(together.hi[mine], hi, rtol=0.0, atol=1e-12)
+        zeros = norms._near_zeros(h, radii[i:i + 1], values[i:i + 1], q)
+        alone = norms._ZeroWindows(h, radii, p, q, search[i:i + 1], rowmax[i:i + 1], zeros)
+        assert together.integral[i] == pytest.approx(alone.integral[i], rel=1e-10, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # properties of the means that hold whatever the windows do
 
@@ -167,6 +216,20 @@ def test_means_nondecreasing_in_r(data):
                                             np.linspace(0.0, 1.0, 9)]), 0.0, 1.0))
     means = norms._power_means(coeffs, radii, p, coeffs.size - 1, DEFAULT_SETTINGS)
     assert np.all(np.diff(means) >= -1e-12 * means[1:])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_coefficient_bracket_holds_around_the_mean(data):
+    # |h_0|^p <= M_p^p(r) <= the Parseval mean^(p/2) (p <= 2) or
+    # (sum |h_k| r^k)^p (p > 2); the two meet at r = 0
+    coeffs = random_poly(data)
+    p = data.draw(st.sampled_from([0.5, 1.0, 3.0]), label="p")
+    r = data.draw(st.floats(0.0, 1.0), label="r")
+    lower, upper = norms._bracket(coeffs, np.array([r]), p)
+    angles = near_zero_angles(np.roots(coeffs[::-1]), r) if r > 0.0 else []
+    want = oracle_power_mean(coeffs, r, p, [0.0] + angles)
+    assert lower[0] * (1.0 - 1e-12) <= want <= upper[0] * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
