@@ -28,7 +28,10 @@ integral means extend continuously to the boundary) are integrated without
 truncation bias; the r = 1 circle is sampled to the same mass-weighted
 budget as the nodes.  Bounds on each mean from the coefficients alone
 settle the radii whose mass is too small for the bounds' spread to matter,
-without sampling them.
+without sampling them.  At p = 2 a Bergman norm of more than one term
+needs no circle means at all: the rule integrates Parseval's sum term by
+term, ||f||^2 = 2 sum_n |c_n|^2 m_n with m_n the rule's odd moments, which
+the rule keeps.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -562,13 +565,32 @@ def hardy_norm(f, p):
 
 
 def bergman_norm(f, w, p):
-    """Weighted Bergman norm (2 int r M_p^p(r, f) w(r) dr)^(1/p)."""
+    """Weighted Bergman norm (2 int r M_p^p(r, f) w(r) dr)^(1/p).
+
+    The integral runs over the weight's order-GL_ORDER radial rule and its
+    boundary atom.  At p = 2 a series with more than one term takes no
+    circle means: by Parseval the rule gives 2 sum_n |c_n|^2 m_n, where
+    m_n = sum_i mass_i r_i^(2n) are the rule's odd moments, kept with the
+    rule and shared by every series it serves.  Monomials, and every other
+    exponent, integrate ``_power_means`` over the rule.
+    """
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if f.is_zero:
         return 0.0
     degree = f.degree
     rule = _radial_rule(w, p * degree + 2.0)
+    if p == 2.0 and np.count_nonzero(f.coeffs) > 1:
+        # scaled by the largest |c_n|, so that no square leaves the double
+        # range unless the norm's own square does
+        absc = np.abs(f.coeffs[: degree + 1])
+        top = float(np.max(absc))
+        moments = rule.odd_moments(degree + 1)
+        norm = top * math.sqrt(2.0 * float(np.dot((absc / top) ** 2, moments)))
+        if not math.isfinite(norm * norm):
+            raise DomainError(
+                f"the Bergman integral of |f|^p at p = {p!r} overflows double precision")
+        return norm
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)

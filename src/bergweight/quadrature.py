@@ -9,7 +9,7 @@ laid out in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,9 @@ PEAK_MARGIN = 32.0  # log drop below the integrand's peak past which a cell stay
 GAUSS_REL_TOL = 1e-13  # relative tolerance of adaptive_gauss
 GAUSS_ORDER = 16  # Gauss order of each adaptive_gauss cell
 GAUSS_MAX_DEPTH = 46  # most bisections of an adaptive_gauss cell
+#: orders per block of ``RadialRule.odd_moments``' table; every block has this
+#: many, so no entry depends on how long a table was asked for
+MOMENT_BLOCK = 64
 
 
 def gauss_rule(order):
@@ -127,6 +130,52 @@ class RadialRule:
     nodes: np.ndarray
     weights: np.ndarray
     boundary_mass: float
+    #: ``odd_moments``' table so far, in a box that a grown table replaces
+    _moment_table: list = field(default_factory=lambda: [np.zeros(0)], init=False,
+                                compare=False, repr=False)
 
     def integrate(self, g_nodes, g_one=0.0):
         return float(np.dot(self.weights, g_nodes)) + self.boundary_mass * g_one
+
+    def odd_moments(self, count):
+        """``integrate(nodes**(2n + 1), 1.0)`` for n < count, kept with the rule
+        (a read-only view of the rule's table).
+
+        The table grows by whole blocks of MOMENT_BLOCK orders, and a block's
+        values do not depend on when it was built or on what was asked for
+        before, so threads that grow it at once store the same values
+        whichever of them stores last.
+        """
+        table = self._moment_table[0]
+        if table.size < count:
+            table = np.concatenate([table, self._moment_blocks(table.size, count)])
+            table.flags.writeable = False
+            self._moment_table[0] = table
+        return table[:count]
+
+    def _moment_blocks(self, first, count):
+        """The table's entries from order ``first``, a block boundary, through
+        the block that holds order count - 1.
+
+        Block k is sum_i (mass_i r_i^(2 k B)) r_i^(2j), j < B = MOMENT_BLOCK,
+        mass_i = weights_i nodes_i: one power of each node, and one product
+        with the squares of the nodes' first B powers, which every block
+        shares.  The nodes go in chunks whose power tables hold 2^16 entries,
+        so a table costs no more memory than a chunk.
+        """
+        starts = np.arange(first, count, MOMENT_BLOCK, dtype=float)
+        out = np.full((starts.size, MOMENT_BLOCK), self.boundary_mass)
+        chunk = (1 << 16) // MOMENT_BLOCK
+        for lo in range(0, self.nodes.size, chunk):
+            r = self.nodes[lo : lo + chunk]
+            masses = self.weights[lo : lo + chunk] * r
+            # (r^j)^2 from the products of r itself: no rounded r^2 is raised
+            # to a power
+            powers = np.empty((r.size, MOMENT_BLOCK))
+            powers[:, 0] = 1.0
+            powers[:, 1:] = r[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            np.square(powers, out=powers)
+            for k, start in enumerate(starts):
+                out[k] += (masses * r ** (2.0 * start)) @ powers
+        return out.ravel()

@@ -165,6 +165,7 @@ class RadialWeight:
         self._rule_memo = {}
         self._tables = {}  # Gauss order -> _CellTable
         self._classify_memo = None
+        self._dhat_memo = None  # dhat_verdict
         self._dcheck_memo = {}  # k -> dcheck curve on the default r-grid
         self._tail_memo = {}  # radius -> log tail
 
@@ -944,6 +945,7 @@ def classify(w):
         xs, log_moments, lambda x: w._memo_log_tail(1.0 - 1.0 / x if x > 1 else 0.0))
 
     dhat_verdict, dhat_info = _sup_verdict(curves["dhat"][1])
+    w._dhat_memo = dhat_verdict
     per_k["dhat"] = {"verdict": dhat_verdict, **dhat_info}
 
     def combine(verdicts):
@@ -984,8 +986,10 @@ def classify(w):
 
 def dhat_verdict(w):
     """The upper-doubling verdict of ``classify``, used as a sanity gate
-    elsewhere, from the ``dhat`` curve alone."""
-    return _sup_verdict(_dhat_curve(w, default_r_grid(w))[1])[0]
+    elsewhere, from the ``dhat`` curve alone, memoized per weight."""
+    if w._dhat_memo is None:
+        w._dhat_memo = _sup_verdict(_dhat_curve(w, default_r_grid(w))[1])[0]
+    return w._dhat_memo
 
 
 def dcheck_margin(w, k):

@@ -96,6 +96,47 @@ def oracle_exp_moment(c, gamma, x, std1_tail_power=0):
         return float(mpmath.quad(integrand, pts))
 
 
+def _abs_square_poly(coeffs):
+    """t -> sum |c_n|^2 t^n at a float t, from direct powers."""
+    weights = np.abs(np.asarray(coeffs, dtype=complex)) ** 2
+    n = np.arange(weights.size)
+    return lambda t: float(np.dot(weights, float(t) ** n))
+
+
+def oracle_log_bergman_square(coeffs, alpha):
+    """2 sum |c_n|^2 omega_{2n+1} for the log weight of exponent alpha.
+
+    With 1 - s^2 = e^(1 - 1/y), omega_{2n+1} = (1/2) int_0^1
+    (1 - e^(1 - 1/y))^n y^(alpha - 2) dy, so the sum is one ``mpmath.quad``
+    over y of P(1 - e^(1 - 1/y)) y^(alpha - 2), P(t) = sum |c_n|^2 t^n,
+    with breakpoints every quarter octave of y.
+    """
+    poly = _abs_square_poly(coeffs)
+
+    def integrand(y):
+        y = float(y)
+        return poly(-math.expm1(1.0 - 1.0 / y)) * y ** (alpha - 2.0) if y > 0.0 else 0.0
+
+    with mpmath.workdps(20):
+        return float(mpmath.quad(integrand, [0.0] + [2.0 ** (-j / 4) for j in range(40, -1, -1)]))
+
+
+def oracle_exp_bergman_square(coeffs, c, gamma):
+    """2 sum |c_n|^2 omega_{2n+1} for the weight exp(-c / (1 - s)^gamma): one
+    ``mpmath.quad`` over u = 1 - s of 2 (1 - u) P((1 - u)^2) e^(-c / u^gamma),
+    P(t) = sum |c_n|^2 t^n, with breakpoints every quarter octave of u."""
+    poly = _abs_square_poly(coeffs)
+
+    def integrand(u):
+        u = float(u)
+        if not 0.0 < u < 1.0:
+            return 0.0
+        return 2.0 * (1.0 - u) * poly((1.0 - u) ** 2) * math.exp(-c / u**gamma)
+
+    with mpmath.workdps(20):
+        return float(mpmath.quad(integrand, [0.0] + [2.0 ** (-j / 4) for j in range(60, -1, -1)]))
+
+
 def oracle_parseval_mean(coeffs, r):
     """sqrt(sum |c_n|^2 r^(2n)): the p = 2 integral mean of a polynomial."""
     coeffs = np.asarray(coeffs, dtype=complex)

@@ -52,10 +52,15 @@ def test_power_means_fifth_argument_gives_the_base_grid(monkeypatch, p):
     monkeypatch.setattr(norms, "_power_means", spy)
     f = TaylorSeries([1.0, 0.5, -0.25j, 0.125])
     std1 = StandardWeight(1.0)
-    for norm in (lambda: bergman_norm(f, std1, p), lambda: hardy_norm(f, p),
-                 lambda: block_norm(f, std1, 2, p)):
+    for name, norm in (("bergman", lambda: bergman_norm(f, std1, p)),
+                       ("hardy", lambda: hardy_norm(f, p)),
+                       ("block", lambda: block_norm(f, std1, 2, p))):
         seen.clear()
         assert norm() > 0.0
+        if name == "bergman" and p == 2.0:
+            # Parseval's sum over the rule's moments takes no circle means
+            assert seen == []
+            continue
         assert seen
         for degree, q in seen:
             assert q == 1 << max(0, math.ceil(math.log2(4 * (degree + 1))))

@@ -21,10 +21,16 @@ from bergweight import (
     scaled_weight,
 )
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
-from bergweight import norms, series
+from bergweight import norms, quadrature, series
 from bergweight.norms import DEFAULT_SETTINGS, NormSettings
 
-from conftest import oracle_circle_values, oracle_exp_moment, oracle_parseval_mean
+from conftest import (
+    oracle_circle_values,
+    oracle_exp_bergman_square,
+    oracle_exp_moment,
+    oracle_log_bergman_square,
+    oracle_parseval_mean,
+)
 
 RNG = np.random.default_rng(19)
 
@@ -570,3 +576,118 @@ def test_means_past_the_double_range_are_refused(std1):
         hardy_norm(f, 1e308)  # even, with a bandwidth past the double range
     with pytest.raises(DomainError, match="not representable"):
         bergman_norm(TaylorSeries.monomial(3), std1, 1e308)
+
+
+# ---------------------------------------------------------------------------
+# p = 2: Parseval's sum over the rule's odd moments
+
+# degree 511 takes the rule of bucket 1024, degrees 512 and 513 that of 2048
+EDGE_DEGREES = (511, 512, 513)
+
+
+def parseval_path_norm(f, w):
+    """The p = 2 norm from Parseval means at the rule's radii, integrated as
+    ``bergman_norm`` integrates the means at other exponents."""
+    radii, masses = bergman_radii(f, w, 2.0)
+    return math.sqrt(2.0 * float(np.dot(masses, series.parseval_means(f.coeffs, radii))))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, 20.0])
+def test_p2_bergman_norm_against_beta_moments(alpha):
+    # omega_{2n+1} = (alpha + 1) B(n + 1, alpha + 1) / 2 for standard:alpha
+    w = StandardWeight(alpha)
+    rng = np.random.default_rng(int(alpha) + 41)
+    with mpmath.workdps(30):
+        moments = np.array([float((alpha + 1) * mpmath.beta(n + 1, alpha + 1) / 2)
+                            for n in range(max(EDGE_DEGREES) + 1)])
+    for degree in EDGE_DEGREES:
+        f = random_series(degree, rng)
+        want = 2.0 * float(np.dot(np.abs(f.coeffs) ** 2, moments[: degree + 1]))
+        assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec, oracle", [
+    ("log:2", lambda c: oracle_log_bergman_square(c, 2.0)),
+    ("exp:1,1", lambda c: oracle_exp_bergman_square(c, 1.0, 1.0)),
+])
+def test_p2_bergman_norm_against_mpmath_moments(spec, oracle):
+    w = parse_weight_spec(spec)
+    rng = np.random.default_rng(43)
+    for degree in EDGE_DEGREES:
+        f = random_series(degree, rng)
+        assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(oracle(f.coeffs), rel=1e-9, abs=0.0)
+
+
+def test_p2_bergman_norm_keeps_tiny_and_huge_series_in_range(std1, log2w):
+    # the sum is scaled by the largest |c_n|: 1e-300-scale coefficients keep
+    # their digits, and 1e150-scale ones square to 1e300 without overflow
+    f = random_series(300, np.random.default_rng(44))
+    for w in (std1, log2w):
+        for scale in (1e-300, 1e150):
+            got = bergman_norm(scale * f, w, 2.0)
+            assert got == pytest.approx(scale * parseval_path_norm(f, w), rel=1e-13, abs=0.0)
+        # a norm of 1e160 has a square past the double range
+        with pytest.raises(DomainError, match="overflows double precision"):
+            bergman_norm(1e160 * f, w, 2.0)
+
+
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
+def test_p2_bergman_norm_does_not_depend_on_earlier_series(spec):
+    # 300 and 400 share the rule of bucket 1024, 700 takes the next one; each
+    # norm must come out the same on a fresh weight and on one that has
+    # served the other degrees first, in either order
+    rng = np.random.default_rng(45)
+    short, f, long = (random_series(d, rng) for d in (300, 400, 700))
+    fresh = bergman_norm(f, parse_weight_spec(spec), 2.0)
+    for before in ((short, long), (long, short)):
+        w = parse_weight_spec(spec)
+        for g in before:
+            bergman_norm(g, w, 2.0)
+        assert bergman_norm(f, w, 2.0) == fresh
+    assert fresh == pytest.approx(parseval_path_norm(f, parse_weight_spec(spec)),
+                                  rel=1e-13, abs=0.0)
+
+
+def test_p2_moment_table_grows_in_blocks_independent_of_the_count():
+    def fresh_rule():
+        return norms._radial_rule(StandardWeight(1.0), 2.0 * 700 + 2.0)
+
+    rule = fresh_rule()
+    short = rule.odd_moments(10).copy()
+    grown = rule.odd_moments(700)
+    assert np.array_equal(grown, fresh_rule().odd_moments(700))
+    assert np.array_equal(grown[:10], short)
+    with pytest.raises(ValueError):
+        grown[0] = 0.0  # the rule's own table is read-only
+    # each entry is the rule's integral of s^(2n + 1)
+    block = quadrature.MOMENT_BLOCK
+    for n in (0, 1, block - 1, block, 699):
+        want = rule.integrate(rule.nodes ** (2.0 * n + 1.0), 1.0)
+        assert grown[n] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_equivalence_sweep_builds_one_moment_table_per_rule(std1, monkeypatch):
+    from bergweight import equivalence_sweep
+
+    built = []  # (rule, first order) of every block built
+    original = quadrature.RadialRule._moment_blocks
+
+    def spy(rule, first, count):
+        out = original(rule, first, count)
+        built.extend((id(rule), first + k) for k in range(0, out.size, quadrature.MOMENT_BLOCK))
+        return out
+
+    monkeypatch.setattr(quadrature.RadialRule, "_moment_blocks", spy)
+    rng = np.random.default_rng(46)
+    # degrees 300 and 400 share a rule of each weight, 40 takes another; the
+    # monomial keeps the circle means
+    family = [("monomial:5", TaylorSeries.monomial(5))] + [
+        (f"random:{d}", random_series(d, rng)) for d in (300, 40, 400)]
+    omega = parse_weight_spec("log:2")
+    equivalence_sweep(family, omega, std1, 2.0)
+    # omega and nu = omega * tail_mu^2 have two rules each, whose tables
+    # grow to the longest series they serve and build no block twice
+    assert len(built) == len(set(built))
+    rules = {rule for rule, _ in built}
+    assert len(rules) == 4
+    assert sorted(sum(1 for r, _ in built if r == rule) for rule in rules) == [1, 1, 7, 7]

@@ -96,6 +96,35 @@ def test_equivalence_sweep_one_member_family_is_a_domain_error(std1):
         equivalence_sweep([("monomial:1", TaylorSeries.monomial(1))], std1, std1, 2.0)
 
 
+def test_equivalence_sweep_builds_the_mu_dhat_curve_once(monkeypatch):
+    from bergweight import weights
+
+    built = []
+    original = weights._dhat_curve
+
+    def spy(w, r_grid):
+        built.append(w)
+        return original(w, r_grid)
+
+    monkeypatch.setattr(weights, "_dhat_curve", spy)
+    mu = StandardWeight(1.0)
+    equivalence_sweep(monomial_family(64), LogWeight(2.0), mu, 2.0)
+    assert built.count(mu) == 1
+    # the memo gives classify's verdict
+    assert weights.dhat_verdict(mu) == classify(StandardWeight(1.0)).verdicts["dhat"] == "in"
+
+
+def test_dhat_screen_refuses_the_same_way_twice(std1):
+    # exp:1,1 is outside the upper class; the memoized screen keeps its message
+    mu = ExponentialWeight(1.0, 1.0)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="looks outside the upper-doubling class") as err:
+            lp_ratio(TaylorSeries([1.0, 0.5]), std1, mu, 2.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_theorem_direction_consistency(std1, log2w):
     # upper class membership must come with a bounded upper column; full
     # membership with both columns bounded
