@@ -17,10 +17,12 @@ log distance from the circle to the nearest zero (Trefethen and Weideman,
 SIAM Review 56 (2014)).  So after the first pass the zeros of h near each
 unsettled circle are located (Newton steps from the dips of |h| among the
 first pass's samples), and each gets a window phi, a few grid steps wide
-with erf edges: |h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.  The first part keeps the FFT
-trapezoid and its doubling, which no longer sees the zeros; each window's
-part is integrated by Gauss panels graded toward its zeros, with h
-evaluated directly.  Radii without a near zero keep the plain doubling.
+with erf edges: |h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.  The erf is
+Cody's rational one, taken once per angle and only where it is not +-1 in
+doubles.  The first part keeps the FFT trapezoid and its doubling, which
+no longer sees the zeros; each window's part is integrated by Gauss panels
+graded toward its zeros, with h evaluated directly.  Radii without a near
+zero keep the plain doubling.
 
 Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammaln
 
 from .errors import DomainError, QuadratureError
 from .series import (
@@ -66,7 +67,8 @@ GL_ORDER = 8
 #: what a window holds, a ratio of 1e-17 from Q = 16 q on
 WINDOW_EDGE = 1.0 / 8.0
 #: a window stays within erfc(6) / 2 ~ 1e-17 of 1 out to this many edge widths
-#: past its outermost zeros, and ends as many edge widths further out
+#: past its outermost zeros, and ends as many edge widths further out; at
+#: least ERF_ONE_FROM, so that no angle sits on both of a window's edges
 WINDOW_REACH = 6.0
 #: zeros whose log modulus lies within this many edge widths of a radius get a
 #: window; the ladder resolves farther ones as it did before windows
@@ -77,6 +79,23 @@ PANEL_RATIO = 4.0
 PANEL_ORDER = 16
 #: terms of the Taylor expansions that evaluate h inside the windows
 TAYLOR_TERMS = 24
+#: from this |x| on, erf(x) rounds to +-1 in doubles (erfc(6) ~ 2e-17)
+ERF_ONE_FROM = 6.0
+# W. J. Cody's rational erf (Math. Comp. 23 (1969)), coefficients in Horner
+# order: erf(x) = x P(x^2) / Q(x^2) for |x| <= _ERF_SMALL and 1 - e^(-x^2)
+# R(|x|), R = C / D, beyond.  R is made for |x| <= 4, yet stays within 1e-12
+# relative of erfc(y) e^(y^2) out to y = 6, where that error is 1e-29 absolute
+_ERF_SMALL = 0.46875
+_ERF_P = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+          3.77485237685302021e2, 3.20937758913846947e3)
+_ERF_Q = (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+          2.84423683343917062e3)
+_ERF_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+          6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+          1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
+_ERF_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+          1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+          3.43936767414372164e3, 1.23033935480374942e3)
 
 
 @dataclass(frozen=True)
@@ -103,6 +122,36 @@ class NormSettings:
 DEFAULT_SETTINGS = NormSettings()
 
 
+def _ratio(y, num, den):
+    """num(y) / den(y) for the coefficient tuples num and den, Horner order."""
+    top, bottom = np.full(y.shape, num[0]), np.full(y.shape, den[0])
+    for a, b in zip(num[1:], den[1:]):
+        top *= y
+        top += a
+        bottom *= y
+        bottom += b
+    return np.divide(top, bottom, out=top)
+
+
+def _erf(x):
+    """erf at each entry of the array x, within 4e-16 of it, and exactly +-1
+    from |x| = ERF_ONE_FROM on.
+
+    Every entry takes the erfc form at min(|x|, ERF_ONE_FROM), where
+    1 - erfc rounds to 1, and those with |x| <= _ERF_SMALL are redone in the
+    other form: the windows' angles nearly all have |x| < ERF_ONE_FROM, and
+    picking out the others would cost more than the rational takes on them.
+    """
+    y = np.minimum(np.abs(x), ERF_ONE_FROM)
+    erfc = _ratio(y, _ERF_C, _ERF_D)
+    erfc *= np.exp(-(y * y))
+    out = np.copysign(np.subtract(1.0, erfc, out=erfc), x)
+    small = np.nonzero(y <= _ERF_SMALL)
+    t = x[small]
+    out[small] = t * _ratio(t * t, _ERF_P, _ERF_Q)
+    return out
+
+
 def _taylor(h, centers):
     """Taylor coefficients of h about each center c, scaled to deg h = n:
     h(c (1 + w)) = sum_j b_j (n w)^j, j < TAYLOR_TERMS, as (j, center) rows.
@@ -112,12 +161,11 @@ def _taylor(h, centers):
     TAYLOR_TERMS steps instead of n.
     """
     n = h.size - 1
-    j = np.arange(TAYLOR_TERMS)
-    powers = np.arange(n + 1)[:, None]
-    with np.errstate(divide="ignore"):
-        binom = np.where(powers >= j, np.exp(
-            gammaln(powers + 1.0) - gammaln(j + 1.0)
-            - gammaln(np.maximum(powers - j, 0) + 1.0) - j * math.log(n)), 0.0)
+    # C(k, j) n^-j = prod_{i <= j} (k - i + 1) / (i n), zero from j = k + 1 on
+    j = np.arange(1, TAYLOR_TERMS)
+    binom = np.ones((n + 1, TAYLOR_TERMS))
+    binom[:, 1:] = np.maximum(np.arange(n + 1.0)[:, None] - j + 1.0, 0.0) / (j * float(n))
+    np.cumprod(binom, axis=1, out=binom)
     out = np.empty((TAYLOR_TERMS, centers.size), dtype=complex)
     # at most 512 rows a block: larger products wake BLAS threads, which
     # cost about 7 ms of CPU a product on the 2-core machine measured
@@ -275,10 +323,16 @@ class _ZeroWindows:
         return self.owner.size
 
     def _phi(self, k, theta):
-        """Windows k at the angles theta."""
+        """Windows k at the angles theta: (erf(u) - erf(v)) / 2, u and v the
+        angles' offsets in edge widths from the rising and the falling edge.
+
+        The edges lie at least 2 WINDOW_REACH >= 2 ERF_ONE_FROM edge widths
+        apart, so at most one of erf(u), erf(v) is not exactly +-1, and the
+        window is (1 - erf(max(-u, v))) / 2: one erf per angle."""
         reach = WINDOW_REACH * self.edge
-        return 0.5 * (erf((theta - self.lo[k] - reach) / self.edge)
-                      - erf((theta - self.hi[k] + reach) / self.edge))
+        minus_u = (self.lo[k] - theta + reach) / self.edge
+        v = (theta - self.hi[k] + reach) / self.edge
+        return 0.5 * (1.0 - _erf(np.maximum(minus_u, v, out=minus_u)))
 
     def _expand(self):
         """``_taylor`` of h / rowmax about centers 2 / n apart along each

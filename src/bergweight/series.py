@@ -10,7 +10,11 @@ act coefficientwise:
 
 The first two coincide when mu is the standard weight b*(1-s^2)^(b-1); both
 apply the n = 0 term through the same formula even though classical
-presentations sometimes start the Gamma-quotient sum at n = 1.
+presentations sometimes start the Gamma-quotient sum at n = 1.  A standard
+weight's odd moments come from ``weights.log_beta``; the Gamma quotients
+here and the geometric family's binomials are running products of their
+term ratios.  Circle samples are batched ``numpy.fft`` transforms, done in
+place in a per-thread workspace.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, QuadratureError, ResourceError
-from .weights import StandardWeight, dhat_verdict
+from .weights import StandardWeight, dhat_verdict, log_beta
 
 DEFAULT_DEGREE = 1024
 # the most coefficients a parsed or read series may have (16 MiB of complex
@@ -103,12 +106,8 @@ def odd_moments(mu, max_n):
     n = np.arange(max_n + 1)
     if isinstance(mu, StandardWeight):
         a = mu.alpha + 1.0
-        return mu.amplitude * (a / 2.0) * np.exp(betaln_vec(n + 1.0, a))
+        return mu.amplitude * (a / 2.0) * np.exp(log_beta(n + 1.0, a))
     return np.array([mu.moment(2.0 * k + 1.0) for k in n])
-
-
-def betaln_vec(a, b):
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
 def frac_deriv_mu(f, mu, check=True):
@@ -137,9 +136,10 @@ def frac_deriv_beta(f, beta):
     """Gamma-quotient fractional derivative of order ``beta`` > 0."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise DomainError(f"order must be positive, got {beta!r}")
-    n = np.arange(len(f), dtype=float)
-    log_mult = math.log(2.0) + gammaln(n + beta + 1.0) - gammaln(n + 1.0) - gammaln(beta + 1.0)
-    return _multiplied(f, np.exp(log_mult))
+    # Gamma(n + b + 1) / (Gamma(n + 1) Gamma(b + 1)) = prod_{k <= n} (1 + b / k)
+    factors = np.ones(len(f))
+    factors[1:] += beta / np.arange(1.0, len(f))
+    return _multiplied(f, 2.0 * np.cumprod(factors))
 
 
 def multiplier_transform(f, beta):
@@ -260,8 +260,6 @@ def _circle_batches(coeffs, radii, q, half_step=False):
     scratch array are reused by the next block.  ``half_step`` turns the
     grid by half a step, as in ``circle_power_means``.
     """
-    import scipy.fft
-
     coeffs = np.asarray(coeffs, dtype=complex)
     n = len(coeffs)
     powers = np.arange(n)
@@ -280,7 +278,7 @@ def _circle_batches(coeffs, radii, q, half_step=False):
             folded[:] = 0.0
             np.add.at(folded.T, powers % q, (scal * coeffs[None, :]).T)
         # without the 1/q factor the samples are f / rowmax, O(1) for every p
-        values = scipy.fft.ifft(folded, axis=1, overwrite_x=True, norm="forward")
+        values = np.fft.ifft(folded, axis=1, norm="forward", out=folded)
         yield rows, values, rowmax, dead, scratch
 
 
@@ -414,10 +412,13 @@ def _check_length(degree, source):
 
 
 def geometric_series(lam, s, degree):
-    """Truncated binomial expansion of (1 - lam z)^(-s)."""
-    n = np.arange(degree + 1, dtype=float)
-    log_c = gammaln(n + s) - gammaln(s) - gammaln(n + 1.0)
-    return TaylorSeries(np.exp(log_c + n * math.log(lam)).astype(complex))
+    """Truncated binomial expansion of (1 - lam z)^(-s): c_n = prod_{k <= n}
+    (k - 1 + s) lam / k, which rises while that factor exceeds 1 and then
+    falls, so the running product underflows only where c_n does."""
+    k = np.arange(1.0, degree + 1.0)
+    factors = np.ones(degree + 1)
+    factors[1:] = (k - 1.0 + s) / k * lam
+    return TaylorSeries(np.cumprod(factors).astype(complex))
 
 
 def lacunary_series(k, n_max):

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bergweight
 from bergweight import StandardWeight, TaylorSeries, suma_check
 from bergweight.cli import main, parse_config, emit
 from bergweight.errors import ConfigError, DomainError
@@ -155,6 +159,22 @@ def test_cli_list_experiments(capsys):
     assert main(["--list-experiments"]) == 0
     out = capsys.readouterr().out
     assert "lp-sweep" in out and "classify" in out
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing scipy.special and
+    # scipy.fft alone takes about half a CPU second, paid by every CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bergweight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, bergweight, bergweight.cli; "
+            "print(bergweight.__file__); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    where, loaded = run.stdout.splitlines()
+    assert os.path.dirname(os.path.dirname(where)) == src
+    assert loaded == "[]"
 
 
 def test_cli_no_command_prints_help(capsys):

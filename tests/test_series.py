@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -104,6 +106,59 @@ def test_odd_moments_standard_match_beta_identity():
         got = odd_moments(w, 50)
         expect = np.array([oracle_beta_odd_moment(n, beta) for n in range(51)])
         np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+
+def _representable(got, want):
+    """The entries whose exact value lies in the normal double range."""
+    want = np.array([float(v) for v in want])
+    kept = want >= sys.float_info.min
+    assert np.count_nonzero(kept) > 100
+    return got[kept], want[kept]
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.0, 5.0, 200.0])
+def test_odd_moments_standard_against_mpmath(alpha):
+    # mu_{2n+1} = (a/2) B(n + 1, a), a = alpha + 1, through the exact step
+    # B(n + 2, a) = B(n + 1, a) (n + 1) / (n + 1 + a) in 40 digits
+    got = odd_moments(StandardWeight(alpha), 4096)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha) + 1
+        want, term = [], mpmath.mpf(1) / 2  # (a/2) B(1, a)
+        for n in range(4097):
+            want.append(term)
+            term = term * (n + 1) / (n + 1 + a)
+    assert got.shape == (4097,)
+    got, want = _representable(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam,s", [(0.9, 2.0), (0.999, 7.5), (0.5, 0.3), (0.99, 1e-3)])
+def test_geometric_series_against_mpmath(lam, s):
+    # c_n = (s)_n / n! lam^n, the binomial series of (1 - lam z)^(-s), by its
+    # exact step c_{n+1} = c_n (n + s) lam / (n + 1) in 40 digits
+    got = geometric_series(lam, s, 4096).coeffs
+    assert np.all(got.imag == 0.0)
+    with mpmath.workdps(40):
+        want, term = [], mpmath.mpf(1)
+        for n in range(4097):
+            want.append(term)
+            term = term * (n + mpmath.mpf(s)) * lam / (n + 1)
+    got, want = _representable(got.real, want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 7.3])
+def test_frac_deriv_beta_multipliers_against_mpmath(beta):
+    # 2 Gamma(n + beta + 1) / (Gamma(n + 1) Gamma(beta + 1)) = 2 (beta + 1)_n / n!
+    got = frac_deriv_beta(TaylorSeries(np.ones(4097)), beta).coeffs
+    assert np.all(got.imag == 0.0)
+    with mpmath.workdps(40):
+        want, term = [], mpmath.mpf(2)
+        for n in range(4097):
+            want.append(term)
+            term = term * (n + 1 + mpmath.mpf(beta)) / (n + 1)
+    got, want = _representable(got.real, want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import threading
 
 import mpmath
@@ -99,6 +100,25 @@ def test_std_tail_against_mpmath_betainc(alpha):
         want = [float(a / 2 * mpmath.betainc(a, 0.5, 0, 1 - mpmath.mpf(float(r)) ** 2))
                 for r in _TAIL_RADII]
     assert tails == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+_MOMENT_ORDERS = np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 121)])
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 5.0, 20.0, 50.0, 200.0, 2000.0])
+def test_std_moment_against_mpmath_beta(alpha):
+    # moment(x) = (a/2) B((x + 1)/2, a), a = alpha + 1, over orders 0 to 1e7;
+    # a sum of three log Gammas keeps the absolute error of its largest term,
+    # up to 1e-8 relative in the moment near x = 3e6.  Moments below the
+    # normal double range are not representable and are left out
+    w = StandardWeight(alpha)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha) + 1
+        want = [float(a / 2 * mpmath.beta((mpmath.mpf(x) + 1) / 2, a)) for x in _MOMENT_ORDERS]
+    kept = [(float(x), v) for x, v in zip(_MOMENT_ORDERS, want) if v >= sys.float_info.min]
+    assert len(kept) > 20
+    got = [w.moment(x) for x, _ in kept]
+    assert got == pytest.approx([v for _, v in kept], rel=1e-11, abs=0.0)
 
 
 def test_tail_rejects_bad_radius(std1):

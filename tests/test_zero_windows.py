@@ -174,6 +174,46 @@ def test_cluster_search_finds_the_per_circle_windows():
         assert together.integral[i] == pytest.approx(alone.integral[i], rel=1e-10, abs=0.0)
 
 
+def test_window_erf_against_mpmath():
+    # the windows' edges: within 4e-16 of erf on [-8, 8], through both of the
+    # rational forms and their seam, and exactly +-1 from |x| = 6 on
+    x = np.concatenate([np.linspace(-8.0, 8.0, 16001), [0.0, -0.0, 5e-324, -1e-300],
+                        np.nextafter(norms._ERF_SMALL, [0.0, 1.0]),
+                        np.nextafter(norms.ERF_ONE_FROM, [0.0, 1.0])])
+    got = norms._erf(x)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.erf(mpmath.mpf(float(t)))) for t in x])
+    assert np.max(np.abs(got - want)) <= 4e-16
+    far = np.abs(x) >= norms.ERF_ONE_FROM
+    assert np.count_nonzero(far) > 1000
+    assert np.array_equal(got[far], np.sign(x[far]))
+    assert norms._erf(np.array([-np.inf, np.inf])).tolist() == [-1.0, 1.0]
+
+
+def test_window_is_its_two_erf_edges():
+    # one erf per angle: the window equals (erf(u) - erf(v)) / 2, u and v the
+    # offsets from its two edges, at angles across and beyond it, on a window
+    # of two zeros and on one of a single zero
+    degree, q = 256, DEFAULT_SETTINGS.q_for(256)
+    step = 2.0 * np.pi / q
+    planted = 0.7 * np.exp(1j * np.array([1.1, 1.1 + 2.5 * step, 3.0]))
+    h = np.convolve(np.poly(planted)[::-1], planted_series(degree - 3, 0.0, seed=256)[1:])
+    radii = np.array([0.7])
+    [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
+    zeros = norms._near_zeros(h, radii, values, q)
+    windows = norms._ZeroWindows(h, radii, 0.5, q, np.arange(1), rowmax, zeros)
+    assert len(windows) == 2
+    k = np.repeat(np.arange(2), 2001)
+    span = windows.hi - windows.lo
+    theta = windows.lo[k] + span[k] * np.tile(np.linspace(-0.1, 1.1, 2001), 2)
+    with mpmath.workdps(30):
+        edge = mpmath.mpf(windows.edge)
+        reach = norms.WINDOW_REACH * edge
+        want = [float((mpmath.erf((t - lo - reach) / edge) - mpmath.erf((t - hi + reach) / edge)) / 2)
+                for t, lo, hi in zip(map(mpmath.mpf, theta), windows.lo[k], windows.hi[k])]
+    np.testing.assert_allclose(windows._phi(k, theta), want, rtol=0.0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # properties of the means that hold whatever the windows do
 
