@@ -11,10 +11,9 @@ act coefficientwise:
 The first two coincide when mu is the standard weight b*(1-s^2)^(b-1); both
 apply the n = 0 term through the same formula even though classical
 presentations sometimes start the Gamma-quotient sum at n = 1.  A standard
-weight's odd moments come from ``weights.log_beta``; the Gamma quotients
-here and the geometric family's binomials are running products of their
-term ratios.  Circle samples are batched ``numpy.fft`` transforms, done in
-place in a per-thread workspace.
+weight's odd moments, the Gamma quotients here and the geometric family's
+binomials are running products of their term ratios.  Circle samples are
+batched ``numpy.fft`` transforms, done in place in a per-thread workspace.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import threading
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ResourceError
-from .weights import StandardWeight, dhat_verdict, log_beta
+from .weights import StandardWeight, dhat_verdict
 
 DEFAULT_DEGREE = 1024
 # the most coefficients a parsed or read series may have (16 MiB of complex
@@ -102,12 +101,16 @@ def _multiplied(f, multipliers):
 
 
 def odd_moments(mu, max_n):
-    """mu_{2n+1} for n = 0..max_n, via the Beta identity for standard weights."""
-    n = np.arange(max_n + 1)
+    """mu_{2n+1} for n = 0..max_n; a standard weight's are (a/2) B(n + 1, a),
+    a = alpha + 1, by the step B(n + 2, a) = B(n + 1, a) (n + 1) / (n + 1 + a)
+    from (a/2) B(1, a) = 1/2.  Every factor is below 1, so the running
+    product underflows only where the moment does."""
     if isinstance(mu, StandardWeight):
-        a = mu.alpha + 1.0
-        return mu.amplitude * (a / 2.0) * np.exp(log_beta(n + 1.0, a))
-    return np.array([mu.moment(2.0 * k + 1.0) for k in n])
+        steps = np.ones(max_n + 1)
+        n = np.arange(1.0, max_n + 1.0)
+        steps[1:] = n / (n + (mu.alpha + 1.0))
+        return mu.amplitude * 0.5 * np.cumprod(steps)
+    return np.array([mu.moment(2.0 * k + 1.0) for k in range(max_n + 1)])
 
 
 def frac_deriv_mu(f, mu, check=True):

@@ -76,33 +76,33 @@ def _map(fn, values):
 
 
 def _stirling_sum(z):
-    """log Gamma(z) - (z - 1/2) log z + z - log sqrt(2 pi) for z >= STIRLING_FROM
-    (a float or an array): sum_k B_2k / (2k (2k - 1) z^(2k - 1)) to k = 8,
-    which leaves less than 2e-18 from z = 10 on."""
+    """log Gamma(z) - (z - 1/2) log z + z - log sqrt(2 pi) for z >= STIRLING_FROM:
+    sum_k B_2k / (2k (2k - 1) z^(2k - 1)) to k = 8, which leaves less than
+    2e-18 from z = 10 on."""
     w = 1.0 / (z * z)
     return (1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w * (
         1 / 1188 + w * (-691 / 360360 + w * (1 / 156 + w * (-3617 / 122400)))))))) / z
 
 
-def _log_gamma_step(z, d, xp):
+def _log_gamma_step(z, d):
     """log Gamma(z + d) - log Gamma(z) for z >= STIRLING_FROM and d > 0, from
-    the two Stirling forms with their large terms cancelled by hand; ``xp``
-    is ``math`` or ``numpy``."""
+    the two Stirling forms with their large terms cancelled by hand."""
     s = z + d
-    return (z - 0.5) * xp.log1p(d / z) + d * (xp.log(s) - 1.0) + _stirling_sum(s) - _stirling_sum(z)
+    return ((z - 0.5) * math.log1p(d / z) + d * (math.log(s) - 1.0)
+            + _stirling_sum(s) - _stirling_sum(z))
 
 
-def _log_beta_large(a, b, xp):
+def _log_beta_large(a, b):
     """log B(a, b) for a, b >= STIRLING_FROM: the Stirling forms of the three
     log Gammas combine into large terms of one sign, so nothing the size of
     log Gamma(a) cancels."""
-    return (_LOG_SQRT_2PI - 0.5 * xp.log(a + b) - (a - 0.5) * xp.log1p(b / a)
-            - (b - 0.5) * xp.log1p(a / b) + _stirling_sum(a) + _stirling_sum(b)
+    return (_LOG_SQRT_2PI - 0.5 * math.log(a + b) - (a - 0.5) * math.log1p(b / a)
+            - (b - 0.5) * math.log1p(a / b) + _stirling_sum(a) + _stirling_sum(b)
             - _stirling_sum(a + b))
 
 
 def log_beta(a, b):
-    """log B(a, b) for a float b > 0 and a > 0 a float or a 1-d array.
+    """log B(a, b) for floats a, b > 0.
 
     Summing log Gamma(a) + log Gamma(b) - log Gamma(a + b) keeps the
     absolute error of its largest term, about 1e-12 once an argument nears
@@ -111,21 +111,11 @@ def log_beta(a, b):
     STIRLING_FROM it is the Gamma ratio; with one, log Gamma of it less
     ``_log_gamma_step``; else ``_log_beta_large``.
     """
-    if isinstance(a, np.ndarray):
-        if a.size <= 32:  # one by one costs less than the forms' array passes
-            return np.array([log_beta(x, b) for x in a.tolist()])
-        # the entries below STIRLING_FROM are redone one by one
-        top = np.maximum(a, STIRLING_FROM)
-        out = (_log_beta_large(top, b, np) if b >= STIRLING_FROM
-               else math.lgamma(b) - _log_gamma_step(top, b, np))
-        for i in np.flatnonzero(a < STIRLING_FROM):
-            out[i] = log_beta(float(a[i]), b)
-        return out
     small, large = (a, b) if a <= b else (b, a)
     if small >= STIRLING_FROM:
-        return _log_beta_large(large, small, math)
+        return _log_beta_large(large, small)
     if large >= STIRLING_FROM:
-        return math.lgamma(small) - _log_gamma_step(large, small, math)
+        return math.lgamma(small) - _log_gamma_step(large, small)
     return math.log(math.gamma(small) * math.gamma(large) / math.gamma(small + large))
 
 
