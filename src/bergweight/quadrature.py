@@ -78,7 +78,9 @@ def adaptive_gauss(fn, lo, hi):
     below a width-proportional share of GAUSS_REL_TOL times the running
     total, or GAUSS_MAX_DEPTH bisections deep.  Raises
     :class:`QuadratureError` when the unresolved residual there stays
-    above 1e-9 of the total.
+    above 1e-9 of the total.  The weights' tails no longer call it (each
+    family has an array routine); it stays a public integrator, and
+    bench/tracing.py still counts its calls.
     """
     if hi <= lo:
         return 0.0

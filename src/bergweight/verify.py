@@ -301,6 +301,7 @@ def suma_check(mu, gamma, k, depth=25, check=True):
             "pass check=False to run the comparison anyway"
         )
     r_grid = np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)])
+    mu.prefetch_tails(r_grid)
     ratios = []
     for r in r_grid:
         total = 1.0

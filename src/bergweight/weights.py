@@ -6,16 +6,37 @@ the unit disc by w(z) = w(|z|).  The quantities everything else is built on:
 * tail(r)   = integral of w over [r, 1)            (must stay positive)
 * moment(x) = integral of s^x * w(s) over [0, 1)
 
-Four families are provided.  ``standard`` and ``log`` carry closed or
-semi-closed forms; ``exp`` keeps its tails in log-space because they leave
-double precision long before r reaches 1; ``tabulated`` wraps an arbitrary
-sampler.  Other moments integrate s^x on the weight's own radial rule, whose
-dyadic cells split by how much s^x and the density vary across them.
+Four families are provided: ``standard``, ``log``, ``exp`` and ``tabulated``,
+which wraps an arbitrary sampler.  Each family computes its tails in one
+array routine, ``log_tails``, with no quadrature per radius; the scalar
+``log_tail`` is that routine at one radius, and no entry depends on the
+other radii of its call:
+
+* ``standard``: the incomplete Beta series, summed per radius as a scalar
+  loop would, and the full Beta integral less the stretch [0, r] where
+  1 - r^2 > 1/2;
+* ``log``: a fixed Gauss rule on the axis w = sqrt(log(1/(1-s^2))), built
+  once per weight, plus one partial cell per radius and the analytic tail
+  past w = 8;
+* ``exp``: log-space, since the tails leave double precision long before r
+  reaches 1.  tail(r) = amplitude (c^(1/gamma)/gamma) Gamma(-1/gamma, a)
+  with a = c/(1-r)^gamma, by Legendre's continued fraction where a >= 8
+  (or 1/gamma >= 20), and elsewhere as the fraction at a = 8 plus a fixed
+  rule in 1 - r and one partial cell per radius;
+* ``tabulated``: the weight's dyadic cell table, summed past the radius's
+  own cell, plus one partial cell.
+
+``standard`` moments are closed-form Beta values; other moments integrate
+s^x on the weight's own radial rule, whose dyadic cells split by how much
+s^x and the density vary across them.
 
 ``classify`` samples the upper-doubling, lower-doubling, and moment-doubling
 ratio curves on geometric grids and turns them into heuristic verdicts for
-membership in the corresponding weight classes.  Verdicts are finite-grid
-diagnostics, never certificates.
+membership in the corresponding weight classes.  It asks for every tail its
+curves may read in one ``prefetch_tails`` call, and ``dhat_verdict``,
+``dcheck_margin`` and ``verify.suma_check`` do the same for theirs; the
+curves then read the memo and stop where they always did.  Verdicts are
+finite-grid diagnostics, never certificates.
 """
 
 from __future__ import annotations
@@ -38,6 +59,17 @@ _COUNTS = np.arange(1.0, SERIES_TERMS + 1.0)  # m + 1 at term m
 STIRLING_FROM = 10.0  # log_beta's Stirling forms take arguments from here on
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Tails.
+LOG_TAIL_END = 8.0  # the log tail's rule ends at w = 8, its analytic form beyond
+LOG_TAIL_DROP = 8.0  # most log drop of (1+w^2)^-alpha across one cell of that rule
+LOG_TAIL_ORDER = 16  # Gauss order of the log tail's cells
+EXP_CF_FROM = 8.0  # a = c/u^gamma from which an exp tail is its continued fraction's
+EXP_CF_STEEP = 20.0  # 1/gamma from which it is so at every radius
+EXP_CF_STEPS = 200  # most steps of that fraction
+EXP_TAIL_FLOOR = 2.0**-128  # least u where an exp tail's cells start
+EXP_TAIL_ORDER = 16  # Gauss order of those cells
+_EPS = np.finfo(float).eps
+
 # Classification grids.
 HARD_I_CAP = 30  # deepest dyadic radius 1 - 2^-i of the r-grid
 TAIL_FLOOR_RATIO = 1e-14
@@ -58,15 +90,12 @@ def _check_radius(r):
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
 
 
-def _log_tail_integral(w, r, integral):
-    """log of the tail integral ``integral`` of ``w`` at r; one that came out
-    0 (it underflowed, or the quadrature missed its mass) has no log."""
-    if not integral > 0.0:
-        raise QuadratureError(
-            f"tail({r!r}) of {w.label} is not resolved: its integral came out {integral!r}",
-            residual=integral,
-        )
-    return math.log(integral)
+def _cell_sums(lo, hi, fn, order):
+    """Integral of the vectorised ``fn`` over each interval [lo, hi] (arrays),
+    one Gauss cell each.  Each entry is summed along its own row, so it does
+    not depend on the other intervals of the call."""
+    x, gw = quad.cell_nodes(lo, hi, order)
+    return (gw * fn(x)).sum(axis=1)
 
 
 def _map(fn, values):
@@ -219,8 +248,19 @@ class RadialWeight:
     def density(self, s):
         raise NotImplementedError
 
-    def log_tail(self, r):
+    def _tail_terms(self, rs):
+        """(scale, integral) at the radii ``rs`` (a 1-d array in [0, 1)), with
+        log tail = scale + log(integral); an integral that is not positive
+        leaves its tail unresolved.  Each entry depends on its radius alone."""
         raise NotImplementedError
+
+    def _unresolved(self, r, integral):
+        """The error for a radius whose tail integral came out ``integral``:
+        0 when it underflowed or its quadrature missed the mass."""
+        return QuadratureError(
+            f"tail({r!r}) of {self.label} is not resolved: its integral came out {integral!r}",
+            residual=integral,
+        )
 
     def _moment_impl(self, x):
         # the order-12 rule that resolves s^x; g(1) = 1 weighs the boundary mass
@@ -246,10 +286,52 @@ class RadialWeight:
             )
         return math.exp(lt)
 
+    def log_tail(self, r):
+        """log of the mass beyond radius r: ``log_tails`` at one radius.  Each
+        family class names it too, so that bench/tracing.py can wrap it there."""
+        _check_radius(r)
+        return float(self.log_tails(np.array([float(r)]))[0])
+
+    def _resolved_log_tails(self, rs):
+        """(log tails, integrals) at the radii ``rs`` (a 1-d array in [0, 1));
+        a tail that is not resolved is nan."""
+        scale, integral = self._tail_terms(rs)
+        ok = integral > 0.0
+        out = np.full(rs.shape, np.nan)
+        out[ok] = scale[ok] + _map(math.log, integral[ok])
+        return out, integral
+
     def log_tails(self, rs):
-        """log tail at every radius of the array ``rs``, in its shape."""
+        """log tail at every radius of the array ``rs``, in its shape, from one
+        array routine of the family; raises for the first radius whose tail
+        is not resolved."""
         rs = np.asarray(rs, dtype=float)
-        return np.array([self.log_tail(float(r)) for r in rs.ravel()]).reshape(rs.shape)
+        flat = rs.ravel()
+        inside = (flat >= 0.0) & (flat < 1.0)
+        if not inside.all():
+            _check_radius(float(flat[~inside][0]))
+        out, integral = self._resolved_log_tails(flat)
+        bad = np.isnan(out)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise self._unresolved(float(flat[k]), float(integral[k]))
+        return out.reshape(rs.shape)
+
+    def prefetch_tails(self, rs):
+        """Put the log tails at the radii ``rs`` (in [0, 1)) that the memo lacks
+        into it, from one array call.  A radius whose tail is not resolved is
+        left out, and so is every radius when the call raises: ``tail``
+        raises for such a radius only when a caller reaches it."""
+        memo = self._tail_memo
+        fresh = np.array([r for r in dict.fromkeys(map(float, rs)) if r not in memo])
+        if not fresh.size:
+            return
+        try:
+            out, _ = self._resolved_log_tails(fresh)
+        except Exception:
+            return
+        ok = ~np.isnan(out)
+        memo.update(zip(fresh[ok].tolist(), out[ok].tolist()))
 
     def _memo_log_tail(self, r):
         """log_tail(r), memoized per weight instance: ``tail`` callers and the
@@ -408,40 +490,31 @@ class StandardWeight(RadialWeight):
         s = np.asarray(s, dtype=float)
         return self.amplitude * (self.alpha + 1.0) * (1.0 - s * s) ** self.alpha
 
-    def log_tail(self, r):
-        _check_radius(r)
-        return float(self.log_tails(np.array([float(r)]))[0])
+    log_tail = RadialWeight.log_tail
 
-    def log_tails(self, rs):
+    def _tail_terms(self, rs):
         # tail(r) = amplitude * (a/2) * B(1 - r^2; a, 1/2), a = alpha + 1.
-        rs = np.asarray(rs, dtype=float)
-        inside = (rs >= 0.0) & (rs < 1.0)
-        if not inside.all():
-            _check_radius(float(rs[~inside][0]))
         u = 1.0 - rs
         x = u * (2.0 - u)
         a = self.alpha + 1.0
-        pref = math.log(self.amplitude * a / 2.0)
-        out = np.empty(rs.shape)
+        scale = np.full(rs.shape, math.log(self.amplitude * a / 2.0))
+        integral = np.empty(rs.shape)
         near = x <= 0.5
         # series for the incomplete Beta integral, all terms positive
         xn = x[near]
-        out[near] = pref + a * _map(math.log, xn) + _map(math.log, _series_totals(xn, *self._near))
-        if near.all():
-            return out
-        # complement: full Beta minus the stretch [0, r]
-        full = math.exp(log_beta(a, 0.5))
-        y = 1.0 - x[~near]  # = r^2 <= 1/2
-        diff = full - np.sqrt(y) * _series_totals(y, *self._inner)
-        cancels = ~(diff > 0.0)
-        if cancels.any():
-            k = int(np.argmax(cancels))
-            r, left = float(rs[~near][k]), float(diff[k])
-            raise QuadratureError(f"tail({r}) of {self.label} (alpha = {self.alpha:g}) cancels: "
-                                  f"the full Beta integral {full:.6e} minus the stretch [0, r] "
-                                  f"leaves {left:.3e}", residual=left)
-        out[~near] = pref + _map(math.log, diff)
-        return out
+        scale[near] += a * _map(math.log, xn)
+        integral[near] = _series_totals(xn, *self._near)
+        if not near.all():
+            # complement: full Beta minus the stretch [0, r]
+            y = 1.0 - x[~near]  # = r^2 <= 1/2
+            integral[~near] = math.exp(log_beta(a, 0.5)) - np.sqrt(y) * _series_totals(y, *self._inner)
+        return scale, integral
+
+    def _unresolved(self, r, integral):
+        full = math.exp(log_beta(self.alpha + 1.0, 0.5))
+        return QuadratureError(f"tail({r}) of {self.label} (alpha = {self.alpha:g}) cancels: "
+                               f"the full Beta integral {full:.6e} minus the stretch [0, r] "
+                               f"leaves {integral:.3e}", residual=integral)
 
     @functools.cached_property
     def _edge_log_tails(self):
@@ -497,32 +570,53 @@ class LogWeight(RadialWeight):
         w = np.asarray(w, dtype=float)
         return np.sqrt(-np.expm1(-(w * w)))
 
-    def _transformed_integral(self, x, w_lo):
-        """integral_{w_lo}^inf s(w)^(x-1) (1+w^2)^-alpha w dw, x >= 0."""
+    def _tail_integrand(self, w):
+        """s(w)^-1 (1+w^2)^-alpha w, the tail's integrand on the w axis."""
+        return np.exp(np.log(w) - self.alpha * np.log1p(w * w) - np.log(self._s_of_w(w)))
+
+    @functools.cached_property
+    def _tail_rule(self):
+        """The tail's fixed rule on the w axis: cell edges and the integral
+        beyond each edge.
+
+        The cells are those of a 0.5 grid on [0, LOG_TAIL_END], cut further
+        where alpha log(1+w^2) crosses multiples of LOG_TAIL_DROP, so that
+        (1+w^2)^-alpha falls by at most e^LOG_TAIL_DROP across a cell; the
+        cuts stop where the integrand leaves double range.  Beyond
+        LOG_TAIL_END the integral is the analytic (1+w^2)^(1-alpha) /
+        (2(alpha-1)), which leaves out less than e^-64 of it.
+        """
         al = self.alpha
-        W = math.sqrt(max(16.0, math.log((x + 2.0) * 1e13)))
-        W = max(W, w_lo + 2.0)
+        drops = LOG_TAIL_DROP * np.arange(1.0, -LOG_UNDERFLOW / LOG_TAIL_DROP + 2.0)
+        cuts = np.sqrt(np.expm1(drops[drops < al * math.log1p(LOG_TAIL_END**2)] / al))
+        edges = np.unique(np.concatenate([np.linspace(0.0, LOG_TAIL_END, 17),
+                                          cuts[cuts < LOG_TAIL_END]]))
+        cells = _cell_sums(edges[:-1], edges[1:], self._tail_integrand, LOG_TAIL_ORDER)
+        beyond = self._analytic_tail(edges[-1:])
+        return edges, np.cumsum(np.concatenate([beyond, cells[::-1]]))[::-1]
 
-        def integrand(w):
-            # assembled in log space: for x < 1 the factor s^(x-1) blows up
-            # at w -> 0 while the Jacobian w tames it
-            s = self._s_of_w(w)
-            log_val = np.log(w) - al * np.log1p(w * w)
-            if x != 1.0:
-                log_val = log_val + (x - 1.0) * np.log(s)
-            return np.where(log_val < LOG_UNDERFLOW, 0.0, np.exp(np.minimum(log_val, 700.0)))
+    def _analytic_tail(self, w):
+        al = self.alpha
+        return (1.0 + w * w) ** (1.0 - al) / (2.0 * (al - 1.0))
 
-        body = quad.adaptive_gauss(integrand, w_lo, W)
-        analytic_tail = (1.0 + W * W) ** (1.0 - al) / (2.0 * (al - 1.0))
-        return body + analytic_tail
+    def _w_tails(self, w_lo):
+        """integral_{w_lo}^inf s(w)^-1 (1+w^2)^-alpha w dw at each entry of
+        ``w_lo``: the rule's integral beyond the next edge plus one partial
+        cell, or past the rule's end the analytic form alone."""
+        edges, beyond = self._tail_rule
+        k = np.searchsorted(edges, w_lo, side="right")
+        out = self._analytic_tail(w_lo)
+        inside = k < edges.size
+        out[inside] = beyond[k[inside]] + _cell_sums(
+            w_lo[inside], edges[k[inside]], self._tail_integrand, LOG_TAIL_ORDER)
+        return out
 
-    def log_tail(self, r):
-        _check_radius(r)
-        u = 1.0 - r
-        x2 = u * (2.0 - u)  # 1 - r^2
-        w_lo = math.sqrt(-math.log(x2)) if x2 < 1.0 else 0.0
-        integral = self.amplitude * self._transformed_integral(0.0, w_lo)
-        return _log_tail_integral(self, r, integral)
+    def _tail_terms(self, rs):
+        u = 1.0 - rs
+        w_lo = np.sqrt(np.abs(np.log(u * (2.0 - u))))  # 1 - r^2 = u (2 - u)
+        return np.zeros(rs.shape), self.amplitude * self._w_tails(w_lo)
+
+    log_tail = RadialWeight.log_tail
 
     def _transition_edges(self, x_scale):
         """w-values where x_scale * (-log s(w)) crosses multiples of THETA.
@@ -553,16 +647,21 @@ class LogWeight(RadialWeight):
         s = self._s_of_w(x)
         weights = gw * (1.0 + x * x) ** (-al) * x / s * self.amplitude
         # weight mass beyond the mesh, computed in w-space so the cut is seamless
-        boundary = self.amplitude * self._transformed_integral(0.0, W)
+        boundary = self.amplitude * float(self._w_tails(np.array([W]))[0])
         return quad.RadialRule(s.ravel(), weights.ravel(), boundary)
 
 
 class ExponentialWeight(RadialWeight):
     """w(s) = amplitude * exp(-c / (1 - s)^gamma) with c, gamma > 0.
 
-    Tails decay super-exponentially, so they are carried in log-space:
-    tail(r) = u * exp(-c/u^gamma) * J with u = 1 - r and J a bounded
-    boundary-layer integral on [0, 1].
+    Tails decay super-exponentially, so they are carried in log-space.  With
+    u = 1 - r, a = c/u^gamma and s = -1/gamma, substituting t = c/v^gamma in
+    the tail integral over v = 1 - s' in [0, u] gives
+
+        tail(r) = amplitude * (c^(1/gamma) / gamma) * Gamma(s, a)
+                = amplitude * (u / gamma) * e^-a * F(a),  F(a) = e^a a^-s Gamma(s, a),
+
+    and F, between 1/(a + 1 - s) and 1/a, comes from its continued fraction.
     """
 
     def __init__(self, c, gamma, amplitude=1.0, label=None):
@@ -588,19 +687,82 @@ class ExponentialWeight(RadialWeight):
         dens = np.where(expo < LOG_UNDERFLOW, 0.0, np.exp(np.maximum(expo, LOG_UNDERFLOW)))
         return np.where(low, dens, self.amplitude * dens)
 
-    def log_tail(self, r):
-        # exact boundary-layer form: with a = c/u^gamma,
-        # tail = e^-a * u/(a*gamma) * integral_0^inf e^-y (1+y/a)^(-1/gamma-1) dy
-        _check_radius(r)
-        u = 1.0 - r
+    def _gamma_cf(self, a):
+        """F(a) = e^a a^-s Gamma(s, a), s = -1/gamma, at each entry of ``a``:
+        Legendre's continued fraction (DLMF 8.9.2) in its even form, by the
+        modified Lentz method.  An entry stops once a step moves it by at most
+        an ulp, so it does not depend on the other entries.  Where a >=
+        EXP_CF_FROM or 1/gamma >= EXP_CF_STEEP that takes at most about 40
+        steps; for small a and small 1/gamma it would take thousands."""
+        s = -1.0 / self.gamma
+        b = a + (1.0 - s)
+        h = d = 1.0 / b
+        c = np.full(a.shape, np.inf)  # so that the first step's a_1 / c vanishes
+        live = np.ones(a.shape, dtype=bool)
+        for i in range(1, EXP_CF_STEPS):
+            step_num = -i * (i - s)
+            b = b + 2.0
+            d = 1.0 / (step_num * d + b)
+            c = b + step_num / c
+            step = c * d
+            h = np.where(live, h * step, h)
+            live &= np.abs(step - 1.0) > _EPS
+            if not live.any():
+                break
+        return h
+
+    def _cf_log_tails(self, u, log_amplitude=0.0):
+        """log tail at u = 1 - r, -a + log(amplitude u F / gamma): the large
+        term is added last, so that it is rounded once."""
+        with np.errstate(divide="ignore"):
+            a = self.c / u**self.gamma
+        # past 1e300, F is 1/a in doubles and the log tail -inf or nearly
+        frac = self._gamma_cf(np.minimum(a, 1e300))
+        return -a + (log_amplitude + np.log(u) - math.log(self.gamma) + np.log(frac))
+
+    def _u_density(self, u):
+        """The density at s = 1 - u with the amplitude left out."""
+        return np.exp(-self.c / u**self.gamma)
+
+    @functools.cached_property
+    def _tail_cells(self):
+        """Cell edges in u = 1 - r, from v0 up to 1, and the tail at each edge
+        with the amplitude left out.
+
+        Up to u = v0 = (c / EXP_CF_FROM)^(1/gamma), where a >= EXP_CF_FROM,
+        the tail is the continued fraction's; beyond it, that at v0 plus the
+        density's integral over Gauss cells that grow by 2^min(1, 1/gamma),
+        across which a at most halves.  When c >= EXP_CF_FROM or 1/gamma >=
+        EXP_CF_STEEP the continued fraction serves every radius and the
+        edges are [1].  v0 is raised to EXP_TAIL_FLOOR, whose tail is below
+        2^-60 of that at any radius (u >= 2^-53 there, and the density is at
+        least e^-EXP_CF_FROM of its amplitude), so its slow fraction there
+        costs nothing that shows.
+        """
         g = self.gamma
-        a = self.c / u**g
+        if self.c >= EXP_CF_FROM or 1.0 / g >= EXP_CF_STEEP:
+            return np.ones(1), np.zeros(1)
+        v0 = max((self.c / EXP_CF_FROM) ** (1.0 / g), EXP_TAIL_FLOOR)
+        q = 2.0 ** min(1.0, 1.0 / g)
+        edges = v0 * q ** np.arange(math.ceil(-math.log(v0) / math.log(q)) + 1.0)
+        edges = np.append(edges[edges < 1.0], 1.0)
+        cells = _cell_sums(edges[:-1], edges[1:], self._u_density, EXP_TAIL_ORDER)
+        return edges, np.cumsum(np.concatenate([np.exp(self._cf_log_tails(edges[:1])), cells]))
 
-        def layer(y):
-            return np.exp(-y) * (1.0 + y / a) ** (-1.0 / g - 1.0)
+    def _tail_terms(self, rs):
+        # the continued fraction is positive, so every exp tail is resolved:
+        # there it is the whole log tail, carried as the scale
+        u = 1.0 - rs
+        edges, tails = self._tail_cells
+        scale = np.full(rs.shape, math.log(self.amplitude))
+        integral = np.ones(rs.shape)
+        deep = u <= edges[0]
+        scale[deep] = self._cf_log_tails(u[deep], math.log(self.amplitude))
+        k = np.searchsorted(edges, u[~deep], side="right") - 1
+        integral[~deep] = tails[k] + _cell_sums(edges[k], u[~deep], self._u_density, EXP_TAIL_ORDER)
+        return scale, integral
 
-        log_j = _log_tail_integral(self, r, quad.adaptive_gauss(layer, 0.0, -LOG_UNDERFLOW))
-        return -a + math.log(u / (a * g)) + log_j + math.log(self.amplitude)
+    log_tail = RadialWeight.log_tail
 
     def _build_rule(self, x_scale, order):
         c, g = self.c, self.gamma
@@ -685,30 +847,28 @@ class TabulatedWeight(RadialWeight):
             )
         return quad.MAX_MESH_DEPTH, last * ratio / (1.0 - ratio)
 
-    def _tail(self, r):
+    def _tail_terms(self, rs):
+        # the cells past the radius's own cell j0, plus the partial piece of
+        # cell j0 from r to its right edge; r = 0 takes every cell whole
         depth, boundary = self._mesh_extent()
         mass = self._cells(self._order, depth).mass
-        if r == 0.0:
-            return sum(mass[:depth]) + boundary
-        u = 1.0 - r
-        j0 = min(int(math.floor(-math.log2(u))), depth - 1)
-        # partial piece of cell j0 from r to its right edge
-        hi = 1.0 - 2.0 ** (-j0 - 1)
-        part = 0.0
-        if hi > r:
-            x, w = quad.cell_nodes(r, hi, self._order)
-            part = float(np.dot(w, self.density(x)))
-        return part + sum(mass[j0 + 1:depth]) + boundary
+        beyond = np.array([sum(mass[j:depth]) for j in range(depth + 1)])
+        frac, exp2 = np.frexp(1.0 - rs)  # j0 = floor(-log2(1 - r)), exactly
+        j0 = np.minimum(-exp2 + (frac == 0.5), depth - 1)
+        hi = 1.0 - np.ldexp(1.0, -j0 - 1)
+        part = np.zeros(rs.shape)
+        cut = hi > rs
+        part[cut] = _cell_sums(rs[cut], hi[cut], self._cell_density, self._order)
+        total = np.where(rs == 0.0, beyond[0] + boundary, part + beyond[j0 + 1] + boundary)
+        return np.zeros(rs.shape), total
 
-    def log_tail(self, r):
-        _check_radius(r)
-        t = self._tail(r)
-        if t <= 0.0:
-            raise DomainError(
-                f"{self.label}: tail vanishes at r = {r}; weights must keep "
-                "positive mass up to the boundary"
-            )
-        return math.log(t)
+    def _unresolved(self, r, integral):
+        return DomainError(
+            f"{self.label}: tail vanishes at r = {r}; weights must keep "
+            "positive mass up to the boundary"
+        )
+
+    log_tail = RadialWeight.log_tail
 
     def _build_rule(self, x_scale, order):
         # the mesh must reach past 1 - 1/x_scale, where s^x_scale still
@@ -894,14 +1054,46 @@ def _inf_margin_verdict(vals):
     return "inconclusive", info
 
 
+_R_CANDIDATES = tuple(1.0 - 2.0 ** (-i) for i in range(HARD_I_CAP + 1))
+
+
+def _dhat_radius(r):
+    return (1.0 + float(r)) / 2.0
+
+
+def _dcheck_radius(r, k):
+    return 1.0 - (1.0 - float(r)) / k
+
+
+def _moment_radius(x):
+    return 1.0 - 1.0 / x if x > 1 else 0.0
+
+
+@functools.cache
+def _curve_radii(dhat=False, ks=(), moments=False):
+    """Every radius that ``default_r_grid`` reads, and that the dhat curve,
+    the dcheck[k] curves for k in ``ks`` and, with ``moments``, the
+    moment_vs_tail curve read on any grid it may cut.  Callers prefetch
+    them with one array call per weight; the curves still read them lazily
+    and stop where they always did."""
+    radii = [0.0, *_R_CANDIDATES]
+    if dhat:
+        radii += map(_dhat_radius, _R_CANDIDATES)
+    for k in ks:
+        radii += (_dcheck_radius(r, k) for r in _R_CANDIDATES)
+    if moments:
+        radii += map(_moment_radius, X_GRID)
+    return tuple(radii)
+
+
 def default_r_grid(w):
     """Dyadic radii 1 - 2^-i, i <= HARD_I_CAP, truncated where the tail falls
     below TAIL_FLOOR_RATIO of the total mass."""
+    w.prefetch_tails(_curve_radii())
     lt0 = w._memo_log_tail(0.0)
     floor = math.log(TAIL_FLOOR_RATIO)
     radii = []
-    for i in range(HARD_I_CAP + 1):
-        r = 1.0 - 2.0 ** (-i)
+    for r in _R_CANDIDATES:
         if w._memo_log_tail(r) - lt0 <= floor:
             break
         radii.append(r)
@@ -927,13 +1119,13 @@ def _ratio_curve(xs, log_nums, log_den):
 def _dhat_curve(w, r_grid):
     """(radii, tail(r) / tail((1+r)/2)) on ``r_grid``."""
     return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
-                        lambda r: w._memo_log_tail((1.0 + float(r)) / 2.0))
+                        lambda r: w._memo_log_tail(_dhat_radius(r)))
 
 
 def _dcheck_curve(w, k, r_grid):
     """(radii, tail(r) / tail(1 - (1-r)/k)) on ``r_grid``."""
     return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
-                        lambda r: w._memo_log_tail(1.0 - (1.0 - float(r)) / k))
+                        lambda r: w._memo_log_tail(_dcheck_radius(r, k)))
 
 
 def _log_moment(w, x):
@@ -965,6 +1157,7 @@ def classify(w):
     """
     if w._classify_memo is not None:
         return w._classify_memo
+    w.prefetch_tails(_curve_radii(True, K_SET, True))
     r_grid = default_r_grid(w)
     curves = {"dhat": _dhat_curve(w, r_grid)}
     per_k = {}
@@ -987,7 +1180,7 @@ def classify(w):
         per_k[f"moment[{k}]"] = {"verdict": verdict, **info}
     # the comparability curve genuinely explodes outside the upper class
     curves["moment_vs_tail"] = _ratio_curve(
-        xs, log_moments, lambda x: w._memo_log_tail(1.0 - 1.0 / x if x > 1 else 0.0))
+        xs, log_moments, lambda x: w._memo_log_tail(_moment_radius(x)))
 
     dhat_verdict, dhat_info = _sup_verdict(curves["dhat"][1])
     w._dhat_memo = dhat_verdict
@@ -1033,6 +1226,7 @@ def dhat_verdict(w):
     """The upper-doubling verdict of ``classify``, used as a sanity gate
     elsewhere, from the ``dhat`` curve alone, memoized per weight."""
     if w._dhat_memo is None:
+        w.prefetch_tails(_curve_radii(dhat=True))
         w._dhat_memo = _sup_verdict(_dhat_curve(w, default_r_grid(w))[1])[0]
     return w._dhat_memo
 
@@ -1042,5 +1236,6 @@ def dcheck_margin(w, k):
     default r-grid memoized per weight and k."""
     memo = w._dcheck_memo
     if k not in memo:
+        w.prefetch_tails(_curve_radii(ks=(k,)))
         memo[k] = _dcheck_curve(w, k, default_r_grid(w))
     return _inf_margin_verdict(memo[k][1])

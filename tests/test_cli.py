@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -407,10 +408,8 @@ REFUSED_RUNS = {
     # the radius 1 - 2^-54 rounds to 1
     "suma-check-depth": (["suma-check", "--mu", "standard:1", "--gamma", "1", "--k", "2",
                           "--depth", "60"], "depth"),
-    # tail integrals that come out 0, on the way to classify's radius grid
+    # a tail integral that comes out 0, on the way to classify's radius grid
     "classify-log": (["classify", "--weight", "log:1e4"], "log:10000"),
-    "classify-exp-1e-6": (["classify", "--weight", "exp:1e-6,1e-6"], "exp:1e-06,1e-06"),
-    "classify-exp-1e-3": (["classify", "--weight", "exp:1e-3,1e-3"], "exp:0.001,0.001"),
 }
 
 
@@ -420,6 +419,25 @@ def test_cli_refused_run_exits_2(capsys, argv, named):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and named in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec", ["exp:1e-6,1e-6", "exp:1e-3,1e-3"],
+                         ids=["classify-exp-1e-6", "classify-exp-1e-3"])
+def test_cli_classify_of_a_thin_boundary_layer_against_mpmath(tmp_path, capsys, spec):
+    # a = c/u^gamma tiny and 1/gamma huge: the dhat curve holds mpmath's
+    # tail ratios on the first radii of the grid
+    out = tmp_path / "report.json"
+    assert main(["classify", "--weight", spec, "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    dhat = json.loads(out.read_text())["curves"]["dhat"]
+    c, g = (mpmath.mpf(v) for v in spec.split(":")[1].split(","))
+
+    def tail(r):
+        return mpmath.quad(lambda v: mpmath.exp(-c * v**-g), [0, 1 - mpmath.mpf(r)])
+
+    with mpmath.workdps(30):
+        want = [float(tail(r) / tail((1 + r) / 2)) for r in dhat["abscissa"][:6]]
+    assert dhat["value"][:6] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_cli_keys_read_for_some_values_only(tmp_path, capsys):

@@ -6,6 +6,7 @@ import threading
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergweight import (
     DomainError,
@@ -66,8 +67,7 @@ def test_std_tail_cancellation_raises_quadrature_error():
     assert err.value.residual <= 0.0
 
 
-@pytest.mark.parametrize("spec, r", [("log:1e4", 0.5), ("exp:1e-6,1e-6", 0.0),
-                                     ("exp:1e-3,1e-3", 0.0)])
+@pytest.mark.parametrize("spec, r", [("log:1e4", 0.5)])
 def test_unresolved_tail_integrals_raise_quadrature_error(spec, r):
     # the tail integral comes out 0, whose log was a bare ValueError
     w = parse_weight_spec(spec)
@@ -75,6 +75,17 @@ def test_unresolved_tail_integrals_raise_quadrature_error(spec, r):
         w.log_tail(r)
     assert w.label in str(err.value) and f"tail({r!r})" in str(err.value)
     assert err.value.residual == 0.0
+
+
+@pytest.mark.parametrize("spec, r", [("exp:1e-6,1e-6", 0.0), ("exp:1e-3,1e-3", 0.0)])
+def test_exp_tail_with_a_thin_boundary_layer_against_mpmath(spec, r):
+    # a = c/u^gamma tiny and 1/gamma huge, where the continued fraction
+    # converges in a few steps
+    w = parse_weight_spec(spec)
+    with mpmath.workdps(30):
+        c, g = mpmath.mpf(w.c), mpmath.mpf(w.gamma)
+        want = float(mpmath.quad(lambda v: mpmath.exp(-c * v ** -g), [0, 1 - mpmath.mpf(r)]))
+    assert w.tail(r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_cli_means_check_exits_2_on_tail_cancellation(capsys):
@@ -135,6 +146,105 @@ def test_tail_decreasing_all_families(std1, log2w, exp11):
         grid = default_r_grid(w)
         tails = [w.log_tail(float(r)) for r in grid]
         assert all(a > b for a, b in zip(tails, tails[1:]))
+
+
+def _exp_log_tail_oracle(c, gamma, r):
+    """log tail of exp:c,gamma at r: log((c^(1/gamma) / gamma) Gamma(-1/gamma, c/u^gamma))."""
+    with mpmath.workdps(30):
+        c, g = mpmath.mpf(c), mpmath.mpf(gamma)
+        a = c / (1 - mpmath.mpf(float(r))) ** g
+        return float(mpmath.log(c ** (1 / g) / g * mpmath.gammainc(-1 / g, a)))
+
+
+_EXP_RADII = np.concatenate([np.linspace(0.0, 0.99, 12), 1.0 - 2.0 ** -np.arange(8.0, 21.0, 2.0)])
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+def test_exp_tails_against_mpmath_gammainc(c, gamma):
+    # in log space out to r = 1 - 2^-20, where the log tails reach -2e18;
+    # both sides of the continued fraction's switch at a = c/u^gamma = 8
+    w = ExponentialWeight(c, gamma)
+    want = [_exp_log_tail_oracle(c, gamma, r) for r in _EXP_RADII]
+    assert w.log_tails(_EXP_RADII) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _log_tail_oracle(alpha, r):
+    """log tail of log:alpha at r, on the axis w = sqrt(-log(1 - r^2))."""
+    with mpmath.workdps(30):
+        al, r = mpmath.mpf(alpha), mpmath.mpf(float(r))
+        w_lo = mpmath.sqrt(-mpmath.log((1 - r) * (1 + r)))
+
+        def integrand(w):
+            return w / mpmath.sqrt(-mpmath.expm1(-w * w)) * (1 + w * w) ** -al
+
+        return float(mpmath.log(mpmath.quad(integrand, mpmath.linspace(w_lo, w_lo + 4, 9)
+                                            + [mpmath.inf])))
+
+
+_LOG_RADII = np.concatenate([np.linspace(0.0, 0.99, 12), 1.0 - 2.0 ** -np.arange(7.0, 53.0, 5.0)])
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+def test_log_tails_against_mpmath_quad(alpha):
+    # abs on the log is rel on the tail, out to r = 1 - 2^-52
+    w = LogWeight(alpha)
+    want = [_log_tail_oracle(alpha, r) for r in _LOG_RADII]
+    assert w.log_tails(_LOG_RADII) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_tabulated_tails_against_mpmath_betainc():
+    # 3(1 - s^2)^2 is standard:2.  The sampler takes s, which keeps about
+    # 52 - j bits of 1 - s in the cell 1 - 2^-j, so the tails hold 1e-12 out
+    # to r = 1 - 2^-16 (tail / total = 1e-14, past classify's grid) and lose
+    # digits beyond
+    w = _TAB_STD2
+    radii = np.concatenate([np.linspace(0.0, 0.99, 100), 1.0 - 2.0 ** -np.linspace(7.0, 16.0, 19)])
+    with mpmath.workdps(30):
+        want = [float(mpmath.log(1.5 * mpmath.betainc(3, 0.5, 0, 1 - mpmath.mpf(float(r)) ** 2)))
+                for r in radii]
+    assert w.log_tails(radii) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def _tail_weights():
+    return {
+        "standard:1": StandardWeight(1.0),
+        "standard:-0.5": StandardWeight(-0.5),
+        "log:2": LogWeight(2.0),
+        "exp:1,1": ExponentialWeight(1.0, 1.0),
+        "exp:0.5,2": ExponentialWeight(0.5, 2.0),
+        "exp:0.01,5": ExponentialWeight(0.01, 5.0),
+        "tabulated": TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab"),
+    }
+
+
+_TAIL_WEIGHTS = _tail_weights()
+# radii where every family above resolves its tail: tabulated tails stay flat
+# past their mesh, near r = 1 - 2^-22
+_RADII = st.lists(st.one_of(st.floats(0.0, 0.999), st.integers(10, 20).map(lambda i: 1.0 - 2.0**-i)),
+                  min_size=1, max_size=24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=_RADII)
+@pytest.mark.parametrize("name", sorted(_TAIL_WEIGHTS))
+def test_array_tails_equal_scalar_tails_bit_for_bit(name, radii):
+    w = _TAIL_WEIGHTS[name]
+    batch = w.log_tails(np.array(radii))
+    assert [float(v) for v in batch] == [w.log_tail(r) for r in radii]
+    assert np.array_equal(w.log_tails(np.array(radii[::-1])), batch[::-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=_RADII)
+@pytest.mark.parametrize("name", sorted(_TAIL_WEIGHTS))
+def test_tails_strictly_decrease(name, radii):
+    rs = np.unique(radii)
+    # radii an ulp or so apart may share a rounded tail; keep those 1e-9 of
+    # 1 - r apart
+    keep = np.concatenate([[True], np.diff(rs) > 1e-9 * (1.0 - rs[:-1])])
+    lts = _TAIL_WEIGHTS[name].log_tails(rs[keep])
+    assert np.all(np.diff(lts) < 0.0)
 
 
 def test_exp_tail_log_space_against_oracle(exp11):
@@ -534,6 +644,25 @@ def test_dcheck_margin_memoized_and_shared_with_classify(spec, monkeypatch):
         assert dcheck_margin(seeded, k) == expected[k]
         assert report.per_k[f"dcheck[{k}]"]["verdict"] == expected[k][0]
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["standard:1", "log:2", "exp:1,1", "tabulated"])
+def test_classify_does_not_depend_on_tails_already_in_the_memo(name):
+    # classify prefetches its radii in one array call; a memo warmed by
+    # scalar tails, at other radii and at two of its own (0.5, 0.75), must
+    # not change a curve or a verdict
+    make = {"standard:1": lambda: StandardWeight(1.0), "log:2": lambda: LogWeight(2.0),
+            "exp:1,1": lambda: ExponentialWeight(1.0, 1.0),
+            "tabulated": lambda: TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab")}
+    fresh, warmed = make[name](), make[name]()
+    for r in (0.123, 0.77, 0.3, 0.9931, 0.5, 0.6, 0.75, 0.95):
+        warmed.tail(r)
+    a, b = classify(fresh), classify(warmed)
+    assert a.verdicts == b.verdicts
+    assert sorted(a.curves) == sorted(b.curves)
+    for curve in a.curves:
+        assert np.array_equal(a.curves[curve][0], b.curves[curve][0]), curve
+        assert np.array_equal(a.curves[curve][1], b.curves[curve][1]), curve
 
 
 @pytest.mark.parametrize("spec", ["exp:0.5,2", "exp:1,2", "exp:0.1,8", "exp:1,5"])

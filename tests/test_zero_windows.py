@@ -39,7 +39,8 @@ def oracle_power_mean(coeffs, r, p, breaks, pieces=8):
 
 
 def near_zero_angles(zeros, r, width=0.1):
-    return [cmath.phase(z) for z in zeros if abs(math.log(abs(z) / r)) < width]
+    # a difference of logs: |z| / r overflows when np.roots returns a huge root
+    return [cmath.phase(z) for z in zeros if abs(math.log(abs(z)) - math.log(r)) < width]
 
 
 def planted_series(degree, zero, seed, shrink=0.9):
