@@ -42,7 +42,6 @@ a triangle inequality, so the full exponent range is handled uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +59,8 @@ from .quadrature import cell_nodes
 from . import cesaro
 
 CIRCLE_Q_CAP = 1 << 20
+#: least circle points per coefficient of h on the base grid of a mean.
+Q_OVERSAMPLE = 4
 #: Gauss order of the radial rules behind the Bergman and block-sum integrals.
 GL_ORDER = 8
 #: erf width e of a zero window's edges, in steps 2 pi / q of the base grid;
@@ -98,7 +99,6 @@ _ERF_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858
           3.43936767414372164e3, 1.23033935480374942e3)
 
 
-@dataclass(frozen=True)
 class NormSettings:
     """Circle-sampling profile: ``_power_means`` starts h on ``q_for(deg h)``
     points, except at even p.
@@ -107,15 +107,9 @@ class NormSettings:
     ``bench/tracing.py`` reads the base grid from it.
     """
 
-    q_oversample: int = 4
-
-    def __post_init__(self):
-        if self.q_oversample < 4:
-            raise DomainError(f"q_oversample must be >= 4, got {self.q_oversample}")
-
     def q_for(self, degree):
-        """Smallest power of two >= q_oversample * (degree + 1)."""
-        target = self.q_oversample * (max(degree, 0) + 1)
+        """Smallest power of two >= Q_OVERSAMPLE * (degree + 1)."""
+        target = Q_OVERSAMPLE * (max(degree, 0) + 1)
         return 1 << max(0, math.ceil(math.log2(target)))
 
 

@@ -32,11 +32,15 @@ s^x and the density vary across them.
 
 ``classify`` samples the upper-doubling, lower-doubling, and moment-doubling
 ratio curves on geometric grids and turns them into heuristic verdicts for
-membership in the corresponding weight classes.  It asks for every tail its
-curves may read in one ``prefetch_tails`` call, and ``dhat_verdict``,
-``dcheck_margin`` and ``verify.suma_check`` do the same for theirs; the
-curves then read the memo and stop where they always did.  Verdicts are
-finite-grid diagnostics, never certificates.
+membership in the corresponding weight classes.  The tail ratios are one
+curve per k, tail(r) / tail(1 - (1-r)/k), memoized per weight and k; the
+upper-doubling curve ``dhat`` is the one at k = 2, since (1+r)/2 and
+1 - (1-r)/2 are the same double on the dyadic grid.  ``classify`` asks for
+every tail its curves may read in one ``prefetch_tails`` call; a curve built
+on its own (for ``dhat_verdict`` or ``dcheck_margin``) asks in one call for
+0, the grid and that grid's k-radii, and ``verify.suma_check`` for its own
+radii.  The curves then read the memo and stop where they always did.
+Verdicts are finite-grid diagnostics, never certificates.
 """
 
 from __future__ import annotations
@@ -240,7 +244,7 @@ class RadialWeight:
         self._tables = {}  # Gauss order -> _CellTable
         self._classify_memo = None
         self._dhat_memo = None  # dhat_verdict
-        self._dcheck_memo = {}  # k -> dcheck curve on the default r-grid
+        self._ratio_memo = {}  # k -> tail-ratio curve on the default r-grid
         self._tail_memo = {}  # radius -> log tail
 
     # -- family hooks -------------------------------------------------------
@@ -899,6 +903,11 @@ def scaled_weight(omega, mu, p):
 # weight-spec parsing
 
 
+# family -> (class, parameter names), for both spellings of a weight spec
+_FAMILIES = {"standard": (StandardWeight, ("alpha",)), "log": (LogWeight, ("alpha",)),
+             "exp": (ExponentialWeight, ("c", "gamma"))}
+
+
 def parse_weight_spec(text):
     """Parse ``standard:1.0`` / ``log:2.0`` / ``exp:1.0,1.0`` or the
     ``family=standard alpha=1.0`` key-value form."""
@@ -915,37 +924,26 @@ def parse_weight_spec(text):
         family = fields.pop("family", None)
         if family is None:
             raise DomainError(f"weight spec {text!r} is missing family=")
-        required = {"standard": ("alpha",), "log": ("alpha",), "exp": ("c", "gamma")}
-        if family not in required:
+        if family not in _FAMILIES:
             raise DomainError(f"unknown weight family {family!r}")
-        missing = [k for k in required[family] if k not in fields]
+        names = _FAMILIES[family][1]
+        missing = [k for k in names if k not in fields]
         if missing:
             raise DomainError(f"weight spec {text!r} is missing {missing}")
-        extra = sorted(set(fields) - set(required[family]))
+        extra = sorted(set(fields) - set(names))
         if extra:
             raise DomainError(f"unknown weight fields {extra} in {text!r}")
-        try:
-            values = {k: float(fields[k]) for k in required[family]}
-        except ValueError:
-            raise DomainError(f"non-numeric weight parameters in {text!r}") from None
-        if family == "standard":
-            return StandardWeight(values["alpha"])
-        if family == "log":
-            return LogWeight(values["alpha"])
-        return ExponentialWeight(values["c"], values["gamma"])
-    family, _, params = text.partition(":")
-    args = [a for a in params.split(",") if a != ""]
+        args = [fields[k] for k in names]
+    else:
+        family, _, params = text.partition(":")
+        args = [a for a in params.split(",") if a != ""]
     try:
         values = [float(a) for a in args]
     except ValueError:
         raise DomainError(f"non-numeric weight parameters in {text!r}") from None
-    if family == "standard" and len(values) == 1:
-        return StandardWeight(values[0])
-    if family == "log" and len(values) == 1:
-        return LogWeight(values[0])
-    if family == "exp" and len(values) == 2:
-        return ExponentialWeight(values[0], values[1])
-    raise DomainError(f"cannot parse weight spec {text!r}")
+    if family not in _FAMILIES or len(values) != len(_FAMILIES[family][1]):
+        raise DomainError(f"cannot parse weight spec {text!r}")
+    return _FAMILIES[family][0](*values)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,39 +1055,14 @@ def _inf_margin_verdict(vals):
 _R_CANDIDATES = tuple(1.0 - 2.0 ** (-i) for i in range(HARD_I_CAP + 1))
 
 
-def _dhat_radius(r):
-    return (1.0 + float(r)) / 2.0
-
-
-def _dcheck_radius(r, k):
-    return 1.0 - (1.0 - float(r)) / k
-
-
 def _moment_radius(x):
     return 1.0 - 1.0 / x if x > 1 else 0.0
-
-
-@functools.cache
-def _curve_radii(dhat=False, ks=(), moments=False):
-    """Every radius that ``default_r_grid`` reads, and that the dhat curve,
-    the dcheck[k] curves for k in ``ks`` and, with ``moments``, the
-    moment_vs_tail curve read on any grid it may cut.  Callers prefetch
-    them with one array call per weight; the curves still read them lazily
-    and stop where they always did."""
-    radii = [0.0, *_R_CANDIDATES]
-    if dhat:
-        radii += map(_dhat_radius, _R_CANDIDATES)
-    for k in ks:
-        radii += (_dcheck_radius(r, k) for r in _R_CANDIDATES)
-    if moments:
-        radii += map(_moment_radius, X_GRID)
-    return tuple(radii)
 
 
 def default_r_grid(w):
     """Dyadic radii 1 - 2^-i, i <= HARD_I_CAP, truncated where the tail falls
     below TAIL_FLOOR_RATIO of the total mass."""
-    w.prefetch_tails(_curve_radii())
+    w.prefetch_tails([0.0, *_R_CANDIDATES])
     lt0 = w._memo_log_tail(0.0)
     floor = math.log(TAIL_FLOOR_RATIO)
     radii = []
@@ -1116,16 +1089,22 @@ def _ratio_curve(xs, log_nums, log_den):
     return xs[:len(vals)], np.exp(np.array(vals))
 
 
-def _dhat_curve(w, r_grid):
-    """(radii, tail(r) / tail((1+r)/2)) on ``r_grid``."""
-    return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
-                        lambda r: w._memo_log_tail(_dhat_radius(r)))
+def _k_radius(r, k):
+    return 1.0 - (1.0 - float(r)) / k
 
 
-def _dcheck_curve(w, k, r_grid):
-    """(radii, tail(r) / tail(1 - (1-r)/k)) on ``r_grid``."""
-    return _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
-                        lambda r: w._memo_log_tail(_dcheck_radius(r, k)))
+def _tail_ratio_curve(w, k):
+    """(radii, tail(r) / tail(1 - (1-r)/k)) on ``default_r_grid``, memoized
+    per weight and k.  At k = 2 this is the dhat curve: on the dyadic grid
+    (1+r)/2 and 1 - (1-r)/2 are the same double.  Its first call prefetches
+    0, the candidate radii and their k-radii in one array call."""
+    memo = w._ratio_memo
+    if k not in memo:
+        w.prefetch_tails([0.0, *_R_CANDIDATES, *(_k_radius(r, k) for r in _R_CANDIDATES)])
+        r_grid = default_r_grid(w)
+        memo[k] = _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
+                               lambda r: w._memo_log_tail(_k_radius(r, k)))
+    return memo[k]
 
 
 def _log_moment(w, x):
@@ -1143,7 +1122,7 @@ def classify(w):
     Curves reported, tails on ``default_r_grid`` and moments at the orders
     of ``X_GRID``:
 
-    * ``dhat``          tail(r) / tail((1+r)/2)
+    * ``dhat``          tail(r) / tail((1+r)/2), which is ``dcheck[2]``
     * ``dcheck[k]``     tail(r) / tail(1 - (1-r)/k) per k of K_SET
     * ``moment[k]``     moment(x) / moment(kx) per k of K_SET
     * ``moment_vs_tail``  moment(x) / tail(1 - 1/x), the comparability curve
@@ -1157,13 +1136,16 @@ def classify(w):
     """
     if w._classify_memo is not None:
         return w._classify_memo
-    w.prefetch_tails(_curve_radii(True, K_SET, True))
+    # every radius its curves may read, in one array call rather than one
+    # per curve: each further call costs about 0.1 ms
+    w.prefetch_tails([0.0, *_R_CANDIDATES, *map(_moment_radius, X_GRID),
+                      *(_k_radius(r, k) for k in K_SET for r in _R_CANDIDATES)])
     r_grid = default_r_grid(w)
-    curves = {"dhat": _dhat_curve(w, r_grid)}
+    curves = {"dhat": _tail_ratio_curve(w, 2)}
     per_k = {}
     dcheck_verdicts = {}
     for k in K_SET:
-        curve = curves[f"dcheck[{k}]"] = w._dcheck_memo[k] = _dcheck_curve(w, k, r_grid)
+        curve = curves[f"dcheck[{k}]"] = _tail_ratio_curve(w, k)
         verdict, info = _inf_margin_verdict(curve[1])
         dcheck_verdicts[k] = verdict
         per_k[f"dcheck[{k}]"] = {"verdict": verdict, **info}
@@ -1226,16 +1208,11 @@ def dhat_verdict(w):
     """The upper-doubling verdict of ``classify``, used as a sanity gate
     elsewhere, from the ``dhat`` curve alone, memoized per weight."""
     if w._dhat_memo is None:
-        w.prefetch_tails(_curve_radii(dhat=True))
-        w._dhat_memo = _sup_verdict(_dhat_curve(w, default_r_grid(w))[1])[0]
+        w._dhat_memo = _sup_verdict(_tail_ratio_curve(w, 2)[1])[0]
     return w._dhat_memo
 
 
 def dcheck_margin(w, k):
-    """Lower-doubling verdict of ``w`` for one specific k, its curve on the
-    default r-grid memoized per weight and k."""
-    memo = w._dcheck_memo
-    if k not in memo:
-        w.prefetch_tails(_curve_radii(ks=(k,)))
-        memo[k] = _dcheck_curve(w, k, default_r_grid(w))
-    return _inf_margin_verdict(memo[k][1])
+    """Lower-doubling verdict of ``w`` for one specific k, from its curve on
+    the default r-grid."""
+    return _inf_margin_verdict(_tail_ratio_curve(w, k)[1])

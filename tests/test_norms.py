@@ -44,13 +44,11 @@ def random_series(degree, rng=RNG):
 
 
 def test_settings_sample_count_rule():
-    s = NormSettings(q_oversample=4)
+    s = NormSettings()
     assert s.q_for(0) == 4
     assert s.q_for(1) == 8
     assert s.q_for(511) == 2048
     assert s.q_for(512) == 4096
-    with pytest.raises(DomainError):
-        NormSettings(q_oversample=2)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7])

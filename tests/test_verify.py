@@ -100,16 +100,17 @@ def test_equivalence_sweep_builds_the_mu_dhat_curve_once(monkeypatch):
     from bergweight import weights
 
     built = []
-    original = weights._dhat_curve
+    original = weights._tail_ratio_curve
 
-    def spy(w, r_grid):
-        built.append(w)
-        return original(w, r_grid)
+    def spy(w, k):
+        built.append((w, k))
+        return original(w, k)
 
-    monkeypatch.setattr(weights, "_dhat_curve", spy)
+    monkeypatch.setattr(weights, "_tail_ratio_curve", spy)
     mu = StandardWeight(1.0)
     equivalence_sweep(monomial_family(64), LogWeight(2.0), mu, 2.0)
-    assert built.count(mu) == 1
+    # the screen reads mu's k = 2 curve (its dhat curve) once per sweep
+    assert built.count((mu, 2)) == 1
     # the memo gives classify's verdict
     assert weights.dhat_verdict(mu) == classify(StandardWeight(1.0)).verdicts["dhat"] == "in"
 

@@ -20,7 +20,7 @@ from bergweight import (
     scaled_weight,
 )
 from bergweight.quadrature import cell_nodes
-from bergweight.weights import dcheck_margin, default_r_grid
+from bergweight.weights import _inf_margin_verdict, dcheck_margin, default_r_grid
 
 from conftest import (
     oracle_exp_moment,
@@ -644,6 +644,52 @@ def test_dcheck_margin_memoized_and_shared_with_classify(spec, monkeypatch):
         assert dcheck_margin(seeded, k) == expected[k]
         assert report.per_k[f"dcheck[{k}]"]["verdict"] == expected[k][0]
     assert calls == []
+
+
+def _curve_weights():
+    """Fresh weights of every family, a tabulated one and a scaled one."""
+    return {
+        "standard:1": StandardWeight(1.0),
+        "standard:-0.5": StandardWeight(-0.5),
+        "log:2": LogWeight(2.0),
+        "exp:1,1": ExponentialWeight(1.0, 1.0),
+        "exp:0.5,2": ExponentialWeight(0.5, 2.0),
+        "tabulated": TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab"),
+        "scaled": scaled_weight(LogWeight(2.0), StandardWeight(1.0), 0.5),
+    }
+
+
+def _scalar_ratio_curve(w, den_radius):
+    """tail(r) / tail(den_radius(r)) on the default r-grid from scalar
+    ``log_tail`` calls, cut as the classify curves are."""
+    radii, log_ratios = [], []
+    for r in map(float, default_r_grid(w)):
+        log_ratio = w.log_tail(r) - w.log_tail(den_radius(r))
+        if not abs(log_ratio) <= 700.0:
+            break
+        radii.append(r)
+        log_ratios.append(log_ratio)
+    return np.array(radii), np.exp(np.array(log_ratios))
+
+
+@pytest.mark.parametrize("name", sorted(_curve_weights()))
+def test_classify_dhat_curve_is_the_dcheck_curve_at_k_2(name):
+    # (1+r)/2 = 1 - (1-r)/2 as doubles on the dyadic grid
+    report = classify(_curve_weights()[name])
+    for a, b in zip(report.curves["dhat"], report.curves["dcheck[2]"]):
+        assert np.array_equal(a, b)
+    ref_r, ref_vals = _scalar_ratio_curve(_curve_weights()[name], lambda r: (1.0 + r) / 2.0)
+    assert np.array_equal(report.curves["dhat"][0], ref_r)
+    assert np.array_equal(report.curves["dhat"][1], ref_vals)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("name", ["standard:1", "log:2", "exp:1,1", "tabulated"])
+def test_dcheck_margin_off_the_dyadic_k_against_scalar_tails(name, k):
+    # 1 - (1-r)/k is not a grid radius here, so every denominator is a fresh tail
+    curve = _scalar_ratio_curve(_curve_weights()[name], lambda r: 1.0 - (1.0 - r) / k)
+    expected = _inf_margin_verdict(curve[1])
+    assert dcheck_margin(_curve_weights()[name], k) == expected
 
 
 @pytest.mark.parametrize("name", ["standard:1", "log:2", "exp:1,1", "tabulated"])
