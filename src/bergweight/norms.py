@@ -15,14 +15,18 @@ At other exponents |f|^p is analytic on the circle |z| = r only away
 from f's zeros, and the trapezoid rule's error decays like e^(-q d), d the
 log distance from the circle to the nearest zero (Trefethen and Weideman,
 SIAM Review 56 (2014)).  So after the first pass the zeros of h near each
-unsettled circle are located (Newton steps from the dips of |h| among the
-first pass's samples), and each gets a window phi, a few grid steps wide
-with erf edges: |h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.  The erf is
-Cody's rational one, taken once per angle and only where it is not +-1 in
-doubles.  The first part keeps the FFT trapezoid and its doubling, which
-no longer sees the zeros; each window's part is integrated by Gauss panels
-graded toward its zeros, with h evaluated directly.  Radii without a near
-zero keep the plain doubling.
+circle that is unsettled, or whose samples dip toward a zero, are located
+(Newton steps from the dips of |h| among the first pass's samples): with a
+zero on the circle the q and q/2 means can agree by chance while both are
+far off.  Each zero within a fraction of a step gets a window phi, a few
+grid steps wide with erf edges: |h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.
+The erf is Cody's rational one, taken once per angle and only where it is
+not +-1 in doubles.  The first part keeps the FFT trapezoid and its
+doubling, which no longer sees the zeros; each window's part is integrated
+by Gauss panels graded toward its zeros, with h evaluated directly.  Radii
+without a near zero keep the plain doubling, and no circle on the ladder
+settles before the grid outruns the nearest zero found outside its
+windows, so that the last two grids cannot agree by chance either.
 
 Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
@@ -52,6 +56,7 @@ from .series import (
     circle_power_means,
     flushed,
     horner,
+    nearer_root,
     parseval_means,
 )
 from .weights import dcheck_margin
@@ -74,6 +79,16 @@ WINDOW_REACH = 6.0
 #: zeros whose log modulus lies within this many edge widths of a radius get a
 #: window; the ladder resolves farther ones as it did before windows
 ZERO_BAND = 0.5
+#: grid steps that the first check's three-point estimate of a zero's depth
+#: behind a dip may add to it (up to 0.38 seen on random polynomials of degree
+#: 1 to 64); circles with a dip within ZERO_BAND edge widths and this many steps
+#: are searched for zeros even when their q and q/2 means agree
+DIP_SLACK = 0.5
+#: a circle on the ladder settles only on grids of q points with q d at least
+#: this, d the log distance to the nearest zero found outside its band: the
+#: trapezoid error from that zero then shrinks by e^(-q d) <= 3.5e-6 a
+#: doubling, so the last two grids cannot agree by chance while it is large
+ZERO_CLEARANCE = 4.0 * math.pi
 #: Gauss panels toward each zero widen by this ratio, from the zero's depth
 #: (at least 1e-15) up to 4 edge widths
 PANEL_RATIO = 4.0
@@ -187,7 +202,9 @@ def _near_zeros(h, rho, samples, q):
     quartic in the angle through h at the minimum and two neighbours on each
     side has a root t near the angle of the zero behind the dip, with Im t
     the zero's log distance from the circle; Newton steps on the quartic,
-    started from the root of its quadratic part, find it.  The roots that
+    started from the root of its quadratic part, find it, and then the root
+    of the deflated cubic nearer the minimum, for a second zero behind the
+    same dip (two zeros a step or so apart leave one dip).  The roots that
     may lie in the band, merged when nearby circles give the same one, are
     polished by Newton steps on h's Taylor expansion about them.  Zeros the
     search misses are left to the doubling ladder.
@@ -211,14 +228,16 @@ def _near_zeros(h, rho, samples, q):
     a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
     a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
     a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the root of a0 + a1 t + a2 t^2 nearer 0, without cancellation
-        disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
-        disc = np.where((np.conj(a1) * disc).real < 0.0, -disc, disc)
-        t = -2.0 * a0 / (a1 + disc)
-        for _ in range(4):
-            t = t - (a0 + t * (a1 + t * (a2 + t * (a3 + t * a4)))) / (
-                a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * 4.0 * a4)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quartic = [a0, a1, a2, a3, a4]
+        t = _newton(quartic, nearer_root(a0, a1, a2))
+        # a second zero may sit behind the same dip, within the fit's two
+        # steps: the root nearer 0 of the cubic left by deflating t
+        cubic = [a4]
+        for a in quartic[3:0:-1]:
+            cubic.insert(0, a + t * cubic[0])
+        t = np.concatenate([t, _newton(cubic, nearer_root(*cubic[:3]))])
+        row, j = np.tile(row, 2), np.tile(j, 2)
     # the dips overstate depths by up to a quarter step
     keep = (np.isfinite(t) & (np.abs(t) < 2.0)
             & (step * np.abs(t.imag) < band + 0.3 * step + half[row]))
@@ -246,6 +265,17 @@ def _near_zeros(h, rho, samples, q):
     return z[first]
 
 
+def _newton(coeffs, t, steps=4):
+    """``steps`` Newton steps from t on the polynomial sum_k coeffs[k] t^k."""
+    for _ in range(steps):
+        value, slope = coeffs[-1], 0.0
+        for c in coeffs[-2::-1]:
+            slope = slope * t + value
+            value = value * t + c
+        t = t - value / slope
+    return t
+
+
 def _groups(keys):
     """Runs of equal values in the sorted ``keys``: each entry's run, and the
     runs' first indices and lengths."""
@@ -269,7 +299,9 @@ class _ZeroWindows:
 
     def __init__(self, h, rho, p, q, search, rowmax, zeros):
         """Windows for the circles ``rho[search]``, of row maxima ``rowmax``,
-        around the ``zeros`` of h near them; q is the base grid."""
+        around the ``zeros`` of h near them; q is the base grid.  ``clear``
+        is each circle's log distance to the nearest of the zeros outside
+        its band, inf where there is none."""
         self.h, self.rho, self.p = h, rho, p
         self.rowmax = np.ones(rho.size)
         self.rowmax[search] = rowmax
@@ -277,6 +309,10 @@ class _ZeroWindows:
         self.edge = WINDOW_EDGE * 2.0 * np.pi / q
         band, reach = ZERO_BAND * self.edge, WINDOW_REACH * self.edge
         depth = np.abs(np.log(np.abs(zeros))[None, :] - np.log(rho[search])[:, None])
+        # log distance from each circle to the nearest zero found outside its band
+        self.clear = np.full(rho.size, np.inf)
+        if zeros.size:
+            self.clear[search] = np.min(np.where(depth < band, np.inf, depth), axis=1)
         # (circle, zero) pairs within the band, by circle and then by angle
         circle, zero = np.nonzero(depth < band)
         angles = np.mod(np.angle(zeros[zero]), 2.0 * np.pi)
@@ -483,11 +519,14 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     samples with the mean over their even-indexed half, which is the q/2
     grid; each doubling q -> 2q samples only the q new odd points and
     averages them in, so no sample is computed twice.  Radii the first
-    check leaves unsettled get a ``_ZeroWindows`` from the first pass's
-    samples: their means become the masked trapezoid means plus the window
-    integrals, and a radius cannot settle while what the grid may still
-    miss of its windows exceeds 1e-2 of its budget.  Unsettled radii keep
-    doubling up to the cap.
+    check leaves unsettled, or (without ``masses``) whose samples dip toward
+    a zero, get a ``_ZeroWindows`` from the first pass's samples: the means
+    of those with windows become the masked trapezoid means plus the window
+    integrals, and they join the unsettled ones on the ladder.  A radius
+    cannot settle while what the grid may still miss of its windows exceeds
+    1e-2 of its budget, nor (without ``masses``) while q d < ZERO_CLEARANCE,
+    d the log distance to the nearest zero found outside its windows.
+    Unsettled radii keep doubling up to the cap.
     """
     coeffs = np.asarray(coeffs, dtype=complex)[: degree + 1]
     support = np.nonzero(coeffs)[0]
@@ -517,8 +556,13 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
         _check_representable(values, radii ** (1.0 / g), p)
         return values
     q = settings.q_for(degree)
-    means, coarse, (kept, samples, rowmax) = circle_power_means(
-        coeffs, radii[sample], p, q, even=True)
+    # budgeted means skip the guards against chance agreements near zeros
+    # (the dip search and ZERO_CLEARANCE), which would cost a fractional-p
+    # Bergman norm about 40% more: their budgets are left to absorb them
+    guarded = masses is None
+    dip_depth = ZERO_BAND * WINDOW_EDGE + DIP_SLACK if guarded else 0.0
+    means, coarse, (kept, samples, rowmax, dips) = circle_power_means(
+        coeffs, radii[sample], p, q, even=True, dip_depth=dip_depth)
     values[sample] = lift[sample] * means
     _check_representable(values, radii ** (1.0 / g), p)
     # means this far below the batch maximum cannot move the norm, and their
@@ -537,10 +581,12 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     unsettled = np.abs(values[sample] - lift[sample] * coarse) > budget(values[sample], sample)
     active = sample[unsettled]
     windows = None
-    if active.size and degree:
-        # the first pass keeps the samples of every unsettled circle, but for
-        # rounding at the margin of its relative test; those keep the ladder
-        search = unsettled[kept]
+    # the first pass keeps the samples of every unsettled circle, but for
+    # rounding at the margin of its relative test; those keep the ladder.  It
+    # also keeps the circles that dip toward a zero: with a zero on the circle
+    # the q and q/2 means may agree by chance however far both are off
+    search = unsettled[kept] | dips
+    if np.any(search) and degree:
         circles = sample[kept[search]]
         zeros = _near_zeros(coeffs, radii[circles], samples[search], q)
         del samples  # before the windows' integrals, the peak of a call's memory
@@ -549,6 +595,8 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
         # the masked pass, not direct values, takes the window samples out: near
         # a zero both hold only rounding, which |h|^p for p < 1 magnifies
         held = np.unique(windows.owner)
+        # a circle with a window settles only on the ladder
+        active = np.union1d(active, held)
         values[held] = lift[held] * (
             circle_power_means(coeffs, radii[held], p, q, mask=windows.mask(q, held))
             + windows.scale[held] * windows.integral[held])
@@ -569,6 +617,8 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
             # e^(-(q e)^2 / 4) of what they hold
             unresolved = content[active] * math.exp(-0.25 * (q * windows.edge) ** 2)
             settled &= unresolved <= 1e-2 * budget(refined, active)
+        if guarded and windows is not None:
+            settled &= q * windows.clear[active] >= ZERO_CLEARANCE
         values[active] = refined
         active = active[~settled]
     return values

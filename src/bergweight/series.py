@@ -285,7 +285,8 @@ def _circle_batches(coeffs, radii, q, half_step=False):
         yield rows, values, rowmax, dead, scratch
 
 
-def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=None):
+def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=None,
+                       dip_depth=0.0):
     """mean_j |f(r e^{2 pi i j/q})|^p for each radius, batched over radii.
 
     This is the workhorse behind the norm computations: one scaled
@@ -295,9 +296,10 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     The samples are f / rowmax, rowmax = max_n r^n |c_n|, so a mean
     overflows only when rowmax^p does.  ``even`` runs the doubling ladder's
     first check: it also returns the mean over the even-indexed samples,
-    which are the samples of the q/2 grid, and (rows, samples, rowmax) of
-    the rows whose two means differ by more than CIRCLE_DOUBLING_TOL
-    relative, so that a search of those circles needs no FFT of its own.
+    which are the samples of the q/2 grid, and (rows, samples, rowmax, dips)
+    of the rows whose two means differ by more than CIRCLE_DOUBLING_TOL
+    relative or that ``_dips`` flags within ``dip_depth`` grid steps (dips
+    True), so that a search of those circles needs no FFT of its own.
     Those samples are kept in single precision, which locates the dips of
     |f| well enough and halves what they add to a call's peak memory.
     ``mask`` = (rows, columns, weights), rows ascending, takes the mean of
@@ -308,7 +310,7 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     out = np.empty(radii.size, dtype=float)
     if even:
         out_even, peak = np.empty(radii.size), np.empty(radii.size)
-        far = np.zeros(radii.size, dtype=bool)
+        keep, dips = np.zeros(radii.size, dtype=bool), np.zeros(radii.size, dtype=bool)
         kept = [np.empty((0, q), dtype=np.complex64)]
     for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
         powered = _abs_power(values, p, scratch)
@@ -324,13 +326,52 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
             if even:
                 means = np.mean(powered[:, ::2], axis=1)
                 out_even[rows] = np.where(dead, 0.0, means * scale)
-                far[rows] = (np.abs(out[rows] - out_even[rows])
-                             > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
-                kept.append(values[far[rows]].astype(np.complex64))
+                if dip_depth > 0.0:
+                    dips[rows] = ~dead & _dips(values, powered, dip_depth)
+                keep[rows] = dips[rows] | (np.abs(out[rows] - out_even[rows])
+                                           > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
+                kept.append(values[keep[rows]].astype(np.complex64))
                 peak[rows] = rowmax
     if not even:
         return out
-    return out, out_even, (np.nonzero(far)[0], np.concatenate(kept), peak[far])
+    return out, out_even, (np.nonzero(keep)[0], np.concatenate(kept), peak[keep], dips[keep])
+
+
+def _dips(values, mag, depth):
+    """The rows of the samples ``values`` on which a zero of f may lie
+    within ``depth`` grid steps (in log modulus) of the circle.
+
+    At each local minimum of ``mag`` (|f| or an increasing function of it),
+    the quadratic in the angle through f there and at its two neighbours
+    has roots t, in steps from the minimum, with Im t about the depth of
+    a zero behind the dip.  A row is flagged when the root nearer the
+    minimum, or the other one within two steps of it, has |Im t| < depth.
+    """
+    q = mag.shape[1]
+    low = np.empty(mag.shape, dtype=bool)
+    np.less_equal(mag[:, 1:], mag[:, :-1], out=low[:, 1:])
+    np.less_equal(mag[:, 0], mag[:, -1], out=low[:, 0])
+    low[:, :-1] &= mag[:, :-1] < mag[:, 1:]
+    low[:, -1] &= mag[:, -1] < mag[:, 0]
+    row, j = np.nonzero(low)
+    before, at, after = (values[row, (j + k) % q] for k in (-1, 0, 1))
+    slope, bend = 0.5 * (after - before), 0.5 * (after + before) - at
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near = nearer_root(at, slope, bend)
+        # the other root, of a second zero within the fit's reach of the dip
+        other = at / (bend * near)
+        found = (np.abs(near.imag) < depth) | ((np.abs(other.imag) < depth)
+                                               & (np.abs(other.real) < 2.0))
+    out = np.zeros(mag.shape[0], dtype=bool)
+    out[row[found]] = True
+    return out
+
+
+def nearer_root(c0, c1, c2):
+    """The root of c0 + c1 t + c2 t^2 nearer 0, without cancellation."""
+    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    disc = np.where((np.conj(c1) * disc).real < 0.0, -disc, disc)
+    return -2.0 * c0 / (c1 + disc)
 
 
 def horner(coeffs, z):

@@ -509,8 +509,11 @@ class StandardWeight(RadialWeight):
         scale[near] += a * _map(math.log, xn)
         integral[near] = _series_totals(xn, *self._near)
         if not near.all():
-            # complement: full Beta minus the stretch [0, r]
-            y = 1.0 - x[~near]  # = r^2 <= 1/2
+            # complement: full Beta minus the stretch [0, r].  y = r^2 <= 1/2;
+            # 1 - x keeps fewer than 9 of its digits below r = 2^-12 (none
+            # below 1e-8), so there it is taken directly
+            r = rs[~near]
+            y = np.where(r < 2.0**-12, r * r, 1.0 - x[~near])
             integral[~near] = math.exp(log_beta(a, 0.5)) - np.sqrt(y) * _series_totals(y, *self._inner)
         return scale, integral
 
@@ -616,9 +619,15 @@ class LogWeight(RadialWeight):
         return out
 
     def _tail_terms(self, rs):
+        # -log(1 - r^2), 1 - r^2 = u (2 - u), but from r^2 by log1p below
+        # r = 2^-12, where u (2 - u) keeps fewer than 9 digits of r^2 (none
+        # below 1e-8)
         u = 1.0 - rs
-        w_lo = np.sqrt(np.abs(np.log(u * (2.0 - u))))  # 1 - r^2 = u (2 - u)
-        return np.zeros(rs.shape), self.amplitude * self._w_tails(w_lo)
+        small = rs < 2.0**-12
+        depth = np.empty(rs.shape)
+        depth[small] = -np.log1p(-rs[small] * rs[small])
+        depth[~small] = np.abs(np.log(u[~small] * (2.0 - u[~small])))
+        return np.zeros(rs.shape), self.amplitude * self._w_tails(np.sqrt(depth))
 
     log_tail = RadialWeight.log_tail
 

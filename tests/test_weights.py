@@ -6,7 +6,7 @@ import threading
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bergweight import (
     DomainError,
@@ -237,6 +237,8 @@ def test_array_tails_equal_scalar_tails_bit_for_bit(name, radii):
 
 @settings(max_examples=40, deadline=None)
 @given(radii=_RADII)
+# 1 - r^2 rounds to 1 here, which once flattened the log tails
+@example(radii=[0.0, 4.567343194228735e-09])
 @pytest.mark.parametrize("name", sorted(_TAIL_WEIGHTS))
 def test_tails_strictly_decrease(name, radii):
     rs = np.unique(radii)
