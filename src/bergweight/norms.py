@@ -34,10 +34,14 @@ integral means extend continuously to the boundary) are integrated without
 truncation bias; the r = 1 circle is sampled to the same mass-weighted
 budget as the nodes.  Bounds on each mean from the coefficients alone
 settle the radii whose mass is too small for the bounds' spread to matter,
-without sampling them.  At p = 2 a Bergman norm of more than one term
-needs no circle means at all: the rule integrates Parseval's sum term by
-term, ||f||^2 = 2 sum_n |c_n|^2 m_n with m_n the rule's odd moments, which
-the rule keeps.
+without sampling them.
+
+At p = 2 nothing samples a circle or builds an order-GL_ORDER rule: both
+sides are sums over the coefficients' squares.  A Bergman norm is
+||f||^2 = 2 sum_n |c_n|^2 m_n, with m_n the odd moments of the weight's
+order-MOMENT_ORDER rule for s^(2 deg f + 1), the rule ``moment`` uses
+there, which keeps them; a block norm is sum_n eta_{k^n} sum_j
+|v_n(j) c_j|^2, with the squares |v_n(j)|^2 kept next to the cached basis.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -59,7 +63,7 @@ from .series import (
     nearer_root,
     parseval_means,
 )
-from .weights import dcheck_margin
+from .weights import MOMENT_ORDER, dcheck_margin
 from .quadrature import cell_nodes
 from . import cesaro
 
@@ -625,10 +629,23 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
 
 
 def _radial_rule(w, x_scale):
-    """The order-GL_ORDER rule of ``w`` for ``x_scale``; raises when all of its
-    mass sits below the normal double range, where the rule weights have
-    flushed to zero or to subnormals that keep only a few digits."""
-    rule = w.radial_rule(x_scale, order=GL_ORDER)
+    """The order-GL_ORDER rule of ``w`` for ``x_scale``, checked by
+    ``_resolved``."""
+    return _resolved(w, w.radial_rule(x_scale, order=GL_ORDER))
+
+
+def _p2_rule(w, x_top):
+    """The order-MOMENT_ORDER rule that ``w.moments`` integrates every order
+    up to ``x_top`` on, checked by ``_resolved``; its odd-moment table
+    m_n = int s^(2n+1) w(s) ds serves every p = 2 norm for n up to
+    (x_top - 1) / 2."""
+    return _resolved(w, w.radial_rule(x_top, order=MOMENT_ORDER))
+
+
+def _resolved(w, rule):
+    """``rule``, a rule of ``w``; raises when all of its mass sits below the
+    normal double range, where the rule weights have flushed to zero or to
+    subnormals that keep only a few digits."""
     tiny = np.finfo(float).tiny
     if rule.boundary_mass < tiny and not np.any(rule.weights >= tiny):
         raise QuadratureError(
@@ -637,6 +654,18 @@ def _radial_rule(w, x_scale):
             residual=float(np.max(rule.weights, initial=0.0)),
         )
     return rule
+
+
+def _parseval_norm(coeffs, moments):
+    """(2 sum_n |c_n|^2 m_n)^(1/2) for the coefficients c and the moment table
+    m (at least as long), scaled by the largest |c_n|, so that no square
+    leaves the double range unless the norm's own square does."""
+    absc = np.abs(coeffs)
+    top = float(np.max(absc))
+    norm = top * math.sqrt(2.0 * float(np.dot((absc / top) ** 2, moments[: absc.size])))
+    if not math.isfinite(norm * norm):
+        raise DomainError("the Bergman integral of |f|^p at p = 2.0 overflows double precision")
+    return norm
 
 
 def integral_mean(f, r, p):
@@ -665,30 +694,22 @@ def hardy_norm(f, p):
 def bergman_norm(f, w, p):
     """Weighted Bergman norm (2 int r M_p^p(r, f) w(r) dr)^(1/p).
 
-    The integral runs over the weight's order-GL_ORDER radial rule and its
-    boundary atom.  At p = 2 a series with more than one term takes no
-    circle means: by Parseval the rule gives 2 sum_n |c_n|^2 m_n, where
-    m_n = sum_i mass_i r_i^(2n) are the rule's odd moments, kept with the
-    rule and shared by every series it serves.  Monomials, and every other
-    exponent, integrate ``_power_means`` over the rule.
+    At p = 2 nothing samples a circle: by Parseval the norm's square is
+    2 sum_n |c_n|^2 m_n, with m_n the odd moments of the weight's
+    order-MOMENT_ORDER rule for s^(2 deg f + 1) (``_p2_rule``), the rule
+    that ``w.moment`` uses there, whose table every series it serves shares.
+    Other exponents integrate ``_power_means`` over the weight's
+    order-GL_ORDER radial rule and its boundary atom.
     """
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if f.is_zero:
         return 0.0
     degree = f.degree
+    if p == 2.0:
+        table = _p2_rule(w, 2.0 * degree + 1.0).odd_moments(degree + 1)
+        return _parseval_norm(f.coeffs[: degree + 1], table)
     rule = _radial_rule(w, p * degree + 2.0)
-    if p == 2.0 and np.count_nonzero(f.coeffs) > 1:
-        # scaled by the largest |c_n|, so that no square leaves the double
-        # range unless the norm's own square does
-        absc = np.abs(f.coeffs[: degree + 1])
-        top = float(np.max(absc))
-        moments = rule.odd_moments(degree + 1)
-        norm = top * math.sqrt(2.0 * float(np.dot((absc / top) ** 2, moments)))
-        if not math.isfinite(norm * norm):
-            raise DomainError(
-                f"the Bergman integral of |f|^p at p = {p!r} overflows double precision")
-        return norm
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)
@@ -706,12 +727,38 @@ def block_norm(f, eta, k, p, check=True):
     The truncation covers every block that meets deg f; higher blocks vanish
     on polynomials.  ``check`` screens eta for the lower-doubling condition
     at this k (the regime where the block norm is equivalent to the Bergman
-    norm); pass check=False to compute it regardless.
+    norm); pass check=False to compute it regardless.  The eta_{k^n} of the
+    blocks that meet f come from one ``eta.moments`` call.  At p = 2 nothing
+    samples a circle: block n's H^2 norm is sum_j |v_n(j) c_j|^2, from the
+    squares |v_n(j)|^2 kept with the basis (``_block_energies``).
     """
-    if int(k) != k or k < 2:
-        raise DomainError(f"block parameter k must be an integer >= 2, got {k!r}")
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError(f"exponent p must be positive, got {p!r}")
+    k = _block_k(eta, k, check)
+    if f.is_zero:
+        return 0.0
+    if p == 2.0:
+        top, energies = _block_energies(f.coeffs[: f.degree + 1], k)
+        met = np.nonzero(energies)[0]
+        return top * math.sqrt(float(np.dot(eta.moments(float(k) ** met), energies[met])))
+    basis = _basis_for(k, f.degree)[0]
+    met, hardy = [], []
+    for n in range(basis.top_index + 1):
+        piece = cesaro.block(f, basis, n)
+        if not piece.is_zero:
+            met.append(float(k) ** n)
+            hardy.append(hardy_norm(piece, p) ** p)
+    total = 0.0
+    for moment, h in zip(eta.moments(met), hardy):
+        total += moment * h
+    return total ** (1.0 / p)
+
+
+def _block_k(eta, k, check):
+    """The block parameter k as an int, after ``block_norm``'s checks: an
+    integer >= 2 and, when ``check``, eta passing the lower-doubling screen."""
+    if int(k) != k or k < 2:
+        raise DomainError(f"block parameter k must be an integer >= 2, got {k!r}")
     if check:
         verdict, _ = dcheck_margin(eta, int(k))
         if verdict == "out":
@@ -719,32 +766,45 @@ def block_norm(f, eta, k, p, check=True):
                 f"weight {eta.label} fails the lower-doubling screen for k={k}; "
                 "pass check=False to compute the block norm anyway"
             )
-    if f.is_zero:
-        return 0.0
-    basis = _basis_for(int(k), f.degree)
-    total = 0.0
-    for n in range(basis.top_index + 1):
-        piece = cesaro.block(f, basis, n)
-        if piece.is_zero:
-            continue
-        hn = hardy_norm(piece, p)
-        total += eta.moment(float(k) ** n) * hn**p
-    return total ** (1.0 / p)
+    return int(k)
+
+
+def _block_energies(coeffs, k):
+    """(top, e) for the coefficients c of a nonzero series: top = max |c_j|
+    and e_n = sum_j |v_n(j) c_j / top|^2, the squared H^2 norm of block n of
+    the series over top^2 (Parseval at r = 1), for every block of its basis."""
+    absc = np.abs(coeffs)
+    top = float(np.max(absc))
+    basis, (rows, cols, squares) = _basis_for(k, absc.size - 1)
+    n = np.searchsorted(cols, absc.size, side="left")
+    energies = np.bincount(rows[:n], squares[:n] * (absc / top)[cols[:n]] ** 2,
+                           minlength=basis.block_count)
+    return top, energies
 
 
 _BASIS_CACHE = {}
 
 
 def _basis_for(k, degree):
+    """The block basis for k and the power of two at or above ``degree``, and
+    next to it the squares |v_n(j)|^2 of its coefficients for j up to that
+    bucket, as a sparse matrix (rows n, columns j, squares) sorted by
+    column; both are built once per key and cached."""
     n_top = max(degree, 1)
     bucket = 1 << max(0, math.ceil(math.log2(n_top)))
     key = (k, bucket)
     try:
         return _BASIS_CACHE[key]
     except KeyError:
-        basis = cesaro.build_basis(k, bucket)
-        _BASIS_CACHE[key] = basis
-        return basis
+        pass
+    basis = cesaro.build_basis(k, bucket)
+    cols = [np.flatnonzero(blk.coeffs[: bucket + 1]) for blk in basis.blocks]
+    rows = np.repeat(np.arange(len(cols), dtype=np.int32), [c.size for c in cols])
+    squares = np.concatenate([blk.coeffs[c].real ** 2 for blk, c in zip(basis.blocks, cols)])
+    cols = np.concatenate(cols).astype(np.int32)
+    order = np.argsort(cols, kind="stable")
+    _BASIS_CACHE[key] = entry = (basis, (rows[order], cols[order], squares[order]))
+    return entry
 
 
 def block_sum_compare(a, eta, k, p):

@@ -160,17 +160,19 @@ class RadialRule:
         the block that holds order count - 1.
 
         Block k is sum_i (mass_i r_i^(2 k B)) r_i^(2j), j < B = MOMENT_BLOCK,
-        mass_i = weights_i nodes_i: one power of each node, and one product
-        with the squares of the nodes' first B powers, which every block
-        shares.  The nodes go in chunks whose power tables hold 2^16 entries,
-        so a table costs no more memory than a chunk.
+        mass_i = weights_i nodes_i: one product of the leading factors with
+        the squares of the nodes' first B powers, which every block shares.
+        The leading factors are running products of r^(2B) from mass_i at
+        block 0, whichever block a call starts at, so that no entry depends
+        on how the table grew; a product costs a twentieth of a power.  The
+        nodes go in chunks whose power tables hold 2^16 entries, so a table
+        costs no more memory than a chunk.
         """
-        starts = np.arange(first, count, MOMENT_BLOCK, dtype=float)
-        out = np.full((starts.size, MOMENT_BLOCK), self.boundary_mass)
+        first_block, end = first // MOMENT_BLOCK, -(-count // MOMENT_BLOCK)
+        out = np.full((end - first_block, MOMENT_BLOCK), self.boundary_mass)
         chunk = (1 << 16) // MOMENT_BLOCK
         for lo in range(0, self.nodes.size, chunk):
             r = self.nodes[lo : lo + chunk]
-            masses = self.weights[lo : lo + chunk] * r
             # (r^j)^2 from the products of r itself: no rounded r^2 is raised
             # to a power
             powers = np.empty((r.size, MOMENT_BLOCK))
@@ -178,6 +180,10 @@ class RadialRule:
             powers[:, 1:] = r[:, None]
             np.cumprod(powers, axis=1, out=powers)
             np.square(powers, out=powers)
-            for k, start in enumerate(starts):
-                out[k] += (masses * r ** (2.0 * start)) @ powers
+            step = r ** (2.0 * MOMENT_BLOCK)
+            lead = self.weights[lo : lo + chunk] * r
+            for k in range(end):
+                if k >= first_block:
+                    out[k - first_block] += lead @ powers
+                lead *= step
         return out.ravel()

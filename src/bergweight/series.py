@@ -104,13 +104,34 @@ def odd_moments(mu, max_n):
     """mu_{2n+1} for n = 0..max_n; a standard weight's are (a/2) B(n + 1, a),
     a = alpha + 1, by the step B(n + 2, a) = B(n + 1, a) (n + 1) / (n + 1 + a)
     from (a/2) B(1, a) = 1/2.  Every factor is below 1, so the running
-    product underflows only where the moment does."""
+    product underflows only where the moment does.  Other weights' are the
+    odd-moment table of the one order-12 rule that ``mu.moment(2 max_n + 1)``
+    integrates on (a read-only view)."""
     if isinstance(mu, StandardWeight):
         steps = np.ones(max_n + 1)
         n = np.arange(1.0, max_n + 1.0)
         steps[1:] = n / (n + (mu.alpha + 1.0))
         return mu.amplitude * 0.5 * np.cumprod(steps)
-    return np.array([mu.moment(2.0 * k + 1.0) for k in range(max_n + 1)])
+    return mu.radial_rule(2.0 * max_n + 1.0).odd_moments(max_n + 1)
+
+
+def derivative_moments(mu, max_n, check=True):
+    """``odd_moments(mu, max_n)``, the divisors of ``frac_deriv_mu``, with its
+    checks: ``mu`` must pass the upper-doubling screen (unless ``check`` is
+    False) and every moment must be a positive double."""
+    if check and dhat_verdict(mu) == "out":
+        raise DomainError(
+            f"weight {mu.label} looks outside the upper-doubling class; "
+            "pass check=False to apply the derivative anyway"
+        )
+    moments = odd_moments(mu, max_n)
+    bad = np.nonzero(~(moments > 0.0) | ~np.isfinite(moments))[0]
+    if bad.size:
+        raise QuadratureError(
+            f"odd moment mu_{{2n+1}} of {mu.label} vanished numerically at n = {int(bad[0])}",
+            residual=float(moments[bad[0]]),
+        )
+    return moments
 
 
 def frac_deriv_mu(f, mu, check=True):
@@ -120,19 +141,7 @@ def frac_deriv_mu(f, mu, check=True):
     operator is classically well defined for such weights); pass
     ``check=False`` to override.
     """
-    if check and dhat_verdict(mu) == "out":
-        raise DomainError(
-            f"weight {mu.label} looks outside the upper-doubling class; "
-            "pass check=False to apply the derivative anyway"
-        )
-    moments = odd_moments(mu, len(f) - 1)
-    bad = np.nonzero(~(moments > 0.0) | ~np.isfinite(moments))[0]
-    if bad.size:
-        raise QuadratureError(
-            f"odd moment mu_{{2n+1}} of {mu.label} vanished numerically at n = {int(bad[0])}",
-            residual=float(moments[bad[0]]),
-        )
-    return _multiplied(f, 1.0 / moments)
+    return _multiplied(f, 1.0 / derivative_moments(mu, len(f) - 1, check))
 
 
 def frac_deriv_beta(f, beta):

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .norms import bergman_norm, block_norm, hardy_norm, integral_mean
+from .norms import (_block_energies, _block_k, _p2_rule, _parseval_norm, bergman_norm,
+                    block_norm, hardy_norm, integral_mean)
 from .cesaro import build_basis
-from .series import (TaylorSeries, frac_deriv_mu, geometric_series, lacunary_series,
-                     parse_series_spec, read_series_csv)
+from .series import (TaylorSeries, derivative_moments, frac_deriv_mu, geometric_series,
+                     lacunary_series, parse_series_spec, read_series_csv)
 from .weights import classify, parse_weight_spec, scaled_weight
 
 DEFAULT_SEED = 20250401
@@ -162,21 +163,63 @@ def lp_ratio(f, omega, mu, p, nu=None, check=True):
     return num / den
 
 
+def _p2_tables(omega, mu, nu, top, check):
+    """The p = 2 sequences for n <= top: omega's and nu's odd-moment tables,
+    each from the one rule ``_p2_rule`` gives for s^(2 top + 1), mu's odd
+    moments as ``frac_deriv_mu`` divides by them, and the monomial ratios
+    R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1})."""
+    x_top = 2.0 * top + 1.0
+    om = _p2_rule(omega, x_top).odd_moments(top + 1)
+    nu_m = _p2_rule(nu, x_top).odd_moments(top + 1)
+    mu_m = derivative_moments(mu, top, check)
+    # where a table underflows, R_n is not a positive double
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return om, nu_m, mu_m, nu_m / (mu_m**2 * om)
+
+
+def _extremes(ratios):
+    """The exact min and max of the monomial ratios R_n, and the n where each
+    occurs, over the n where R_n is a positive double: the sharp p = 2
+    constants over polynomials of degree at most the last n."""
+    ok = np.flatnonzero((ratios > 0.0) & np.isfinite(ratios))
+    if not ok.size:
+        return {}
+    low, high = int(ok[np.argmin(ratios[ok])]), int(ok[np.argmax(ratios[ok])])
+    return {"monomial_ratio_min": float(ratios[low]), "monomial_ratio_argmin": low,
+            "monomial_ratio_max": float(ratios[high]), "monomial_ratio_argmax": high}
+
+
 def equivalence_sweep(family, omega, mu, p, check=True):
     """lp_ratio across a function family; max/min is the empirical constant.
 
     Boundedness verdicts are read off the monomial rows (the canonical
     witnesses, whose index doubles row to row); the bracket covers the whole
-    family.
+    family.  At p = 2 every row is the quotient of two Parseval sums over
+    tables built once for the family's largest degree N (``_p2_tables``),
+    and the report's params carry the exact extremes of R_n over n <= N.
     """
     if len(family) < 2:
         raise DomainError(f"equivalence_sweep needs at least two functions, got {len(family)}")
     nu = scaled_weight(omega, mu, p)
-    labels = []
-    ratios = []
-    for label, f in family:
-        labels.append(label)
-        ratios.append(lp_ratio(f, omega, mu, p, nu=nu, check=check))
+    labels = [label for label, _ in family]
+    extremes = {}
+    if p == 2.0:
+        if any(f.is_zero for _, f in family):
+            raise DomainError("lp_ratio needs a nonzero series")
+        top = max(f.degree for _, f in family)
+        om, nu_m, mu_m, monomial_ratios = _p2_tables(omega, mu, nu, top, check)
+        inverse = 1.0 / mu_m
+        ratios = []
+        for _, f in family:
+            c = f.coeffs[: f.degree + 1]
+            # as lp_ratio takes them, from the two norms
+            den = _parseval_norm(c, om) ** 2
+            if den == 0.0:
+                raise DomainError("zero denominator norm in lp_ratio")
+            ratios.append(_parseval_norm(c * inverse[: c.size], nu_m) ** 2 / den)
+        extremes = _extremes(monomial_ratios)
+    else:
+        ratios = [lp_ratio(f, omega, mu, p, nu=nu, check=check) for _, f in family]
     witness = [r for lab, r in zip(labels, ratios) if lab.startswith("monomial:")]
     if len(witness) < 3:
         witness = ratios
@@ -194,30 +237,34 @@ def equivalence_sweep(family, omega, mu, p, check=True):
     )
     report.params["upper_verdict"] = upper_verdict
     report.params["lower_verdict"] = lower_verdict
+    report.params.update(extremes)
     return report
 
 
 def monomial_necessity_curve(omega, mu, p, n_max):
     """The reverse-inequality diagnostic on monomials, from moments alone.
 
-    Row n carries R_n = omega_{np+1} * mu_{2n+1}^p / (omega*tail_mu^p)_{np+1};
-    the equivalence forces R_n to stay bounded, and the monomials are the
-    canonical witnesses when it fails.
+    Row n carries omega_{np+1} * mu_{2n+1}^p / (omega*tail_mu^p)_{np+1};
+    the equivalence forces it to stay bounded, and the monomials are the
+    canonical witnesses when it fails.  Each weight's moments come from one
+    ``moments`` call.  At p = 2 the params also carry the exact extremes of
+    R_n (``_p2_tables``, from the same rules) over every n up to the grid's
+    last N: the rows are 1 / R_n at the grid's n.
     """
     if n_max < 8:
         raise DomainError(f"n_max must be >= 8, got {n_max}")
     nu = scaled_weight(omega, mu, p)
     grid = geometric_int_grid(n_max)
-    rows = []
-    for n in grid:
-        num = omega.moment(n * p + 1.0) * mu.moment(2.0 * n + 1.0) ** p
-        den = nu.moment(n * p + 1.0)
-        rows.append(num / den)
+    rows = (omega.moments(grid * p + 1.0) * mu.moments(2.0 * grid + 1.0) ** p
+            / nu.moments(grid * p + 1.0)).tolist()
+    extremes = {}
+    if p == 2.0:
+        extremes = _extremes(_p2_tables(omega, mu, nu, int(grid[-1]), check=False)[3])
     verdict, growth = stability_verdict(rows)
     return ExperimentReport(
         experiment="monomial-curve",
         params={"omega": omega.label, "mu": mu.label, "p": p, "n_max": n_max,
-                "bounded_verdict": verdict},
+                "bounded_verdict": verdict, **extremes},
         columns={"n": [int(n) for n in grid], "reverse_ratio": rows},
         ratio_names=["reverse_ratio"],
         verdict=f"{verdict} (running-max growth {growth:.4f} over last decade)",
@@ -245,6 +292,8 @@ def integral_means_check(family, mu, p, grid=None):
     col_rho = []
     quotients = []
     skipped = 0
+    # every tail the quotients may read, in one array call
+    mu.prefetch_tails([grid[i] / grid[j] for i, j in pairs])
     for label, f in family:
         df = frac_deriv_mu(f, mu)
         # means of f at rho and of D_mu f at r, by grid index, taken when first needed
@@ -343,15 +392,13 @@ def norm_equivalence_check(family, eta, k, p, check=True):
             f"weight {eta.label} looks outside the doubling intersection; "
             "pass check=False to run the comparison anyway"
         )
-    labels = []
-    ratios = []
-    for label, f in family:
-        if f.is_zero:
-            continue
-        bn = bergman_norm(f, eta, p) ** p
-        blk = block_norm(f, eta, k, p, check=check) ** p
-        labels.append(label)
-        ratios.append(bn / blk)
+    members = [(label, f) for label, f in family if not f.is_zero]
+    labels = [label for label, _ in members]
+    if p == 2.0 and members:
+        ratios = _p2_norm_ratios([f for _, f in members], eta, _block_k(eta, k, check))
+    else:
+        ratios = [bergman_norm(f, eta, p) ** p / block_norm(f, eta, k, p, check=check) ** p
+                  for _, f in members]
     return ExperimentReport(
         experiment="norm-equiv",
         params={"eta": eta.label, "k": k, "p": p, "family_size": len(labels)},
@@ -360,6 +407,29 @@ def norm_equivalence_check(family, eta, k, p, check=True):
         verdict=f"bracket [{min(ratios):.6g}, {max(ratios):.6g}], "
                 f"max/min {max(ratios)/min(ratios):.6g}",
     )
+
+
+def _p2_norm_ratios(family, eta, k):
+    """Bergman-to-block ratios at p = 2 of the nonzero series ``family``, each
+    the quotient of two sums over its coefficients' squares, with eta's
+    moments from one rule: the odd-moment table for the largest degree N and
+    eta_{k^n} at every block that meets a series, from one ``moments`` call
+    whose orders reach the table's top order 2N + 1 too."""
+    top = max(f.degree for f in family)
+    energies = [_block_energies(f.coeffs[: f.degree + 1], k) for f in family]
+    eta_k = np.zeros(max(e.size for _, e in energies))
+    met = np.zeros(eta_k.size, dtype=bool)
+    for _, e in energies:
+        met[: e.size] |= e > 0.0
+    met = np.flatnonzero(met)
+    x_top = max(2.0 * top + 1.0, float(k) ** met[-1])
+    eta_k[met] = eta.moments(np.append(float(k) ** met, x_top))[:-1]
+    table = _p2_rule(eta, x_top).odd_moments(top + 1)
+    ratios = []
+    for f, (scale, e) in zip(family, energies):
+        bergman = _parseval_norm(f.coeffs[: f.degree + 1], table) / scale
+        ratios.append(bergman**2 / float(np.dot(eta_k[: e.size], e)))
+    return ratios
 
 
 # ---------------------------------------------------------------------------

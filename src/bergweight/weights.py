@@ -28,7 +28,10 @@ other radii of its call:
 
 ``standard`` moments are closed-form Beta values; other moments integrate
 s^x on the weight's own radial rule, whose dyadic cells split by how much
-s^x and the density vary across them.
+s^x and the density vary across them.  ``moment(x)`` builds the rule for
+its own order; ``moments(xs)`` integrates every order on the one rule for
+the largest, and ``classify`` reads all of its moment curves' orders from
+one such batch.
 
 ``classify`` samples the upper-doubling, lower-doubling, and moment-doubling
 ratio curves on geometric grids and turns them into heuristic verdicts for
@@ -73,6 +76,7 @@ EXP_CF_STEPS = 200  # most steps of that fraction
 EXP_TAIL_FLOOR = 2.0**-128  # least u where an exp tail's cells start
 EXP_TAIL_ORDER = 16  # Gauss order of those cells
 _EPS = np.finfo(float).eps
+MOMENT_ORDER = 12  # Gauss order of the rules behind moments and the p = 2 tables
 
 # Classification grids.
 HARD_I_CAP = 30  # deepest dyadic radius 1 - 2^-i of the r-grid
@@ -266,10 +270,21 @@ class RadialWeight:
             residual=integral,
         )
 
-    def _moment_impl(self, x):
-        # the order-12 rule that resolves s^x; g(1) = 1 weighs the boundary mass
-        rule = self.radial_rule(max(x, 1.0))
-        return rule.integrate(rule.nodes**x, 1.0)
+    def _moment_values(self, xs):
+        """The moments at the orders ``xs`` (a 1-d array), unchecked: s^x, as
+        e^(x log s), integrated on the one order-12 rule for the largest
+        order (its boundary mass weighed by 1^x = 1), in chunks whose power
+        tables hold 2^14 entries."""
+        out = np.empty(xs.size)
+        if not xs.size:
+            return out
+        rule = self.radial_rule(float(xs.max()))
+        log_nodes = np.log(rule.nodes)
+        chunk = max(1, (1 << 14) // max(rule.nodes.size, 1))
+        for lo in range(0, xs.size, chunk):
+            powers = np.multiply(xs[lo : lo + chunk, None], log_nodes)
+            out[lo : lo + chunk] = np.exp(powers, out=powers) @ rule.weights
+        return out + rule.boundary_mass
 
     def _build_rule(self, x_scale, order):
         raise NotImplementedError
@@ -362,18 +377,29 @@ class RadialWeight:
             return memo[x]
         except KeyError:
             pass
-        value = self._moment_impl(x)
-        if not (value > 0.0) or not math.isfinite(value):
-            raise QuadratureError(
-                f"moment({x}) of {self.label} evaluated to {value!r}", residual=value
-            )
+        value = float(self.moments(np.array([x]))[0])
         memo[x] = value  # atomic under the GIL; worst case recomputed
         return value
 
     def moments(self, xs):
-        return np.array([self.moment(float(x)) for x in np.atleast_1d(xs)], dtype=float)
+        """Moments at every order of ``xs``, all integrated on the one order-12
+        rule for the largest order, so that ``moment(x)`` builds the rule for
+        its own order.  The memo is neither read nor written, so no value
+        depends on earlier calls; raises for the first order that is not
+        >= 0, or whose moment is not a positive double."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        bad = ~(xs >= 0.0)
+        if bad.any():
+            raise DomainError(f"moment order must be >= 0, got {float(xs[bad][0])!r}")
+        values = self._moment_values(xs)
+        bad = ~(values > 0.0) | ~np.isfinite(values)
+        if bad.any():
+            x, value = float(xs[bad][0]), float(values[bad][0])
+            raise QuadratureError(f"moment({x}) of {self.label} evaluated to {value!r}",
+                                  residual=value)
+        return values
 
-    def radial_rule(self, x_scale=1.0, order=12):
+    def radial_rule(self, x_scale=1.0, order=MOMENT_ORDER):
         """Quadrature rule for integrals of g(s) * density(s) over [0, 1).
 
         ``x_scale`` is the largest effective monomial exponent of g the rule
@@ -528,9 +554,10 @@ class StandardWeight(RadialWeight):
         """log tails at the dyadic cell edges 1 - 2^-j, j = 0..MAX_MESH_DEPTH."""
         return self.log_tails(1.0 - np.ldexp(1.0, -np.arange(quad.MAX_MESH_DEPTH + 1)))
 
-    def _moment_impl(self, x):
+    def _moment_values(self, xs):
         a = self.alpha + 1.0
-        return self.amplitude * (a / 2.0) * math.exp(log_beta((x + 1.0) / 2.0, a))
+        return np.array([self.amplitude * (a / 2.0) * math.exp(log_beta((x + 1.0) / 2.0, a))
+                         for x in xs.tolist()])
 
     def _build_rule(self, x_scale, order):
         # dyadic cells until the closed-form tail drops below 1e-13 of the
@@ -798,7 +825,7 @@ class TabulatedWeight(RadialWeight):
     with the residual estimate.
     """
 
-    _order = 12  # Gauss order of the mesh behind tails, = that of moment rules
+    _order = MOMENT_ORDER  # Gauss order of the mesh behind tails, = that of moment rules
 
     def __init__(self, sampler, label="tabulated", amplitude=1.0, check=True):
         try:
@@ -929,7 +956,9 @@ def parse_weight_spec(text):
             if "=" not in tok:
                 raise DomainError(f"bad weight token {tok!r} (expected key=value)")
             key, _, val = tok.partition("=")
-            fields[key.strip()] = val.strip()
+            if key in fields:
+                raise DomainError(f"weight field {key!r} given twice in {text!r}")
+            fields[key] = val
         family = fields.pop("family", None)
         if family is None:
             raise DomainError(f"weight spec {text!r} is missing family=")
@@ -945,7 +974,9 @@ def parse_weight_spec(text):
         args = [fields[k] for k in names]
     else:
         family, _, params = text.partition(":")
-        args = [a for a in params.split(",") if a != ""]
+        args = params.split(",") if params else []
+        if "" in args:
+            raise DomainError(f"empty weight parameter in {text!r}")
     try:
         values = [float(a) for a in args]
     except ValueError:
@@ -1116,14 +1147,6 @@ def _tail_ratio_curve(w, k):
     return memo[k]
 
 
-def _log_moment(w, x):
-    """log moment(x), or nan where the moment leaves double range."""
-    try:
-        return math.log(w.moment(x))
-    except QuadratureError:
-        return math.nan
-
-
 def classify(w):
     """Sample the doubling-ratio curves of ``w`` and render class verdicts,
     memoized per weight.
@@ -1159,13 +1182,17 @@ def classify(w):
         dcheck_verdicts[k] = verdict
         per_k[f"dcheck[{k}]"] = {"verdict": verdict, **info}
 
-    # the moment orders stop at the first moment outside double range
-    log_moments = list(itertools.takewhile(math.isfinite, (_log_moment(w, x) for x in X_GRID)))
+    # every moment the curves may read, in one batch on one rule; the orders
+    # stop at the first moment outside double range, whose log is not finite
+    orders = np.concatenate([X_GRID, *(k * X_GRID for k in K_SET)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_moment = dict(zip(orders.tolist(), np.log(w._moment_values(orders)).tolist()))
+    log_moments = list(itertools.takewhile(math.isfinite, map(log_moment.get, X_GRID.tolist())))
     xs = X_GRID[:len(log_moments)]
     m_verdicts = {}
     for k in K_SET:
         curve = curves[f"moment[{k}]"] = _ratio_curve(xs, log_moments,
-                                                      lambda x: _log_moment(w, k * x))
+                                                      lambda x: log_moment[k * x])
         verdict, info = _inf_margin_verdict(curve[1])
         m_verdicts[k] = verdict
         per_k[f"moment[{k}]"] = {"verdict": verdict, **info}

@@ -141,6 +141,15 @@ def test_cli_norm_exits_2_when_the_weight_underflows(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("spec", ["standard:,1", "exp:1,,2", "standard:1,",
+                                  "family=standard alpha=1 alpha=2"])
+def test_cli_exits_2_on_empty_or_repeated_weight_fields(spec, capsys):
+    assert main(["classify", "--weight", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("args", [["--weight", "standard:1"], ["--kind", "hardy"]])
 def test_cli_norm_exits_2_past_the_double_range(args, capsys):
     assert main(["norm", "--f", "geometric:0.5,1", *args, "--p", "1e308"]) == 2

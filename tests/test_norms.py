@@ -270,8 +270,12 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
 
 def bergman_radii(f, w, p):
     """The radii and masses ``bergman_norm`` integrates over: the rule's nodes
-    and its boundary atom at r = 1."""
-    rule = norms._radial_rule(w, p * f.degree + 2.0)
+    and its boundary atom at r = 1 (at p = 2 the order-12 rule whose odd
+    moments it sums)."""
+    if p == 2.0:
+        rule = norms._p2_rule(w, 2.0 * f.degree + 1.0)
+    else:
+        rule = norms._radial_rule(w, p * f.degree + 2.0)
     return (np.append(rule.nodes, 1.0),
             np.append(rule.weights * rule.nodes, rule.boundary_mass))
 
@@ -513,7 +517,9 @@ def test_integral_mean_of_monomial_is_r_to_the_n(n):
 
 
 def test_monomial_norm_scans_no_radius_for_the_flush(std1, monkeypatch):
-    # a monomial's row maximum is its one coefficient, so no radius is in doubt
+    # a monomial's row maximum is its one coefficient, so no radius is in
+    # doubt; at p = 2 its norm is one entry of the moment table, read with no
+    # radius at all
     calls = []
     original = series._normalised_powers
 
@@ -522,9 +528,12 @@ def test_monomial_norm_scans_no_radius_for_the_flush(std1, monkeypatch):
         return original(absc, rr)
 
     monkeypatch.setattr(series, "_normalised_powers", spy)
-    for p in (0.5, 2.0):
-        assert bergman_norm(TaylorSeries.monomial(64), std1, p) > 0.0
-    assert calls and "flushed" not in calls
+    assert bergman_norm(TaylorSeries.monomial(64), std1, 0.5) > 0.0
+    assert "flushed" not in calls
+    calls.clear()
+    got = bergman_norm(TaylorSeries.monomial(64), std1, 2.0)
+    assert calls == []
+    assert got == math.sqrt(2.0 * norms._p2_rule(std1, 129.0).odd_moments(65)[64])
 
 
 def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):
@@ -677,15 +686,30 @@ def test_equivalence_sweep_builds_one_moment_table_per_rule(std1, monkeypatch):
 
     monkeypatch.setattr(quadrature.RadialRule, "_moment_blocks", spy)
     rng = np.random.default_rng(46)
-    # degrees 300 and 400 share a rule of each weight, 40 takes another; the
-    # monomial keeps the circle means
+    # series of four degrees, the monomial among them
     family = [("monomial:5", TaylorSeries.monomial(5))] + [
         (f"random:{d}", random_series(d, rng)) for d in (300, 40, 400)]
     omega = parse_weight_spec("log:2")
     equivalence_sweep(family, omega, std1, 2.0)
-    # omega and nu = omega * tail_mu^2 have two rules each, whose tables
-    # grow to the longest series they serve and build no block twice
+    # omega and nu = omega * tail_mu^2 have one rule each, whose table is
+    # built once, to the family's largest degree
     assert len(built) == len(set(built))
     rules = {rule for rule, _ in built}
-    assert len(rules) == 4
-    assert sorted(sum(1 for r, _ in built if r == rule) for rule in rules) == [1, 1, 7, 7]
+    assert len(rules) == 2
+    assert sorted(sum(1 for r, _ in built if r == rule) for rule in rules) == [7, 7]
+
+
+def test_p2_table_is_exact_under_growth_to_many_blocks():
+    # the blocks' leading factors are running products from block 0: a table
+    # grown in steps equals one built at once, and entries far down it still
+    # match the rule's own integrals of s^(2n + 1)
+    def fresh_rule():
+        return norms._p2_rule(parse_weight_spec("log:2"), 2.0 * 4096 + 1.0)
+
+    rule = fresh_rule()
+    for count in (1, 65, 700, 4097):
+        grown = rule.odd_moments(count)
+    assert np.array_equal(grown, fresh_rule().odd_moments(4097))
+    for n in (0, 63, 64, 1000, 4096):
+        want = rule.integrate(rule.nodes ** (2.0 * n + 1.0), 1.0)
+        assert grown[n] == pytest.approx(want, rel=1e-13, abs=0.0)

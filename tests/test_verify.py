@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergweight import (
     DomainError,
@@ -9,17 +12,22 @@ from bergweight import (
     LogWeight,
     StandardWeight,
     TaylorSeries,
+    bergman_norm,
+    block_norm,
     classify,
     equivalence_sweep,
     integral_means_check,
     lp_ratio,
     monomial_necessity_curve,
     norm_equivalence_check,
+    parse_weight_spec,
     run_experiment,
     scaled_weight,
     suma_check,
 )
+from bergweight import series, verify
 from bergweight.errors import ConfigError
+from bergweight.weights import MOMENT_ORDER, RadialWeight
 from bergweight.verify import default_family, geometric_int_grid, monomial_family
 from bergweight.cli import parse_config
 
@@ -328,3 +336,178 @@ def test_run_experiment_dispatch_and_errors(std1):
     cfg = parse_config("experiment = lp-sweep\nomega = standard:1.0\np = 2.0")
     with pytest.raises(ConfigError):
         run_experiment(cfg)  # missing mu
+
+
+# ---------------------------------------------------------------------------
+# p = 2 as sequence arithmetic: one rule per weight, the exact monomial ratios
+
+
+def p2_family():
+    return default_family(n_max=512, geometric_degree=256, random_degree=256)
+
+
+def p2_monomial_ratios(omega, mu, top):
+    """R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1}) for n <= top, as the p = 2
+    experiments read them."""
+    return verify._p2_tables(omega, mu, scaled_weight(omega, mu, 2.0), top, check=False)[3]
+
+
+@pytest.fixture
+def rules_built(monkeypatch):
+    """A function giving the distinct rules that weights built since it was
+    last called, as {weight label: [Gauss order of each rule]}."""
+    built = {}
+    original = RadialWeight.radial_rule
+
+    def spy(self, x_scale=1.0, order=MOMENT_ORDER):
+        rule = original(self, x_scale, order)
+        built.setdefault(self.label, {})[id(rule)] = (order, rule)
+        return rule
+
+    monkeypatch.setattr(RadialWeight, "radial_rule", spy)
+
+    def since_last():
+        out = {label: sorted(order for order, _ in rules.values())
+               for label, rules in built.items()}
+        built.clear()
+        return out
+
+    return since_last
+
+
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
+def test_p2_experiments_build_one_order_12_rule_per_weight(spec, rules_built):
+    family, nu = p2_family(), f"{spec}*tail(standard:1)^2"
+    equivalence_sweep(family, parse_weight_spec(spec), StandardWeight(1.0), 2.0)
+    assert rules_built() == {spec: [MOMENT_ORDER], nu: [MOMENT_ORDER]}
+    norm_equivalence_check(family, parse_weight_spec(spec), 2, 2.0, check=False)
+    assert rules_built() == {spec: [MOMENT_ORDER]}
+    monomial_necessity_curve(parse_weight_spec(spec), StandardWeight(1.0), 2.0, 10_000)
+    assert rules_built() == {spec: [MOMENT_ORDER], nu: [MOMENT_ORDER]}
+
+
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
+def test_moment_batches_build_one_rule_per_weight(spec, rules_built):
+    # standard moments are closed forms and build no rule
+    classify(parse_weight_spec(spec))
+    assert rules_built() == ({} if spec == "standard:1" else {spec: [MOMENT_ORDER]})
+    monomial_necessity_curve(parse_weight_spec(spec), ExponentialWeight(2.0, 1.0), 1.0, 1000)
+    expected = {"exp:2,1": [MOMENT_ORDER], f"{spec}*tail(exp:2,1)^1": [MOMENT_ORDER]}
+    if spec != "standard:1":
+        expected[spec] = [MOMENT_ORDER]
+    assert rules_built() == expected
+
+
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
+def test_p2_sweep_rows_match_standalone_norms(spec):
+    # the rows read tables built for the family's largest degree; a lone
+    # norm builds its own degree's
+    family, mu = p2_family(), StandardWeight(1.0)
+    sweep = equivalence_sweep(family, parse_weight_spec(spec), mu, 2.0)
+    equiv = norm_equivalence_check(family, parse_weight_spec(spec), 2, 2.0, check=False)
+    omega = parse_weight_spec(spec)
+    for (_, f), ratio, norm_ratio in zip(family, sweep.columns["ratio"],
+                                         equiv.columns["norm_ratio"]):
+        assert ratio == pytest.approx(lp_ratio(f, omega, mu, 2.0), rel=1e-12, abs=0.0)
+        alone = bergman_norm(f, omega, 2.0) ** 2 / block_norm(f, omega, 2, 2.0, check=False) ** 2
+        assert norm_ratio == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+def _standard_poly_in_u(alpha):
+    """(alpha + 1) (1 - s^2)^alpha = (alpha + 1) u^alpha (2 - u)^alpha, u = 1 - s,
+    as {power of u: coefficient} for an integer alpha."""
+    return {alpha + i: Fraction((alpha + 1) * math.comb(alpha, i) * 2 ** (alpha - i) * (-1) ** i)
+            for i in range(alpha + 1)}
+
+
+def _poly_product(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def oracle_standard_monomial_ratios(alpha, beta, top):
+    """R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1}), n <= top, for omega =
+    standard:alpha and mu = standard:beta (integers), nu = omega tail_mu^2,
+    in 40-digit mpmath.  tail_mu is int_0^u of mu's polynomial in u, so nu
+    is a polynomial in u too, and int s^(2n+1) u^k ds = B(2n + 2, k + 1) =
+    k! / ((2n + 2) ... (2n + k + 2))."""
+    tail = {k + 1: c / (k + 1) for k, c in _standard_poly_in_u(beta).items()}
+    nu = _poly_product(_standard_poly_in_u(alpha), _poly_product(tail, tail))
+    out = []
+    with mpmath.workdps(40):
+        for n in range(top + 1):
+            nu_n = mpmath.mpf(0)
+            for k, c in nu.items():
+                rising = mpmath.fprod(2 * n + 2 + i for i in range(k + 1))
+                nu_n += mpmath.mpf(c.numerator) / c.denominator * mpmath.factorial(k) / rising
+            om = mpmath.mpf(alpha + 1) / 2 * mpmath.beta(n + 1, alpha + 1)
+            mu = mpmath.mpf(beta + 1) / 2 * mpmath.beta(n + 1, beta + 1)
+            out.append(float(nu_n / (mu * mu * om)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2)])
+def test_p2_monomial_ratios_against_mpmath_beta_quotients(alpha, beta):
+    # a curve to n_max = 4096 reads R_n to its grid's last n, 4217
+    top = int(geometric_int_grid(4096)[-1])
+    omega, mu = StandardWeight(alpha), StandardWeight(beta)
+    got = p2_monomial_ratios(omega, mu, top)
+    want = oracle_standard_monomial_ratios(alpha, beta, top)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # and reports their exact extremes over every n <= 4217
+    params = monomial_necessity_curve(omega, mu, 2.0, 4096).params
+    assert params["monomial_ratio_argmin"] == int(np.argmin(want))
+    assert params["monomial_ratio_argmax"] == int(np.argmax(want))
+    assert params["monomial_ratio_min"] == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+    assert params["monomial_ratio_max"] == pytest.approx(want.max(), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=st.sampled_from(["standard:1", "log:2", "exp:1,1"]),
+       degree=st.integers(1, 96), seed=st.integers(0, 2**32 - 1))
+def test_p2_ratio_lies_between_the_monomial_ratios_of_its_support(spec, degree, seed):
+    # ||D f||^2 / ||f||^2 = sum_n w_n R_n, w_n = |c_n|^2 omega_{2n+1} / ||f||^2,
+    # a convex combination of the R_n over f's support
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * (
+        rng.uniform(size=degree + 1) < 0.5)
+    coeffs[degree] = 1.0
+    f, omega, mu = TaylorSeries(coeffs), parse_weight_spec(spec), StandardWeight(1.0)
+    ratio = lp_ratio(f, omega, mu, 2.0)
+    support = p2_monomial_ratios(omega, mu, degree)[f.support()]
+    assert support.min() * (1.0 - 1e-12) <= ratio <= support.max() * (1.0 + 1e-12)
+
+
+def test_p2_reports_carry_the_exact_extremes(std1):
+    # the sweep's params cover every n up to its largest degree, which the
+    # dyadic monomial rows miss: log:2 against standard:1 peaks between them
+    report = equivalence_sweep(default_family(n_max=512), LogWeight(2.0), std1, 2.0)
+    params = report.params
+    top = max(f.degree for _, f in default_family(n_max=512))
+    monomial_ratios = p2_monomial_ratios(LogWeight(2.0), std1, top)
+    assert params["monomial_ratio_max"] == monomial_ratios.max()
+    assert params["monomial_ratio_argmax"] == int(np.argmax(monomial_ratios))
+    rows = [r for label, r in zip(report.columns["f"], report.columns["ratio"])
+            if label.startswith("monomial:")]
+    assert params["monomial_ratio_max"] > max(rows) * (1.0 + 1e-3)
+    assert params["monomial_ratio_min"] <= min(report.columns["ratio"]) * (1.0 + 1e-12)
+    assert "monomial_ratio_min" not in equivalence_sweep(
+        monomial_family(16), LogWeight(2.0), std1, 1.0).params
+
+
+def test_means_check_takes_its_tails_from_one_array_call(monkeypatch):
+    fam = [("geometric:0.5,1", series.geometric_series(0.5, 1.0, 32)),
+           ("monomial:3", TaylorSeries.monomial(3))]
+    # the report that scalar tails, one per pair, give
+    mu = LogWeight(2.0)
+    monkeypatch.setattr(mu, "prefetch_tails", lambda rs: None)
+    scalar = integral_means_check(fam, mu, 1.0)
+    scalar_calls = len(mu._tail_memo)
+    mu, calls = LogWeight(2.0), []
+    monkeypatch.setattr(mu, "log_tail", lambda r: calls.append(r))
+    report = integral_means_check(fam, mu, 1.0)
+    assert report.columns == scalar.columns
+    assert calls == [] and scalar_calls > 0

@@ -767,6 +767,11 @@ def test_parse_weight_spec_keyvalue_grammar():
         "family=standard",
         "family=standard alpha=1.0 extra=2",
         "family=banana alpha=1.0",
+        # empty fields and repeated keys are refused, not dropped or overwritten
+        "standard:,1",
+        "exp:1,,2",
+        "standard:1,",
+        "family=standard alpha=1 alpha=2",
     ],
 )
 def test_parse_weight_spec_rejects(text):
