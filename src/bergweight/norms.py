@@ -38,9 +38,8 @@ without sampling them.
 
 At p = 2 nothing samples a circle or builds an order-GL_ORDER rule: both
 sides are sums over the coefficients' squares.  A Bergman norm is
-||f||^2 = 2 sum_n |c_n|^2 m_n, with m_n the odd moments of the weight's
-order-MOMENT_ORDER rule for s^(2 deg f + 1), the rule ``moment`` uses
-there, which keeps them; a block norm is sum_n eta_{k^n} sum_j
+||f||^2 = 2 sum_n |c_n|^2 m_n, with m_n the weight's odd moments
+(``RadialWeight.odd_moments``); a block norm is sum_n eta_{k^n} sum_j
 |v_n(j) c_j|^2, with the squares |v_n(j)|^2 kept next to the cached basis.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
@@ -53,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .series import (
     CIRCLE_DOUBLING_TOL,
     _abs_power,
@@ -63,7 +62,7 @@ from .series import (
     nearer_root,
     parseval_means,
 )
-from .weights import MOMENT_ORDER, dcheck_margin
+from .weights import dcheck_margin
 from .quadrature import cell_nodes
 from . import cesaro
 
@@ -629,31 +628,9 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
 
 
 def _radial_rule(w, x_scale):
-    """The order-GL_ORDER rule of ``w`` for ``x_scale``, checked by
-    ``_resolved``."""
-    return _resolved(w, w.radial_rule(x_scale, order=GL_ORDER))
-
-
-def _p2_rule(w, x_top):
-    """The order-MOMENT_ORDER rule that ``w.moments`` integrates every order
-    up to ``x_top`` on, checked by ``_resolved``; its odd-moment table
-    m_n = int s^(2n+1) w(s) ds serves every p = 2 norm for n up to
-    (x_top - 1) / 2."""
-    return _resolved(w, w.radial_rule(x_top, order=MOMENT_ORDER))
-
-
-def _resolved(w, rule):
-    """``rule``, a rule of ``w``; raises when all of its mass sits below the
-    normal double range, where the rule weights have flushed to zero or to
-    subnormals that keep only a few digits."""
-    tiny = np.finfo(float).tiny
-    if rule.boundary_mass < tiny and not np.any(rule.weights >= tiny):
-        raise QuadratureError(
-            f"the radial rule of {w.label} underflows double precision (log tail(0) = "
-            f"{w.log_tail(0.0):.1f}); rescale the weight with scaled() first",
-            residual=float(np.max(rule.weights, initial=0.0)),
-        )
-    return rule
+    """The order-GL_ORDER rule of ``w`` for ``x_scale``, refused where it
+    underflows (``w.resolved_rule``)."""
+    return w.resolved_rule(x_scale, order=GL_ORDER)
 
 
 def _parseval_norm(coeffs, moments):
@@ -695,9 +672,10 @@ def bergman_norm(f, w, p):
     """Weighted Bergman norm (2 int r M_p^p(r, f) w(r) dr)^(1/p).
 
     At p = 2 nothing samples a circle: by Parseval the norm's square is
-    2 sum_n |c_n|^2 m_n, with m_n the odd moments of the weight's
-    order-MOMENT_ORDER rule for s^(2 deg f + 1) (``_p2_rule``), the rule
-    that ``w.moment`` uses there, whose table every series it serves shares.
+    2 sum_n |c_n|^2 m_n, with m_n the weight's odd moments
+    (``w.odd_moments(deg f + 1)``): closed-form Beta values for a standard
+    weight, else the table kept with the rule ``w.moment`` uses for
+    s^(2 deg f + 1), which every series it serves shares.
     Other exponents integrate ``_power_means`` over the weight's
     order-GL_ORDER radial rule and its boundary atom.
     """
@@ -707,8 +685,7 @@ def bergman_norm(f, w, p):
         return 0.0
     degree = f.degree
     if p == 2.0:
-        table = _p2_rule(w, 2.0 * degree + 1.0).odd_moments(degree + 1)
-        return _parseval_norm(f.coeffs[: degree + 1], table)
+        return _parseval_norm(f.coeffs[: degree + 1], w.odd_moments(degree + 1))
     rule = _radial_rule(w, p * degree + 2.0)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
@@ -812,7 +789,8 @@ def block_sum_compare(a, eta, k, p):
 
     Returns (lhs, rhs) with lhs = int_0^1 (sum a_j s^j)^p eta(s) ds and
     rhs = sum_n eta_{k^n} t_n^p, where t_0 sums a_j below k and t_n sums the
-    band k^n <= j < k^(n+1).
+    band k^n <= j < k^(n+1); eta_1 and the eta_{k^n} of the nonzero bands
+    come from one ``eta.moments`` call.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -830,11 +808,15 @@ def block_sum_compare(a, eta, k, p):
     rule = _radial_rule(eta, p * degree + 1.0)
     poly_at_nodes = np.polynomial.polynomial.polyval(rule.nodes, a)
     lhs = rule.integrate(poly_at_nodes**p, float(np.sum(a)) ** p)
-    rhs = float(eta.moment(1.0)) * float(np.sum(a[:k])) ** p
+    bands = [(1.0, float(np.sum(a[:k])))]
     n = 1
     while k**n <= degree:
         t_n = float(np.sum(a[k**n : k ** (n + 1)]))
         if t_n > 0.0:
-            rhs += eta.moment(float(k) ** n) * t_n**p
+            bands.append((float(k) ** n, t_n))
         n += 1
+    orders, sums = zip(*bands)
+    rhs = 0.0
+    for moment, t_n in zip(eta.moments(orders).tolist(), sums):
+        rhs += moment * t_n**p
     return lhs, rhs

@@ -10,9 +10,9 @@ act coefficientwise:
 
 The first two coincide when mu is the standard weight b*(1-s^2)^(b-1); both
 apply the n = 0 term through the same formula even though classical
-presentations sometimes start the Gamma-quotient sum at n = 1.  A standard
-weight's odd moments, the Gamma quotients here and the geometric family's
-binomials are running products of their term ratios.  Circle samples are
+presentations sometimes start the Gamma-quotient sum at n = 1.  The
+Gamma quotients here and the geometric family's binomials are running
+products of their term ratios, as a standard weight's odd moments are.  Circle samples are
 batched ``numpy.fft`` transforms, done in place in a per-thread workspace.
 """
 
@@ -24,7 +24,7 @@ import threading
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ResourceError
-from .weights import StandardWeight, dhat_verdict
+from .weights import dhat_verdict
 
 DEFAULT_DEGREE = 1024
 # the most coefficients a parsed or read series may have (16 MiB of complex
@@ -100,23 +100,8 @@ def _multiplied(f, multipliers):
     return TaylorSeries(f.coeffs * np.asarray(multipliers))
 
 
-def odd_moments(mu, max_n):
-    """mu_{2n+1} for n = 0..max_n; a standard weight's are (a/2) B(n + 1, a),
-    a = alpha + 1, by the step B(n + 2, a) = B(n + 1, a) (n + 1) / (n + 1 + a)
-    from (a/2) B(1, a) = 1/2.  Every factor is below 1, so the running
-    product underflows only where the moment does.  Other weights' are the
-    odd-moment table of the one order-12 rule that ``mu.moment(2 max_n + 1)``
-    integrates on (a read-only view)."""
-    if isinstance(mu, StandardWeight):
-        steps = np.ones(max_n + 1)
-        n = np.arange(1.0, max_n + 1.0)
-        steps[1:] = n / (n + (mu.alpha + 1.0))
-        return mu.amplitude * 0.5 * np.cumprod(steps)
-    return mu.radial_rule(2.0 * max_n + 1.0).odd_moments(max_n + 1)
-
-
 def derivative_moments(mu, max_n, check=True):
-    """``odd_moments(mu, max_n)``, the divisors of ``frac_deriv_mu``, with its
+    """``mu.odd_moments(max_n + 1)``, the divisors of ``frac_deriv_mu``, with its
     checks: ``mu`` must pass the upper-doubling screen (unless ``check`` is
     False) and every moment must be a positive double."""
     if check and dhat_verdict(mu) == "out":
@@ -124,7 +109,7 @@ def derivative_moments(mu, max_n, check=True):
             f"weight {mu.label} looks outside the upper-doubling class; "
             "pass check=False to apply the derivative anyway"
         )
-    moments = odd_moments(mu, max_n)
+    moments = mu.odd_moments(max_n + 1)
     bad = np.nonzero(~(moments > 0.0) | ~np.isfinite(moments))[0]
     if bad.size:
         raise QuadratureError(

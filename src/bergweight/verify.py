@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .norms import (_block_energies, _block_k, _p2_rule, _parseval_norm, bergman_norm,
-                    block_norm, hardy_norm, integral_mean)
+from .norms import (_block_energies, _block_k, _parseval_norm, bergman_norm, block_norm,
+                    hardy_norm, integral_mean)
 from .cesaro import build_basis
 from .series import (TaylorSeries, derivative_moments, frac_deriv_mu, geometric_series,
                      lacunary_series, parse_series_spec, read_series_csv)
@@ -133,12 +133,12 @@ def default_family(n_max=2048, geometric_degree=1024, random_degree=512, seed=DE
 
 
 def geometric_int_grid(n_max):
-    """Distinct integers, GRID_PER_DECADE a decade from 1 to ``n_max``."""
+    """Distinct integers, GRID_PER_DECADE a decade from 1 to at most ``n_max``."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     count = int(math.ceil(GRID_PER_DECADE * math.log10(n_max))) + 1
-    grid = 10.0 ** (np.arange(count) / GRID_PER_DECADE)
-    return np.unique(np.round(grid).astype(int))
+    grid = np.unique(np.round(10.0 ** (np.arange(count) / GRID_PER_DECADE)).astype(int))
+    return grid[grid <= n_max]
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +164,10 @@ def lp_ratio(f, omega, mu, p, nu=None, check=True):
 
 
 def _p2_tables(omega, mu, nu, top, check):
-    """The p = 2 sequences for n <= top: omega's and nu's odd-moment tables,
-    each from the one rule ``_p2_rule`` gives for s^(2 top + 1), mu's odd
-    moments as ``frac_deriv_mu`` divides by them, and the monomial ratios
-    R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1})."""
-    x_top = 2.0 * top + 1.0
-    om = _p2_rule(omega, x_top).odd_moments(top + 1)
-    nu_m = _p2_rule(nu, x_top).odd_moments(top + 1)
+    """The p = 2 sequences for n <= top: omega's and nu's odd-moment tables
+    (``odd_moments``), mu's as ``frac_deriv_mu`` divides by them, and the
+    monomial ratios R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1})."""
+    om, nu_m = omega.odd_moments(top + 1), nu.odd_moments(top + 1)
     mu_m = derivative_moments(mu, top, check)
     # where a table underflows, R_n is not a positive double
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -411,10 +408,10 @@ def norm_equivalence_check(family, eta, k, p, check=True):
 
 def _p2_norm_ratios(family, eta, k):
     """Bergman-to-block ratios at p = 2 of the nonzero series ``family``, each
-    the quotient of two sums over its coefficients' squares, with eta's
-    moments from one rule: the odd-moment table for the largest degree N and
-    eta_{k^n} at every block that meets a series, from one ``moments`` call
-    whose orders reach the table's top order 2N + 1 too."""
+    the quotient of two sums over its coefficients' squares: eta's
+    odd-moment table for the largest degree N, and eta_{k^n} at every block
+    that meets a series from one ``moments`` call whose orders reach the
+    table's top order 2N + 1 too, so that at k = 2 both read one rule."""
     top = max(f.degree for f in family)
     energies = [_block_energies(f.coeffs[: f.degree + 1], k) for f in family]
     eta_k = np.zeros(max(e.size for _, e in energies))
@@ -422,9 +419,8 @@ def _p2_norm_ratios(family, eta, k):
     for _, e in energies:
         met[: e.size] |= e > 0.0
     met = np.flatnonzero(met)
-    x_top = max(2.0 * top + 1.0, float(k) ** met[-1])
-    eta_k[met] = eta.moments(np.append(float(k) ** met, x_top))[:-1]
-    table = _p2_rule(eta, x_top).odd_moments(top + 1)
+    eta_k[met] = eta.moments(np.append(float(k) ** met, 2.0 * top + 1.0))[:-1]
+    table = eta.odd_moments(top + 1)
     ratios = []
     for f, (scale, e) in zip(family, energies):
         bergman = _parseval_norm(f.coeffs[: f.degree + 1], table) / scale

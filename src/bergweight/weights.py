@@ -31,7 +31,8 @@ s^x on the weight's own radial rule, whose dyadic cells split by how much
 s^x and the density vary across them.  ``moment(x)`` builds the rule for
 its own order; ``moments(xs)`` integrates every order on the one rule for
 the largest, and ``classify`` reads all of its moment curves' orders from
-one such batch.
+one such batch.  ``odd_moments(count)`` is the one table behind every
+p = 2 quantity: Beta steps for ``standard``, else the rule's own table.
 
 ``classify`` samples the upper-doubling, lower-doubling, and moment-doubling
 ratio curves on geometric grids and turns them into heuristic verdicts for
@@ -399,6 +400,27 @@ class RadialWeight:
                                   residual=value)
         return values
 
+    def odd_moments(self, count):
+        """The p = 2 table m_n = int s^(2n+1) w(s) ds, n < count: the odd-moment
+        table of the order-12 rule that ``moment(2 count - 1)`` integrates on
+        (a read-only view), refused where that rule underflows."""
+        return self.resolved_rule(2.0 * count - 1.0).odd_moments(count)
+
+    def resolved_rule(self, x_scale, order=MOMENT_ORDER):
+        """``radial_rule(x_scale, order)``, refused when its boundary mass and
+        every weight underflow."""
+        rule = self.radial_rule(x_scale, order)
+        self._refuse_underflow(max(rule.boundary_mass, float(np.max(rule.weights, initial=0.0))))
+        return rule
+
+    def _refuse_underflow(self, mass):
+        """Raise when ``mass``, the largest of a rule or table of the weight, lies
+        below the normal double range: flushed to 0 or to subnormals of few digits."""
+        if not mass >= np.finfo(float).tiny:
+            raise QuadratureError(
+                f"the radial rule of {self.label} underflows double precision (log tail(0) = "
+                f"{self.log_tail(0.0):.1f}); rescale the weight with scaled() first", residual=mass)
+
     def radial_rule(self, x_scale=1.0, order=MOMENT_ORDER):
         """Quadrature rule for integrals of g(s) * density(s) over [0, 1).
 
@@ -558,6 +580,14 @@ class StandardWeight(RadialWeight):
         a = self.alpha + 1.0
         return np.array([self.amplitude * (a / 2.0) * math.exp(log_beta((x + 1.0) / 2.0, a))
                          for x in xs.tolist()])
+
+    def odd_moments(self, count):
+        # (a/2) B(n + 1, a), a = alpha + 1, by the steps B(n + 2, a) / B(n + 1, a)
+        # = (n + 1) / (n + 1 + a) from (a/2) B(1, a) = 1/2; every step is below
+        # 1, so the running product underflows only where the moment does
+        self._refuse_underflow(0.5 * self.amplitude)
+        n = np.arange(1.0, count)
+        return self.amplitude * 0.5 * np.cumprod(np.append(1.0, n / (n + (self.alpha + 1.0))))
 
     def _build_rule(self, x_scale, order):
         # dyadic cells until the closed-form tail drops below 1e-13 of the

@@ -9,6 +9,7 @@ from bergweight import (
     DomainError,
     LogWeight,
     QuadratureError,
+    RadialWeight,
     StandardWeight,
     TaylorSeries,
     bergman_norm,
@@ -23,6 +24,7 @@ from bergweight import (
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
 from bergweight import norms, quadrature, series
 from bergweight.norms import DEFAULT_SETTINGS, NormSettings
+from bergweight.weights import MOMENT_ORDER
 
 from conftest import (
     oracle_circle_values,
@@ -241,6 +243,42 @@ def test_block_sum_compare_bracket_stable_under_degree_doubling(std1):
     assert b2 < 3.0 * b1 + 1.0
 
 
+def block_sum_rhs(a, eta, k, p):
+    """sum_n eta_{k^n} t_n^p with every eta_{k^n} from its own ``moment``."""
+    rhs = float(eta.moment(1.0)) * float(np.sum(a[:k])) ** p
+    n = 1
+    while k**n < a.size:
+        t_n = float(np.sum(a[k**n : k ** (n + 1)]))
+        if t_n > 0.0:
+            rhs += eta.moment(float(k) ** n) * t_n**p
+        n += 1
+    return rhs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_sum_compare_reads_eta_from_one_moments_call(k, monkeypatch):
+    # a log:2 eta builds one order-12 rule for every band, next to the
+    # order-8 rule of the integral; a standard eta's moments are closed
+    # forms, the same in a batch as one by one
+    a = np.random.default_rng(5151).uniform(0.0, 1.0, 300)
+    a[[5, 40, 41]] = 0.0
+    built = {}
+    original = RadialWeight.radial_rule
+
+    def spy(self, x_scale=1.0, order=MOMENT_ORDER):
+        rule = original(self, x_scale, order)
+        built[id(rule)] = order
+        return rule
+
+    monkeypatch.setattr(RadialWeight, "radial_rule", spy)
+    block_sum_compare(a, parse_weight_spec("log:2"), k, 1.0)
+    assert sorted(built.values()) == [norms.GL_ORDER, MOMENT_ORDER]
+    monkeypatch.undo()
+    for eta in (StandardWeight(1.0), StandardWeight(-0.5)):
+        for p in (0.5, 2.0):
+            assert block_sum_compare(a, eta, k, p)[1] == block_sum_rhs(a, eta, k, p)
+
+
 def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
     # the r = 1 circle carries the rule's boundary mass (1e-13 here), and it is
     # budgeted like a node of that mass: its coefficient bracket settles it
@@ -271,9 +309,9 @@ def test_bergman_norm_boundary_circle_settles_at_base_count(std1, monkeypatch):
 def bergman_radii(f, w, p):
     """The radii and masses ``bergman_norm`` integrates over: the rule's nodes
     and its boundary atom at r = 1 (at p = 2 the order-12 rule whose odd
-    moments it sums)."""
+    moments it sums for a weight without a closed form)."""
     if p == 2.0:
-        rule = norms._p2_rule(w, 2.0 * f.degree + 1.0)
+        rule = w.radial_rule(2.0 * f.degree + 1.0)
     else:
         rule = norms._radial_rule(w, p * f.degree + 2.0)
     return (np.append(rule.nodes, 1.0),
@@ -533,7 +571,7 @@ def test_monomial_norm_scans_no_radius_for_the_flush(std1, monkeypatch):
     calls.clear()
     got = bergman_norm(TaylorSeries.monomial(64), std1, 2.0)
     assert calls == []
-    assert got == math.sqrt(2.0 * norms._p2_rule(std1, 129.0).odd_moments(65)[64])
+    assert got == math.sqrt(2.0 * std1.odd_moments(65)[64])
 
 
 def test_monomial_norm_samples_four_points_per_radius(std1, monkeypatch):
@@ -611,6 +649,41 @@ def test_p2_bergman_norm_against_beta_moments(alpha):
         f = random_series(degree, rng)
         want = 2.0 * float(np.dot(np.abs(f.coeffs) ** 2, moments[: degree + 1]))
         assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def beta_odd_moments(alpha, top):
+    """omega_{2n+1} = (a/2) B(n + 1, a), a = alpha + 1, for n <= top in 40-digit
+    mpmath."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha) + 1
+        return [a / 2 * mpmath.beta(n + 1, a) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.9, -0.5])
+def test_p2_bergman_norm_of_negative_alpha_weights_against_mpmath_beta(alpha):
+    # near the boundary these weights keep mass that no rule in s resolves
+    # to 1e-12; their odd moments are closed forms
+    w = StandardWeight(alpha)
+    moments = beta_odd_moments(alpha, 2048)
+    for n in (0, 1, 100, 2048):
+        got = bergman_norm(TaylorSeries.monomial(n), w, 2.0) ** 2 / 2.0
+        assert got == pytest.approx(float(moments[n]), rel=1e-12, abs=0.0)
+    f = random_series(256, np.random.default_rng(int(-100 * alpha)))
+    with mpmath.workdps(40):
+        want = 2 * mpmath.fsum(abs(mpmath.mpc(complex(c))) ** 2 * m
+                               for c, m in zip(f.coeffs, moments))
+    assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def test_p2_tables_refuse_a_standard_weight_below_the_normal_range():
+    # omega_1 = amplitude / 2 = 1e-308 is subnormal
+    w = StandardWeight(1.0, amplitude=2e-308)
+    for run in (lambda: w.odd_moments(3), lambda: bergman_norm(TaylorSeries.monomial(2), w, 2.0),
+                lambda: series.frac_deriv_mu(TaylorSeries.monomial(2), w, check=False)):
+        with pytest.raises(QuadratureError, match=r"underflows.*scaled\(\)") as err:
+            run()
+        assert w.label in str(err.value) and f"{w.log_tail(0.0):.1f}" in str(err.value)
+    assert StandardWeight(1.0, amplitude=1e-300).odd_moments(3)[0] == 5e-301
 
 
 @pytest.mark.parametrize("spec, oracle", [
@@ -704,7 +777,7 @@ def test_p2_table_is_exact_under_growth_to_many_blocks():
     # grown in steps equals one built at once, and entries far down it still
     # match the rule's own integrals of s^(2n + 1)
     def fresh_rule():
-        return norms._p2_rule(parse_weight_spec("log:2"), 2.0 * 4096 + 1.0)
+        return parse_weight_spec("log:2").radial_rule(2.0 * 4096 + 1.0)
 
     rule = fresh_rule()
     for count in (1, 65, 700, 4097):

@@ -181,6 +181,16 @@ def test_geometric_int_grid_shape():
     assert np.all(np.diff(grid) > 0)
 
 
+@pytest.mark.parametrize("n_max, last", [(8, 7), (100, 100), (512, 422), (4096, 3162),
+                                         (10_000, 10_000)])
+def test_geometric_int_grid_ends_at_or_below_n_max(n_max, last):
+    # the rounded points 10^(i/8) up to n_max, and no further
+    grid = geometric_int_grid(n_max)
+    points = sorted({round(10.0 ** (i / 8)) for i in range(40)})
+    assert grid.tolist() == [n for n in points if n <= n_max]
+    assert grid[-1] == last
+
+
 # ---------------------------------------------------------------------------
 # integral means check
 
@@ -377,13 +387,15 @@ def rules_built(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
 def test_p2_experiments_build_one_order_12_rule_per_weight(spec, rules_built):
+    # a standard weight's odd moments are closed forms and build no rule
     family, nu = p2_family(), f"{spec}*tail(standard:1)^2"
+    own = {} if spec == "standard:1" else {spec: [MOMENT_ORDER]}
     equivalence_sweep(family, parse_weight_spec(spec), StandardWeight(1.0), 2.0)
-    assert rules_built() == {spec: [MOMENT_ORDER], nu: [MOMENT_ORDER]}
+    assert rules_built() == {**own, nu: [MOMENT_ORDER]}
     norm_equivalence_check(family, parse_weight_spec(spec), 2, 2.0, check=False)
-    assert rules_built() == {spec: [MOMENT_ORDER]}
+    assert rules_built() == own
     monomial_necessity_curve(parse_weight_spec(spec), StandardWeight(1.0), 2.0, 10_000)
-    assert rules_built() == {spec: [MOMENT_ORDER], nu: [MOMENT_ORDER]}
+    assert rules_built() == {**own, nu: [MOMENT_ORDER]}
 
 
 @pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
@@ -451,7 +463,7 @@ def oracle_standard_monomial_ratios(alpha, beta, top):
 
 @pytest.mark.parametrize("alpha, beta", [(1, 1), (3, 2)])
 def test_p2_monomial_ratios_against_mpmath_beta_quotients(alpha, beta):
-    # a curve to n_max = 4096 reads R_n to its grid's last n, 4217
+    # a curve to n_max = 4096 reads R_n to its grid's last n, 3162
     top = int(geometric_int_grid(4096)[-1])
     omega, mu = StandardWeight(alpha), StandardWeight(beta)
     got = p2_monomial_ratios(omega, mu, top)
