@@ -289,14 +289,13 @@ def integral_means_check(family, mu, p, grid=None):
     col_rho = []
     quotients = []
     skipped = 0
-    # every tail the quotients may read, in one array call
-    mu.prefetch_tails([grid[i] / grid[j] for i, j in pairs])
+    tails = None  # every tail the quotients may read, by pair, from one array call
     for label, f in family:
         df = frac_deriv_mu(f, mu)
         # means of f at rho and of D_mu f at r, by grid index, taken when first needed
         means = [None] * grid.size
         dmeans = [None] * grid.size
-        for i, j in pairs:
+        for pair, (i, j) in enumerate(pairs):
             r, rho = grid[i], grid[j]
             if means[j] is None:
                 means[j] = integral_mean(f, rho, p)
@@ -308,7 +307,9 @@ def integral_means_check(family, mu, p, grid=None):
             if dmeans[i] == 0.0:
                 skipped += 1  # zero rows carry no bound information
                 continue
-            quotients.append(dmeans[i] * mu.tail(r / rho) / means[j])
+            if tails is None:  # at the first row, after the errors of its means
+                tails = mu.tail(np.array([grid[a] / grid[b] for a, b in pairs])).tolist()
+            quotients.append(dmeans[i] * tails[pair] / means[j])
             labels.append(label)
             col_r.append(float(r))
             col_rho.append(float(rho))
@@ -347,29 +348,36 @@ def suma_check(mu, gamma, k, depth=25, check=True):
             "pass check=False to run the comparison anyway"
         )
     r_grid = np.array([1.0 - 2.0 ** (-i) for i in range(depth + 1)])
-    mu.prefetch_tails(r_grid)
-    ratios = []
-    for r in r_grid:
-        total = 1.0
-        log_r = math.log(r) if r > 0 else -math.inf
-        previous = math.inf
-        for n in range(SUMA_MAX_TERMS):
-            power = float(k) ** n
-            term = math.exp(power * log_r)
-            try:
-                scale = mu.moment(power) ** gamma
-            except OverflowError:
-                scale = math.inf
-            if not 0.0 < scale < math.inf:
-                raise DomainError(
-                    f"moment({power:g})^gamma of {mu.label} leaves double precision "
-                    f"at gamma = {gamma!r}; use a smaller gamma")
-            term /= scale
-            total += term
-            if term < previous and term < SUMA_TERM_FLOOR * total:
-                break
-            previous = term
-        ratios.append(total * mu.tail(float(r)) ** gamma)
+    scales = []  # mu_{k^n}^gamma, taken when a radius first reaches n
+    sums = []
+    try:
+        for r in r_grid:
+            total = 1.0
+            log_r = math.log(r) if r > 0 else -math.inf
+            previous = math.inf
+            for n in range(SUMA_MAX_TERMS):
+                power = float(k) ** n
+                if n == len(scales):
+                    try:
+                        scale = mu.moment(power) ** gamma
+                    except OverflowError:
+                        scale = math.inf
+                    if not 0.0 < scale < math.inf:
+                        raise DomainError(
+                            f"moment({power:g})^gamma of {mu.label} leaves double precision "
+                            f"at gamma = {gamma!r}; use a smaller gamma")
+                    scales.append(scale)
+                term = math.exp(power * log_r) / scales[n]
+                total += term
+                if term < previous and term < SUMA_TERM_FLOOR * total:
+                    break
+                previous = term
+            sums.append(total)
+    except (ValueError, ArithmeticError):
+        if sums:  # a tail refused at an earlier radius comes first
+            mu.tail(r_grid[:len(sums)])
+        raise
+    ratios = [total * tail ** gamma for total, tail in zip(sums, mu.tail(r_grid).tolist())]
     verdict, growth = stability_verdict(ratios)
     return ExperimentReport(
         experiment="suma-check",

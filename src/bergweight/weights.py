@@ -39,18 +39,18 @@ ratio curves on geometric grids and turns them into heuristic verdicts for
 membership in the corresponding weight classes.  The tail ratios are one
 curve per k, tail(r) / tail(1 - (1-r)/k), memoized per weight and k; the
 upper-doubling curve ``dhat`` is the one at k = 2, since (1+r)/2 and
-1 - (1-r)/2 are the same double on the dyadic grid.  ``classify`` asks for
-every tail its curves may read in one ``prefetch_tails`` call; a curve built
-on its own (for ``dhat_verdict`` or ``dcheck_margin``) asks in one call for
-0, the grid and that grid's k-radii, and ``verify.suma_check`` for its own
-radii.  The curves then read the memo and stop where they always did.
+1 - (1-r)/2 are the same double on the dyadic grid.  A weight keeps no
+tail or moment values: ``classify`` reads every tail its curves may need
+in one call of the weight's tail routine, a curve built on its own (for
+``dhat_verdict`` or ``dcheck_margin``) reads 0, the candidate radii and
+their k-radii in one, and the grid and the curves are then cut as arrays,
+raising for an unresolved tail only where a walk along them would reach it.
 Verdicts are finite-grid diagnostics, never certificates.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -244,13 +244,11 @@ class RadialWeight:
         self.amplitude = float(amplitude)
         # memo tables: plain dicts, safe for concurrent read/insert under the
         # GIL (a race at worst recomputes the same pure value)
-        self._moment_memo = {}
         self._rule_memo = {}
         self._tables = {}  # Gauss order -> _CellTable
         self._classify_memo = None
         self._dhat_memo = None  # dhat_verdict
         self._ratio_memo = {}  # k -> tail-ratio curve on the default r-grid
-        self._tail_memo = {}  # radius -> log tail
 
     # -- family hooks -------------------------------------------------------
 
@@ -296,15 +294,20 @@ class RadialWeight:
     # -- shared surface ------------------------------------------------------
 
     def tail(self, r):
-        """Mass of the weight beyond radius r; raises if it underflows doubles."""
-        lt = self._memo_log_tail(r)
-        if lt < LOG_UNDERFLOW:
+        """Mass of the weight beyond radius r, or beyond each radius of an
+        array (in its shape), from one ``log_tails`` call; raises for the
+        first tail that underflows doubles."""
+        lt = self.log_tails(r)
+        low = lt < LOG_UNDERFLOW
+        if low.any():
+            i = int(np.argmax(low))
+            radius, value = (r if lt.ndim == 0 else float(np.ravel(r)[i])), float(lt.flat[i])
             raise QuadratureError(
-                f"tail({r}) of {self.label} underflows double precision "
-                f"(log tail = {lt:.1f}); use log_tail",
-                residual=lt,
+                f"tail({radius}) of {self.label} underflows double precision "
+                f"(log tail = {value:.1f}); use log_tail",
+                residual=value,
             )
-        return math.exp(lt)
+        return math.exp(lt) if lt.ndim == 0 else _map(math.exp, lt)
 
     def log_tail(self, r):
         """log of the mass beyond radius r: ``log_tails`` at one radius.  Each
@@ -337,57 +340,22 @@ class RadialWeight:
             raise self._unresolved(float(flat[k]), float(integral[k]))
         return out.reshape(rs.shape)
 
-    def prefetch_tails(self, rs):
-        """Put the log tails at the radii ``rs`` (in [0, 1)) that the memo lacks
-        into it, from one array call.  A radius whose tail is not resolved is
-        left out, and so is every radius when the call raises: ``tail``
-        raises for such a radius only when a caller reaches it."""
-        memo = self._tail_memo
-        fresh = np.array([r for r in dict.fromkeys(map(float, rs)) if r not in memo])
-        if not fresh.size:
-            return
-        try:
-            out, _ = self._resolved_log_tails(fresh)
-        except Exception:
-            return
-        ok = ~np.isnan(out)
-        memo.update(zip(fresh[ok].tolist(), out[ok].tolist()))
-
-    def _memo_log_tail(self, r):
-        """log_tail(r), memoized per weight instance: ``tail`` callers and the
-        classification curves revisit radii (on the dyadic grid, 1 - (1-r)/k
-        for k = 2^i is a later grid radius)."""
-        r = float(r)
-        try:
-            return self._tail_memo[r]
-        except KeyError:
-            lt = self._tail_memo[r] = self.log_tail(r)
-            return lt
-
     def tail_many(self, rs):
         """Tails at every radius in ``rs``; tails below double range flush to 0."""
         return _map(math.exp, self.log_tails(np.atleast_1d(rs)))
 
     def moment(self, x):
-        """Moment of order x >= 0, memoized per weight instance."""
+        """Moment of order x >= 0: ``moments`` at that one order, on the rule
+        for its own order."""
         if not (x >= 0.0) or math.isnan(x):
             raise DomainError(f"moment order must be >= 0, got {x!r}")
-        x = float(x)
-        memo = self._moment_memo
-        try:
-            return memo[x]
-        except KeyError:
-            pass
-        value = float(self.moments(np.array([x]))[0])
-        memo[x] = value  # atomic under the GIL; worst case recomputed
-        return value
+        return float(self.moments(np.array([float(x)]))[0])
 
     def moments(self, xs):
         """Moments at every order of ``xs``, all integrated on the one order-12
         rule for the largest order, so that ``moment(x)`` builds the rule for
-        its own order.  The memo is neither read nor written, so no value
-        depends on earlier calls; raises for the first order that is not
-        >= 0, or whose moment is not a positive double."""
+        its own order; raises for the first order that is not >= 0, or whose
+        moment is not a positive double."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         bad = ~(xs >= 0.0)
         if bad.any():
@@ -1122,58 +1090,77 @@ def _inf_margin_verdict(vals):
     return "inconclusive", info
 
 
-_R_CANDIDATES = tuple(1.0 - 2.0 ** (-i) for i in range(HARD_I_CAP + 1))
+_R_CANDIDATES = 1.0 - np.ldexp(1.0, -np.arange(HARD_I_CAP + 1))  # 1 - 2^-i, from r = 0
+_R_CANDIDATES.flags.writeable = False  # grids and curves are slices of it
+_MOMENT_RADII = np.where(X_GRID > 1.0, 1.0 - 1.0 / X_GRID, 0.0)  # moment_vs_tail's 1 - 1/x
 
 
-def _moment_radius(x):
-    return 1.0 - 1.0 / x if x > 1 else 0.0
+def _walk(stop, log_dens=None, refuse=None):
+    """Where a walk along a curve ends: the index i of the first True of
+    ``stop``, or its size.  When ``refuse`` is given and the log tail
+    ``log_dens[i]`` read there is nan (unresolved), raises ``refuse(i)``."""
+    end = int(np.argmax(stop)) if stop.any() else stop.size
+    if refuse is not None and end < stop.size and np.isnan(log_dens[end]):
+        raise refuse(end)
+    return end
+
+
+def _cut(xs, log_nums, log_dens, refuse=None):
+    """(xs, exp(log_nums - log_dens)) cut before the first point whose log
+    ratio is not finite or passes +-LOG_RATIO_CAP: every ratio it reports
+    is a positive double.  With ``refuse``, a nan denominator is an
+    unresolved tail and raises there (see ``_walk``)."""
+    with np.errstate(invalid="ignore"):
+        log_ratios = log_nums - log_dens
+        end = _walk(~(np.abs(log_ratios) <= LOG_RATIO_CAP), log_dens, refuse)
+    return xs[:end], np.exp(log_ratios[:end])
+
+
+def _tail_curves(w, ks, moment_radii=()):
+    """The r-grid of ``default_r_grid``, the curve tail(r) / tail(1 - (1-r)/k)
+    on it for each k of ``ks``, and the log tails at ``moment_radii`` with
+    the refusal of their unresolved ones, from one call of the weight's tail
+    routine on the distinct radii among 0, the candidates 1 - 2^-i, their
+    k-radii and ``moment_radii``.
+
+    An unresolved tail raises only where a walk reads it: at r = 0, at the
+    candidate that ends the grid, or at a curve's denominator up to its cut.
+    """
+    n = _R_CANDIDATES.size
+    radii = np.concatenate([_R_CANDIDATES, *(1.0 - (1.0 - _R_CANDIDATES) / k for k in ks),
+                            moment_radii])
+    distinct, where = np.unique(radii, return_inverse=True)
+    lts, integrals = (values[where] for values in w._resolved_log_tails(distinct))
+
+    def refuse(lo):  # the error of entry lo + i's unresolved tail
+        return lambda i: w._unresolved(float(radii[lo + i]), float(integrals[lo + i]))
+
+    # the grid ends at the first candidate whose tail falls to the floor; it
+    # keeps r = 0, the first, whose tail is the total
+    with np.errstate(invalid="ignore"):
+        end = _walk(np.isnan(lts[:n]) | (lts[:n] - lts[0] <= math.log(TAIL_FLOOR_RATIO)),
+                    lts, refuse(0))
+    grid = _R_CANDIDATES[:end]
+    curves = {k: _cut(grid, lts[:end], lts[lo:lo + end], refuse(lo))
+              for lo, k in zip(range(n, n * (len(ks) + 1), n), ks)}
+    lo = n * (len(ks) + 1)
+    return grid, curves, lts[lo:], refuse(lo)
 
 
 def default_r_grid(w):
     """Dyadic radii 1 - 2^-i, i <= HARD_I_CAP, truncated where the tail falls
-    below TAIL_FLOOR_RATIO of the total mass."""
-    w.prefetch_tails([0.0, *_R_CANDIDATES])
-    lt0 = w._memo_log_tail(0.0)
-    floor = math.log(TAIL_FLOOR_RATIO)
-    radii = []
-    for r in _R_CANDIDATES:
-        if w._memo_log_tail(r) - lt0 <= floor:
-            break
-        radii.append(r)
-    if not radii:
-        raise DomainError(f"{w.label}: no usable radii (tail collapses immediately)")
-    return np.array(radii)
-
-
-def _ratio_curve(xs, log_nums, log_den):
-    """(xs, exp(log_num - log_den(x))) for the log numerators ``log_nums``,
-    both taken lazily and in order, cut before the first point whose log
-    ratio is not finite or passes +-LOG_RATIO_CAP: every ratio it reports
-    is a positive double."""
-    vals = []
-    for x, num in zip(xs, log_nums):
-        log_ratio = num - log_den(x)
-        if not abs(log_ratio) <= LOG_RATIO_CAP:
-            break
-        vals.append(log_ratio)
-    return xs[:len(vals)], np.exp(np.array(vals))
-
-
-def _k_radius(r, k):
-    return 1.0 - (1.0 - float(r)) / k
+    below TAIL_FLOOR_RATIO of the total mass (a read-only array)."""
+    return _tail_curves(w, ())[0]
 
 
 def _tail_ratio_curve(w, k):
     """(radii, tail(r) / tail(1 - (1-r)/k)) on ``default_r_grid``, memoized
-    per weight and k.  At k = 2 this is the dhat curve: on the dyadic grid
-    (1+r)/2 and 1 - (1-r)/2 are the same double.  Its first call prefetches
-    0, the candidate radii and their k-radii in one array call."""
+    per weight and k, from one ``_tail_curves`` call.  At k = 2 this is the
+    dhat curve: on the dyadic grid (1+r)/2 and 1 - (1-r)/2 are the same
+    double."""
     memo = w._ratio_memo
     if k not in memo:
-        w.prefetch_tails([0.0, *_R_CANDIDATES, *(_k_radius(r, k) for r in _R_CANDIDATES)])
-        r_grid = default_r_grid(w)
-        memo[k] = _ratio_curve(r_grid, map(w._memo_log_tail, r_grid),
-                               lambda r: w._memo_log_tail(_k_radius(r, k)))
+        memo[k] = _tail_curves(w, (k,))[1][k]
     return memo[k]
 
 
@@ -1191,44 +1178,42 @@ def classify(w):
 
     Each curve stops before its first ratio outside e^+-700 (or whose
     moment leaves double range), so every reported ratio is a positive
-    double.  Verdicts are heuristics over the finite grids: the upper class
+    double.  Every tail comes from one ``_tail_curves`` call, which also
+    fills the weight's curve memo for each k, and every moment from one
+    ``moments`` batch on one rule.  Verdicts are heuristics over the finite grids: the upper class
     needs the running sup of ``dhat`` to stabilize, the lower classes need a
     running inf to stabilize strictly above 1 for some k.  The exact
     thresholds are echoed in the report.
     """
     if w._classify_memo is not None:
         return w._classify_memo
-    # every radius its curves may read, in one array call rather than one
-    # per curve: each further call costs about 0.1 ms
-    w.prefetch_tails([0.0, *_R_CANDIDATES, *map(_moment_radius, X_GRID),
-                      *(_k_radius(r, k) for k in K_SET for r in _R_CANDIDATES)])
-    r_grid = default_r_grid(w)
-    curves = {"dhat": _tail_ratio_curve(w, 2)}
+    r_grid, tail_curves, moment_tails, refuse = _tail_curves(w, K_SET, _MOMENT_RADII)
+    w._ratio_memo.update(tail_curves)
+    curves = {"dhat": tail_curves[2]}
     per_k = {}
     dcheck_verdicts = {}
     for k in K_SET:
-        curve = curves[f"dcheck[{k}]"] = _tail_ratio_curve(w, k)
+        curve = curves[f"dcheck[{k}]"] = tail_curves[k]
         verdict, info = _inf_margin_verdict(curve[1])
         dcheck_verdicts[k] = verdict
         per_k[f"dcheck[{k}]"] = {"verdict": verdict, **info}
 
-    # every moment the curves may read, in one batch on one rule; the orders
-    # stop at the first moment outside double range, whose log is not finite
+    # every moment the curves may read, in one batch on one rule: row 0 at
+    # X_GRID, row i at K_SET[i - 1] * X_GRID; the orders stop at the first
+    # moment outside double range, whose log is not finite
     orders = np.concatenate([X_GRID, *(k * X_GRID for k in K_SET)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_moment = dict(zip(orders.tolist(), np.log(w._moment_values(orders)).tolist()))
-    log_moments = list(itertools.takewhile(math.isfinite, map(log_moment.get, X_GRID.tolist())))
-    xs = X_GRID[:len(log_moments)]
+        log_moments = np.log(w._moment_values(orders)).reshape(-1, X_GRID.size)
+    n = _walk(~np.isfinite(log_moments[0]))
+    xs, log_nums = X_GRID[:n], log_moments[0, :n]
     m_verdicts = {}
-    for k in K_SET:
-        curve = curves[f"moment[{k}]"] = _ratio_curve(xs, log_moments,
-                                                      lambda x: log_moment[k * x])
+    for k, log_dens in zip(K_SET, log_moments[1:]):
+        curve = curves[f"moment[{k}]"] = _cut(xs, log_nums, log_dens[:n])
         verdict, info = _inf_margin_verdict(curve[1])
         m_verdicts[k] = verdict
         per_k[f"moment[{k}]"] = {"verdict": verdict, **info}
     # the comparability curve genuinely explodes outside the upper class
-    curves["moment_vs_tail"] = _ratio_curve(
-        xs, log_moments, lambda x: w._memo_log_tail(_moment_radius(x)))
+    curves["moment_vs_tail"] = _cut(xs, log_nums, moment_tails[:n], refuse)
 
     dhat_verdict, dhat_info = _sup_verdict(curves["dhat"][1])
     w._dhat_memo = dhat_verdict
@@ -1279,6 +1264,8 @@ def dhat_verdict(w):
 
 
 def dcheck_margin(w, k):
-    """Lower-doubling verdict of ``w`` for one specific k, from its curve on
-    the default r-grid."""
+    """Lower-doubling verdict of ``w`` for one specific k, a finite number
+    > 1, from its curve on the default r-grid."""
+    if not (k > 1.0 and math.isfinite(k)):
+        raise DomainError(f"dcheck_margin needs a finite k > 1, got {k!r}")
     return _inf_margin_verdict(_tail_ratio_curve(w, k)[1])

@@ -26,7 +26,7 @@ from bergweight import (
     suma_check,
 )
 from bergweight import series, verify
-from bergweight.errors import ConfigError
+from bergweight.errors import ConfigError, QuadratureError
 from bergweight.weights import MOMENT_ORDER, RadialWeight
 from bergweight.verify import default_family, geometric_int_grid, monomial_family
 from bergweight.cli import parse_config
@@ -272,6 +272,23 @@ def test_suma_check_screens_weight(log2w):
     assert len(report.rows()) > 0
 
 
+def test_suma_check_takes_each_moment_once(monkeypatch):
+    # each mu_{k^n}^gamma is taken once, when a radius first reaches n
+    mu, orders = LogWeight(2.0), []
+    original = mu.moment
+    monkeypatch.setattr(mu, "moment", lambda x: orders.append(x) or original(x))
+    suma_check(mu, 1.0, 2, check=False)
+    assert orders == [2.0**n for n in range(32)]
+
+
+def test_suma_check_refuses_the_first_radius_it_reaches():
+    # standard:200's tail cancels from r = 0.5 on, and moment(8192), which
+    # only deeper radii reach, is 0: the tail read after the r = 0.5 sum
+    # comes first, though every tail is read in one call after the sums
+    with pytest.raises(QuadratureError, match=r"^tail\(0\.5\) of standard:200 .* cancels"):
+        suma_check(StandardWeight(200.0), 1.0, 2, check=False)
+
+
 def test_suma_check_validation(std1):
     with pytest.raises(DomainError):
         suma_check(std1, -1.0, 2)
@@ -511,15 +528,26 @@ def test_p2_reports_carry_the_exact_extremes(std1):
 
 
 def test_means_check_takes_its_tails_from_one_array_call(monkeypatch):
+    from bergweight.weights import dhat_verdict
+
     fam = [("geometric:0.5,1", series.geometric_series(0.5, 1.0, 32)),
            ("monomial:3", TaylorSeries.monomial(3))]
-    # the report that scalar tails, one per pair, give
+    # the report whose quotients take scalar tails, one mu.tail(r / rho) per row
     mu = LogWeight(2.0)
-    monkeypatch.setattr(mu, "prefetch_tails", lambda rs: None)
+    monkeypatch.setattr(mu, "tail", lambda rs: np.array(
+        [RadialWeight.tail(mu, float(r)) for r in np.ravel(rs)]))
     scalar = integral_means_check(fam, mu, 1.0)
-    scalar_calls = len(mu._tail_memo)
     mu, calls = LogWeight(2.0), []
-    monkeypatch.setattr(mu, "log_tail", lambda r: calls.append(r))
+    dhat_verdict(mu)  # the derivative's screen reads its own tails first
+    original = mu._tail_terms
+    monkeypatch.setattr(mu, "_tail_terms", lambda rs: calls.append(rs.size) or original(rs))
     report = integral_means_check(fam, mu, 1.0)
     assert report.columns == scalar.columns
-    assert calls == [] and scalar_calls > 0
+    assert calls == [report.params["pairs"]] == [36]
+
+
+def test_means_check_reads_its_tails_after_the_first_rows_means():
+    # D_mu f is refused before any tail is read, though tail(0.5) underflows
+    fam = [("monomial:3", TaylorSeries.monomial(3))]
+    with pytest.raises(QuadratureError, match="^the radial rule of exp:1000,1 underflows"):
+        integral_means_check(fam, ExponentialWeight(1000.0, 1.0), 1.0)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 import threading
 
@@ -20,7 +21,8 @@ from bergweight import (
     scaled_weight,
 )
 from bergweight.quadrature import cell_nodes
-from bergweight.weights import _inf_margin_verdict, dcheck_margin, default_r_grid
+from bergweight.weights import (K_SET, X_GRID, _inf_margin_verdict, _sup_verdict,
+                                dcheck_margin, default_r_grid, dhat_verdict)
 
 from conftest import (
     oracle_exp_moment,
@@ -233,6 +235,23 @@ def test_array_tails_equal_scalar_tails_bit_for_bit(name, radii):
     batch = w.log_tails(np.array(radii))
     assert [float(v) for v in batch] == [w.log_tail(r) for r in radii]
     assert np.array_equal(w.log_tails(np.array(radii[::-1])), batch[::-1])
+    try:
+        tails = [w.tail(r) for r in radii]
+    except QuadratureError as scalar:  # the first radius whose tail underflows
+        with pytest.raises(QuadratureError, match=f"^{re.escape(str(scalar))}$"):
+            w.tail(np.array(radii))
+    else:
+        assert w.tail(np.array(radii)).tolist() == tails
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=_RADII, amplitude=st.floats(-200.0, 200.0).map(lambda e: 10.0**e))
+@pytest.mark.parametrize("name", sorted(_TAIL_WEIGHTS))
+def test_log_tails_shift_by_the_log_amplitude(name, radii, amplitude):
+    w = _TAIL_WEIGHTS[name]
+    lts = w.log_tails(np.array(radii))
+    shifted = w.with_amplitude(amplitude).log_tails(np.array(radii)) - math.log(amplitude)
+    assert np.all(np.abs(shifted - lts) <= 1e-12 * np.maximum(1.0, np.abs(lts)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -632,15 +651,34 @@ def test_dcheck_margin_single_k(std1, log2w):
     assert verdict == "out"
 
 
+@pytest.mark.parametrize("k", [0, 1, 0.5, -2, math.nan, math.inf])
+def test_dcheck_margin_refuses_k_not_above_1(k, monkeypatch):
+    # the lower class asks for some k > 1; no tail is read before the refusal
+    w = StandardWeight(1.0)
+    monkeypatch.setattr(w, "_tail_terms", lambda rs: pytest.fail("a tail was read"))
+    with pytest.raises(DomainError, match="finite k > 1"):
+        dcheck_margin(w, k)
+
+
+def test_dcheck_margin_takes_k_between_1_and_2():
+    verdict, info = dcheck_margin(StandardWeight(1.0), 1.5)
+    assert verdict == "in" and info["margin"] > 0.0
+
+
 @pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
 def test_dcheck_margin_memoized_and_shared_with_classify(spec, monkeypatch):
     seeded, fresh = parse_weight_spec(spec), parse_weight_spec(spec)
-    report = classify(seeded)
-    expected = {k: dcheck_margin(fresh, k) for k in report.k_set}
     calls = []
-    original = type(fresh).log_tail
-    monkeypatch.setattr(type(fresh), "log_tail",
-                        lambda self, r: calls.append(r) or original(self, r))
+    for w in (seeded, fresh):
+        monkeypatch.setattr(w, "_tail_terms", lambda rs, tail_terms=w._tail_terms: (
+            calls.append(rs.size) or tail_terms(rs)))
+    report = classify(seeded)
+    # one call on 0, the radii 1 - 2^-i (i <= 34) and the 32 radii 1 - 1/x, x > 1
+    assert calls == [67]
+    expected = {k: dcheck_margin(fresh, k) for k in report.k_set}
+    # one call per fresh (w, k): 0, 1 - 2^-i for i <= 30 and the new k-radii
+    assert calls[1:] == [32, 33, 34, 35]
+    del calls[:]
     for k in report.k_set:
         assert dcheck_margin(fresh, k) == expected[k]
         assert dcheck_margin(seeded, k) == expected[k]
@@ -661,11 +699,22 @@ def _curve_weights():
     }
 
 
+def _scalar_r_grid(w):
+    """The default r-grid from scalar ``log_tail`` calls, walked in order."""
+    lt0, radii = w.log_tail(0.0), []
+    for i in range(31):
+        r = 1.0 - 2.0**-i
+        if w.log_tail(r) - lt0 <= math.log(1e-14):
+            break
+        radii.append(r)
+    return radii
+
+
 def _scalar_ratio_curve(w, den_radius):
     """tail(r) / tail(den_radius(r)) on the default r-grid from scalar
     ``log_tail`` calls, cut as the classify curves are."""
     radii, log_ratios = [], []
-    for r in map(float, default_r_grid(w)):
+    for r in _scalar_r_grid(w):
         log_ratio = w.log_tail(r) - w.log_tail(den_radius(r))
         if not abs(log_ratio) <= 700.0:
             break
@@ -694,11 +743,94 @@ def test_dcheck_margin_off_the_dyadic_k_against_scalar_tails(name, k):
     assert dcheck_margin(_curve_weights()[name], k) == expected
 
 
+class _StubTails(StandardWeight):
+    """standard:alpha whose log tail drops by 800 from ``cliff`` on, where the
+    tail-ratio curves and the grid end, and whose tail integral is 0, an
+    unresolved tail, from ``cut`` on."""
+
+    def __init__(self, alpha, cut, cliff=1.0):
+        super().__init__(alpha, label=f"stub:{alpha:g}")
+        self.cut, self.cliff = cut, cliff
+
+    def _tail_terms(self, rs):
+        scale, integral = super()._tail_terms(rs)
+        return scale - 800.0 * (rs >= self.cliff), np.where(rs >= self.cut, 0.0, integral)
+
+
+def _plain(value):
+    """``value`` with every array, tuple and numpy scalar as a list or float."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _outcome(fn):
+    """repr of what ``fn()`` returns, or the message of its QuadratureError."""
+    try:
+        value = fn()
+    except QuadratureError as e:
+        return f"raises: {e}"
+    return repr(_plain(value))
+
+
+def _curves(w):
+    """classify's tail-ratio curves, every k, then its moment_vs_tail curve."""
+    report = classify(w)
+    return [report.curves[f"dcheck[{k}]"] for k in K_SET] + [report.curves["moment_vs_tail"]]
+
+
+def _scalar_curves(w):
+    """``_curves`` from scalar ``log_tail`` and ``moment`` calls, in the order
+    classify reads them."""
+    curves = [_scalar_ratio_curve(w, lambda r, k=k: 1.0 - (1.0 - r) / k) for k in K_SET]
+    xs, log_ratios = [], []
+    for x in X_GRID:
+        log_ratio = math.log(w.moment(x)) - w.log_tail(1.0 - 1.0 / x if x > 1 else 0.0)
+        if not abs(log_ratio) <= 700.0:
+            break
+        xs.append(x)
+        log_ratios.append(log_ratio)
+    return curves + [(np.array(xs), np.exp(log_ratios))]
+
+
+# (alpha, cut, cliff) of a stub, and the calls that reach one of its
+# unresolved tails (k = 2.4 is dcheck_margin's)
+_REACH_CASES = {
+    "grid radius 1 - 2^-4": ((1.0, 0.9, 1.0), {"grid", "dhat", 2, 4, 8, 16, 2.4, "classify"}),
+    "k-radius 1 - 2^-26 of k = 8": ((1.0, 1.0 - 2.0**-26, 1.0), {8, 16, "classify"}),
+    "moment radius 1 - 1/x, x = 10^(22/8)": ((9.0, 0.9981, 1.0), {"classify"}),
+    "denominators at the cuts": ((1.0, 0.78, 0.6), {2.4, 8, 16, "classify"}),
+    "every curve cut before the cut": ((1.0, 0.95, 0.6), set()),
+    "past every radius a walk reads": ((1.0, 1.0 - 2.0**-29, 1.0), set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REACH_CASES))
+def test_unresolved_tails_raise_where_a_scalar_walk_reaches_them(case):
+    # the array curves read radii that no walk reaches; those must not raise
+    params, raising = _REACH_CASES[case]
+    got = {"grid": _outcome(lambda: default_r_grid(_StubTails(*params))),
+           "dhat": _outcome(lambda: dhat_verdict(_StubTails(*params))),
+           "classify": _outcome(lambda: _curves(_StubTails(*params)))}
+    want = {"grid": _outcome(lambda: _scalar_r_grid(_StubTails(*params))),
+            "dhat": _outcome(lambda: _sup_verdict(
+                _scalar_ratio_curve(_StubTails(*params), lambda r: (1.0 + r) / 2.0)[1])[0]),
+            "classify": _outcome(lambda: _scalar_curves(_StubTails(*params)))}
+    for k in (*K_SET, 2.4):
+        got[k] = _outcome(lambda: dcheck_margin(_StubTails(*params), k))
+        want[k] = _outcome(lambda: _inf_margin_verdict(_scalar_ratio_curve(
+            _StubTails(*params), lambda r: 1.0 - (1.0 - r) / k)[1]))
+    assert got == want
+    assert {name for name, out in got.items() if out.startswith("raises")} == raising
+
+
 @pytest.mark.parametrize("name", ["standard:1", "log:2", "exp:1,1", "tabulated"])
 def test_classify_does_not_depend_on_tails_already_in_the_memo(name):
-    # classify prefetches its radii in one array call; a memo warmed by
-    # scalar tails, at other radii and at two of its own (0.5, 0.75), must
-    # not change a curve or a verdict
+    # classify reads its radii in one array call; scalar tails taken before,
+    # at other radii and at two of its own (0.5, 0.75), must not change a
+    # curve or a verdict
     make = {"standard:1": lambda: StandardWeight(1.0), "log:2": lambda: LogWeight(2.0),
             "exp:1,1": lambda: ExponentialWeight(1.0, 1.0),
             "tabulated": lambda: TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tab")}
