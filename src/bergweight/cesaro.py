@@ -38,7 +38,7 @@ class SmoothCutoff:
     """The canonical bump: 1 on (-inf, 1], 0 on [k, inf), decreasing between."""
 
     def __init__(self, k):
-        if int(k) != k or k < 2:
+        if not (k >= 2 and float(k).is_integer()):
             raise DomainError(f"cutoff parameter k must be an integer >= 2, got {k!r}")
         self.k = int(k)
 

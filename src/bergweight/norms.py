@@ -627,12 +627,6 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     return values
 
 
-def _radial_rule(w, x_scale):
-    """The order-GL_ORDER rule of ``w`` for ``x_scale``, refused where it
-    underflows (``w.resolved_rule``)."""
-    return w.resolved_rule(x_scale, order=GL_ORDER)
-
-
 def _parseval_norm(coeffs, moments):
     """(2 sum_n |c_n|^2 m_n)^(1/2) for the coefficients c and the moment table
     m (at least as long), scaled by the largest |c_n|, so that no square
@@ -645,21 +639,36 @@ def _parseval_norm(coeffs, moments):
     return norm
 
 
-def integral_mean(f, r, p):
-    """The L^p average of |f| on the circle of radius r."""
-    if not (0.0 <= r <= 1.0):
-        raise DomainError(f"radius must lie in [0, 1], got {r!r}")
+def _check_exponent(p):
+    """Refuse an exponent p that is not a positive finite number."""
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError(f"exponent p must be positive, got {p!r}")
-    if f.is_zero:
-        return 0.0
-    # M_p(r, z^a h) = r^a M_p(r, h), r^a applied after the root so a mean whose
-    # p-th power underflows stays representable; f's row maximum decides the flush
-    a = int(f.support()[0])
-    h, radius, lead = f.coeffs[a:], np.array([r]), np.array([r**a])
-    if flushed(h, radius, lead)[0]:
-        return 0.0
-    return lead[0] * _power_means(h, radius, p, f.degree - a, DEFAULT_SETTINGS)[0] ** (1.0 / p)
+
+
+def integral_mean(f, r, p):
+    """The L^p average of |f| on the circle of radius r, or on each circle of
+    an array of radii (in its shape) from one ``_power_means`` call.
+
+    M_p(r, z^a h) = r^a M_p(r, h): r^a is applied after the root, radius by
+    radius as a float power, so that a mean whose p-th power underflows stays
+    representable, and f's row maximum decides which radii flush to 0.
+    """
+    radii = np.asarray(r, dtype=float)
+    bad = ~((radii >= 0.0) & (radii <= 1.0))
+    if bad.any():
+        raise DomainError(
+            f"radius must lie in [0, 1], got {r if radii.ndim == 0 else float(radii[bad][0])!r}")
+    _check_exponent(p)
+    out = np.zeros(radii.size)
+    if not f.is_zero:
+        a = int(f.support()[0])
+        h, rs = f.coeffs[a:], radii.ravel()
+        lead = np.array([x**a for x in rs.tolist()])
+        live = np.flatnonzero(~flushed(h, rs, lead))
+        if live.size:
+            means = _power_means(h, rs[live], p, f.degree - a, DEFAULT_SETTINGS)
+            out[live] = [c * m ** (1.0 / p) for c, m in zip(lead[live].tolist(), means.tolist())]
+    return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)
 
 
 def hardy_norm(f, p):
@@ -679,14 +688,13 @@ def bergman_norm(f, w, p):
     Other exponents integrate ``_power_means`` over the weight's
     order-GL_ORDER radial rule and its boundary atom.
     """
-    if not (p > 0.0) or not math.isfinite(p):
-        raise DomainError(f"exponent p must be positive, got {p!r}")
+    _check_exponent(p)
     if f.is_zero:
         return 0.0
     degree = f.degree
     if p == 2.0:
         return _parseval_norm(f.coeffs[: degree + 1], w.odd_moments(degree + 1))
-    rule = _radial_rule(w, p * degree + 2.0)
+    rule = w.resolved_rule(p * degree + 2.0, order=GL_ORDER)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)
@@ -709,8 +717,7 @@ def block_norm(f, eta, k, p, check=True):
     samples a circle: block n's H^2 norm is sum_j |v_n(j) c_j|^2, from the
     squares |v_n(j)|^2 kept with the basis (``_block_energies``).
     """
-    if not (p > 0.0) or not math.isfinite(p):
-        raise DomainError(f"exponent p must be positive, got {p!r}")
+    _check_exponent(p)
     k = _block_k(eta, k, check)
     if f.is_zero:
         return 0.0
@@ -734,7 +741,7 @@ def block_norm(f, eta, k, p, check=True):
 def _block_k(eta, k, check):
     """The block parameter k as an int, after ``block_norm``'s checks: an
     integer >= 2 and, when ``check``, eta passing the lower-doubling screen."""
-    if int(k) != k or k < 2:
+    if not (k >= 2 and float(k).is_integer()):
         raise DomainError(f"block parameter k must be an integer >= 2, got {k!r}")
     if check:
         verdict, _ = dcheck_margin(eta, int(k))
@@ -797,15 +804,12 @@ def block_sum_compare(a, eta, k, p):
         raise DomainError("coefficients must form a non-empty 1-d sequence")
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
         raise DomainError("block comparison needs nonnegative finite coefficients")
-    if int(k) != k or k < 2:
-        raise DomainError(f"block parameter k must be an integer >= 2, got {k!r}")
-    if not (p > 0.0) or not math.isfinite(p):
-        raise DomainError(f"exponent p must be positive, got {p!r}")
-    k = int(k)
+    k = _block_k(eta, k, check=False)
+    _check_exponent(p)
     if not np.any(a > 0.0):
         return 0.0, 0.0
     degree = int(np.nonzero(a)[0][-1])
-    rule = _radial_rule(eta, p * degree + 1.0)
+    rule = eta.resolved_rule(p * degree + 1.0, order=GL_ORDER)
     poly_at_nodes = np.polynomial.polynomial.polyval(rule.nodes, a)
     lhs = rule.integrate(poly_at_nodes**p, float(np.sum(a)) ** p)
     bands = [(1.0, float(np.sum(a[:k])))]

@@ -103,14 +103,16 @@ def _multiplied(f, multipliers):
 def derivative_moments(mu, max_n, check=True):
     """``mu.odd_moments(max_n + 1)``, the divisors of ``frac_deriv_mu``, with its
     checks: ``mu`` must pass the upper-doubling screen (unless ``check`` is
-    False) and every moment must be a positive double."""
+    False) and every moment must be a positive double whose reciprocal is
+    one too (a subnormal moment's is not)."""
     if check and dhat_verdict(mu) == "out":
         raise DomainError(
             f"weight {mu.label} looks outside the upper-doubling class; "
             "pass check=False to apply the derivative anyway"
         )
     moments = mu.odd_moments(max_n + 1)
-    bad = np.nonzero(~(moments > 0.0) | ~np.isfinite(moments))[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = np.nonzero(~(moments > 0.0) | ~np.isfinite(moments) | ~np.isfinite(1.0 / moments))[0]
     if bad.size:
         raise QuadratureError(
             f"odd moment mu_{{2n+1}} of {mu.label} vanished numerically at n = {int(bad[0])}",

@@ -273,55 +273,47 @@ def integral_means_check(family, mu, p, grid=None):
     of one radius grid (default 0.1, 0.2, ..., 0.9).
 
     The derivative-means bound predicts a uniform constant; the summary max
-    is the empirical one.  Rows with a vanishing denominator are skipped and
-    counted.
+    is the empirical one.  Each member takes D_mu f first, then its means in
+    two ``integral_mean`` calls: f's at every rho, and D_mu f's at the r of
+    the pairs whose rho mean is nonzero.  Rows with a vanishing mean are
+    skipped and counted.  The pairs' tails come from one ``mu.tail`` call
+    after the first member's means.
     """
     if not family:
         raise DomainError("integral_means_check needs a non-empty family")
     grid = np.linspace(0.1, 0.9, 9) if grid is None else np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid >= 1):
         raise DomainError("grid must lie inside [0, 1)")
-    pairs = [(i, j) for j in range(grid.size) for i in range(grid.size) if grid[i] < grid[j]]
-    if not pairs:
+    # pairs (r, rho) = (grid[i], grid[j]) with r < rho, by j and then by i
+    j, i = np.nonzero(grid[None, :] < grid[:, None])
+    if not j.size:
         raise DomainError("no pairs with r < rho in the supplied grid")
-    labels = []
-    col_r = []
-    col_rho = []
-    quotients = []
-    skipped = 0
-    tails = None  # every tail the quotients may read, by pair, from one array call
-    for label, f in family:
+    rhos = np.unique(j)
+    labels, col_r, col_rho, quotients = [], [], [], []
+    for member, (label, f) in enumerate(family):
         df = frac_deriv_mu(f, mu)
-        # means of f at rho and of D_mu f at r, by grid index, taken when first needed
-        means = [None] * grid.size
-        dmeans = [None] * grid.size
-        for pair, (i, j) in enumerate(pairs):
-            r, rho = grid[i], grid[j]
-            if means[j] is None:
-                means[j] = integral_mean(f, rho, p)
-            if means[j] == 0.0:
-                skipped += 1
-                continue
-            if dmeans[i] is None:
-                dmeans[i] = integral_mean(df, r, p)
-            if dmeans[i] == 0.0:
-                skipped += 1  # zero rows carry no bound information
-                continue
-            if tails is None:  # at the first row, after the errors of its means
-                tails = mu.tail(np.array([grid[a] / grid[b] for a, b in pairs])).tolist()
-            quotients.append(dmeans[i] * tails[pair] / means[j])
-            labels.append(label)
-            col_r.append(float(r))
-            col_rho.append(float(rho))
+        means, dmeans = np.zeros(grid.size), np.zeros(grid.size)
+        means[rhos] = integral_mean(f, grid[rhos], p)
+        rs = np.unique(i[means[j] != 0.0])
+        if rs.size:
+            dmeans[rs] = integral_mean(df, grid[rs], p)
+        if not member:  # after the errors of the first member's means
+            tails = mu.tail(grid[i] / grid[j])
+        # zero rows carry no bound information
+        keep = np.flatnonzero((means[j] != 0.0) & (dmeans[i] != 0.0))
+        labels += [label] * keep.size
+        col_r += grid[i[keep]].tolist()
+        col_rho += grid[j[keep]].tolist()
+        quotients += (dmeans[i[keep]] * tails[keep] / means[j[keep]]).tolist()
     if not quotients:
         raise DomainError("all rows were skipped (vanishing means)")
     return ExperimentReport(
         experiment="means-check",
-        params={"mu": mu.label, "p": p, "pairs": len(pairs), "family_size": len(family)},
+        params={"mu": mu.label, "p": p, "pairs": int(j.size), "family_size": len(family)},
         columns={"f": labels, "r": col_r, "rho": col_rho, "bound_quotient": quotients},
         ratio_names=["bound_quotient"],
         verdict=f"empirical constant {max(quotients):.6g} over {len(quotients)} rows",
-        skipped=skipped,
+        skipped=len(family) * j.size - len(quotients),
     )
 
 
@@ -336,9 +328,9 @@ def suma_check(mu, gamma, k, depth=25, check=True):
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise DomainError(f"gamma must be positive, got {gamma!r}")
-    if int(k) != k or k < 2:
+    if not (k >= 2 and float(k).is_integer()):
         raise DomainError(f"k must be an integer >= 2, got {k!r}")
-    if int(depth) != depth or not 1 <= depth <= 53:
+    if not (1 <= depth <= 53 and float(depth).is_integer()):
         # past 53 the radius 1 - 2^-depth rounds to 1
         raise DomainError(f"depth must be an integer in [1, 53], got {depth!r}")
     k, depth = int(k), int(depth)
@@ -564,11 +556,6 @@ def _boundedness_expectation(verdict_of):
     return expectation
 
 
-def _means_check(cfg):
-    grid = np.linspace(0.05, 0.95, cfg.depth) if cfg.depth else None
-    return integral_means_check(_family_from_config(cfg), cfg.mu, cfg.p, grid)
-
-
 @dataclass(frozen=True)
 class NormValue:
     """The result of the ``norm`` experiment: one number, reported on one line."""
@@ -616,7 +603,9 @@ EXPERIMENTS = {spec.name: spec for spec in (
     ),
     Experiment(
         "means-check", "integral-means bound quotient over radius pairs",
-        _means_check,
+        lambda cfg: integral_means_check(
+            _family_from_config(cfg), cfg.mu, cfg.p,
+            np.linspace(0.05, 0.95, cfg.depth) if cfg.depth else None),
         (_weight("mu"), _P) + _FAMILY + (_DEPTH,) + _REPORT,
     ),
     Experiment(

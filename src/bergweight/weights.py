@@ -281,7 +281,8 @@ class RadialWeight:
         log_nodes = np.log(rule.nodes)
         chunk = max(1, (1 << 14) // max(rule.nodes.size, 1))
         for lo in range(0, xs.size, chunk):
-            powers = np.multiply(xs[lo : lo + chunk, None], log_nodes)
+            with np.errstate(over="ignore"):  # x log s past the double range: s^x = 0
+                powers = np.multiply(xs[lo : lo + chunk, None], log_nodes)
             out[lo : lo + chunk] = np.exp(powers, out=powers) @ rule.weights
         return out + rule.boundary_mass
 
@@ -455,9 +456,9 @@ class RadialWeight:
         x_left = x_scale if x_left is None else x_left
         hi = np.ldexp(1.0, -np.arange(LEFT_LEVELS, 0, -1))
         lo = np.concatenate([[0.0], hi[:-1]])
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # x_left log s = -inf: s^x_left is dead
             graded = np.clip(np.ceil(x_left * np.log(hi / lo) / quad.THETA), 1, 16)
-        left_parts = np.where((lo == 0.0) | (x_left * -np.log(hi) > 45.0), 1, graded)
+            left_parts = np.where((lo == 0.0) | (x_left * -np.log(hi) > 45.0), 1, graded)
 
         table = self._cells(order, depth)
         j = np.arange(1, depth)
@@ -675,7 +676,9 @@ class LogWeight(RadialWeight):
 
     def _build_rule(self, x_scale, order):
         al = self.alpha
-        W = math.sqrt(max(16.0, math.log((x_scale + 2.0) * 1e13)))
+        reach = (x_scale + 2.0) * 1e13  # past the double range from x_scale ~ 1e295 on
+        W = math.sqrt(max(16.0, math.log(reach) if reach < math.inf
+                          else math.log(x_scale + 2.0) + math.log(1e13)))
         base = np.linspace(0.0, W, int(math.ceil(W / 0.5)) + 1)
         cuts = [w for w in self._transition_edges(x_scale) if 0.0 < w < W]
         # s(w) ~ w at the origin, so fractional powers of s need grading there

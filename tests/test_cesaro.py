@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,9 @@ def test_cutoff_rejects_bad_k():
         make_cutoff(1)
     with pytest.raises(DomainError):
         make_cutoff(2.5)
+    for k in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be an integer >= 2"):
+            make_cutoff(k)
 
 
 # ---------------------------------------------------------------------------

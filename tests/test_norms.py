@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -24,6 +25,7 @@ from bergweight import (
 from bergweight.series import circle_power_means, geometric_series, lacunary_series
 from bergweight import norms, quadrature, series
 from bergweight.norms import DEFAULT_SETTINGS, NormSettings
+from bergweight.verify import default_family
 from bergweight.weights import MOMENT_ORDER
 
 from conftest import (
@@ -51,6 +53,27 @@ def test_settings_sample_count_rule():
     assert s.q_for(1) == 8
     assert s.q_for(511) == 2048
     assert s.q_for(512) == 4096
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, 4.0])
+def test_integral_mean_of_a_radius_array_is_the_scalar_means_bit_for_bit(std1, p):
+    radii = np.append(np.linspace(0.1, 0.9, 9), [0.0, 1.0])
+    for _, f in default_family(n_max=64, geometric_degree=64, random_degree=64):
+        for g in (f, series.frac_deriv_mu(f, std1)):
+            batched = integral_mean(g, radii, p)
+            assert batched.tolist() == [integral_mean(g, r, p) for r in radii.tolist()]
+    assert integral_mean(TaylorSeries([0.0]), radii.reshape(1, -1), p).shape == (1, radii.size)
+    assert type(integral_mean(TaylorSeries.monomial(3), 0.5, p)) is float
+
+
+def test_integral_mean_refuses_the_first_radius_outside_the_disc():
+    f = TaylorSeries([1.0, 1.0])
+    with pytest.raises(DomainError, match=r"^radius must lie in \[0, 1\], got -0\.5$"):
+        integral_mean(f, np.array([0.5, -0.5, 2.0]), 1.0)
+    with pytest.raises(DomainError, match=r"got nan$"):
+        integral_mean(f, np.array([0.5, np.nan]), 1.0)
+    with pytest.raises(DomainError, match=r"got 1\.5$"):
+        integral_mean(f, 1.5, 1.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7])
@@ -218,6 +241,19 @@ def test_block_sum_compare_rejects_negative(std0):
         block_sum_compare(np.array([1.0, -0.5]), std0, 2, 1.0)
 
 
+@pytest.mark.parametrize("a, k, p, message", [
+    (np.ones((2, 2)), 2, 1.0, "coefficients must form a non-empty 1-d sequence"),
+    (np.ones(3), 1, 1.0, "block parameter k must be an integer >= 2, got 1"),
+    (np.ones(3), 2.5, 1.0, "block parameter k must be an integer >= 2, got 2.5"),
+    (np.ones(3), math.nan, 1.0, "block parameter k must be an integer >= 2, got nan"),
+    (np.ones(3), 2, 0.0, "exponent p must be positive, got 0.0"),
+    (np.ones(3), 2, math.nan, "exponent p must be positive, got nan"),
+])
+def test_block_sum_compare_refuses_bad_input(std0, a, k, p, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        block_sum_compare(a, std0, k, p)
+
+
 def test_block_sum_compare_lacunary_bracket(std1):
     a = np.zeros(1025)
     a[[2**m for m in range(11)]] = 1.0
@@ -313,7 +349,7 @@ def bergman_radii(f, w, p):
     if p == 2.0:
         rule = w.radial_rule(2.0 * f.degree + 1.0)
     else:
-        rule = norms._radial_rule(w, p * f.degree + 2.0)
+        rule = w.resolved_rule(p * f.degree + 2.0, order=norms.GL_ORDER)
     return (np.append(rule.nodes, 1.0),
             np.append(rule.weights * rule.nodes, rule.boundary_mass))
 
@@ -730,7 +766,7 @@ def test_p2_bergman_norm_does_not_depend_on_earlier_series(spec):
 
 def test_p2_moment_table_grows_in_blocks_independent_of_the_count():
     def fresh_rule():
-        return norms._radial_rule(StandardWeight(1.0), 2.0 * 700 + 2.0)
+        return StandardWeight(1.0).resolved_rule(2.0 * 700 + 2.0, order=norms.GL_ORDER)
 
     rule = fresh_rule()
     short = rule.odd_moments(10).copy()

@@ -25,7 +25,7 @@ from bergweight import (
     scaled_weight,
     suma_check,
 )
-from bergweight import series, verify
+from bergweight import norms, series, verify
 from bergweight.errors import ConfigError, QuadratureError
 from bergweight.weights import MOMENT_ORDER, RadialWeight
 from bergweight.verify import default_family, geometric_int_grid, monomial_family
@@ -294,6 +294,10 @@ def test_suma_check_validation(std1):
         suma_check(std1, -1.0, 2)
     with pytest.raises(DomainError):
         suma_check(std1, 1.0, 1)
+    # not raw ValueError or OverflowError from int()
+    for k, depth in ((math.nan, 25), (math.inf, 25), (2, math.nan), (2, math.inf), (2, 2.5)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            suma_check(std1, 1.0, k, depth, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +555,23 @@ def test_means_check_reads_its_tails_after_the_first_rows_means():
     fam = [("monomial:3", TaylorSeries.monomial(3))]
     with pytest.raises(QuadratureError, match="^the radial rule of exp:1000,1 underflows"):
         integral_means_check(fam, ExponentialWeight(1000.0, 1.0), 1.0)
+
+
+def test_means_check_takes_each_members_means_in_two_calls(monkeypatch, std1):
+    calls = []
+    original = norms._power_means
+    monkeypatch.setattr(norms, "_power_means",
+                        lambda *args, **kw: calls.append(args[1].size) or original(*args, **kw))
+    fam = default_family(n_max=64, geometric_degree=64, random_degree=64)[::4]
+    report = integral_means_check(fam, std1, 0.5)
+    assert len(calls) <= 2 * len(fam)
+    # the default grid's 8 rho radii and 8 r radii, once each
+    assert sum(calls) == 16 * len(fam) and report.skipped == 0
+
+
+def test_means_check_refuses_a_subnormal_derivative_moment():
+    # mu_5 = 1.6e-311: its reciprocal overflows, and D_mu z^3 divides by it
+    mu = ExponentialWeight(668.0586668439364, 9.228179500325929)
+    with pytest.raises(QuadratureError, match=r"^odd moment mu_\{2n\+1\} of exp:668.059,9.22818 "
+                                              r"vanished numerically at n = 2$"):
+        integral_means_check([("monomial:3", TaylorSeries.monomial(3))], mu, 1.0)

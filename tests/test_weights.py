@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -319,6 +320,21 @@ def test_moment_nonincreasing(std1, log2w, exp11):
     for w in (std1, log2w, exp11):
         vals = [w.moment(x) for x in xs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("x", [1e280, 1e300, 2.0**1023])
+@pytest.mark.parametrize("make", [
+    lambda: StandardWeight(1.0), lambda: LogWeight(2.0), lambda: ExponentialWeight(1.0, 1.0),
+    lambda: TabulatedWeight(lambda s: 3.0 * (1.0 - s * s) ** 2, label="tabulated"),
+], ids=["standard", "log", "exp", "tabulated"])
+def test_huge_moment_orders_end_in_a_value_or_the_packages_error(make, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = make().moment(x)
+        except (DomainError, QuadratureError):
+            return
+    assert 0.0 < value < math.inf
 
 
 def test_moment_rejects_negative_order(std1):
