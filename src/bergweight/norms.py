@@ -28,6 +28,13 @@ without a near zero keep the plain doubling, and no circle on the ladder
 settles before the grid outruns the nearest zero found outside its
 windows, so that the last two grids cannot agree by chance either.
 
+Every batched kernel of these means works in blocks of about
+``series.BLOCK_ENTRIES`` entries (1 MiB, L2-sized): the circle samples and
+their powers, the coefficient brackets, the Taylor tables, and the windows'
+masks, circle-to-zero distances and Gauss nodes.  No block's samples
+outlive it: of each circle the search may need, the first pass keeps only
+the dips of |h| and the five samples around each, in single precision.
+
 Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
 integral means extend continuously to the boundary) are integrated without
@@ -57,14 +64,14 @@ from .series import (
     CIRCLE_DOUBLING_TOL,
     _abs_power,
     circle_power_means,
+    dip_roots,
     flushed,
     horner,
-    nearer_root,
     parseval_means,
 )
 from .weights import dcheck_margin
 from .quadrature import cell_nodes
-from . import cesaro
+from . import cesaro, series
 
 CIRCLE_Q_CAP = 1 << 20
 #: least circle points per coefficient of h on the base grid of a mean.
@@ -179,9 +186,10 @@ def _taylor(h, centers):
     binom[:, 1:] = np.maximum(np.arange(n + 1.0)[:, None] - j + 1.0, 0.0) / (j * float(n))
     np.cumprod(binom, axis=1, out=binom)
     out = np.empty((TAYLOR_TERMS, centers.size), dtype=complex)
-    # at most 512 rows a block: larger products wake BLAS threads, which
-    # cost about 7 ms of CPU a product on the 2-core machine measured
-    chunk = max(1, min(512, (1 << 18) // (n + 1)))
+    # blocks of the working-set budget, and at most 512 rows: larger products
+    # wake BLAS threads, which cost about 7 ms of CPU a product on the
+    # 2-core machine measured
+    chunk = max(1, min(512, series.BLOCK_ENTRIES // (n + 1)))
     for start in range(0, centers.size, chunk):
         part = slice(start, start + chunk)
         turns = np.empty((centers[part].size, n + 1), dtype=complex)
@@ -194,57 +202,45 @@ def _taylor(h, centers):
     return out
 
 
-def _near_zeros(h, rho, samples, q):
+def _near_zeros(h, rho, circles, dips, q):
     """Zeros of h within ZERO_BAND edge widths (in log modulus) of some
-    circle of radius ``rho``, from the circles' samples h / rowmax on the
-    size-q grid (single precision will do: the roots are polished on h).
+    circle of radius ``rho[circles]``, from ``dips``, pieces (row, j,
+    stencils) of the ``series.dip_stencils`` of circles' samples h / rowmax
+    on the size-q grid, row an index into ``rho``.
 
     Circles in one quarter-step cell of log modulus form a cluster, and only
     its middle circle is searched, with the band widened by the cluster's
-    half-width.  At each local minimum of |h| over that circle's grid, the
-    quartic in the angle through h at the minimum and two neighbours on each
-    side has a root t near the angle of the zero behind the dip, with Im t
-    the zero's log distance from the circle; Newton steps on the quartic,
-    started from the root of its quadratic part, find it, and then the root
-    of the deflated cubic nearer the minimum, for a second zero behind the
-    same dip (two zeros a step or so apart leave one dip).  The roots that
-    may lie in the band, merged when nearby circles give the same one, are
-    polished by Newton steps on h's Taylor expansion about them.  Zeros the
-    search misses are left to the doubling ladder.
+    half-width.  Each of its dips gives the two roots of ``dip_roots``; the
+    roots that may lie in the band, merged when nearby circles give the
+    same one, are polished by Newton steps on h's Taylor expansion about
+    them.  Zeros the search misses are left to the doubling ladder.
     """
     step = 2.0 * np.pi / q
     band, cell = ZERO_BAND * WINDOW_EDGE * step, 0.25 * step
-    log_rho = np.log(rho)
+    log_rho = np.log(rho[circles])
     order = np.argsort(log_rho, kind="stable")
     _, first, count = _groups(np.floor(log_rho[order] / cell))
     last = first + count - 1
     middle = order[(first + last) // 2]
     half = np.maximum(log_rho[order[last]] - log_rho[middle],
                       log_rho[middle] - log_rho[order[first]])
-    values = samples[middle]
-    mag = np.abs(values)
-    row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1)) & (mag < np.roll(mag, -1, axis=1)))
-    f = [values[row, (j + k) % q].astype(complex) for k in (-2, -1, 0, 1, 2)]
-    # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
-    a0 = f[2]
-    a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
-    a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
-    a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
-    a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        quartic = [a0, a1, a2, a3, a4]
-        t = _newton(quartic, nearer_root(a0, a1, a2))
-        # a second zero may sit behind the same dip, within the fit's two
-        # steps: the root nearer 0 of the cubic left by deflating t
-        cubic = [a4]
-        for a in quartic[3:0:-1]:
-            cubic.insert(0, a + t * cubic[0])
-        t = np.concatenate([t, _newton(cubic, nearer_root(*cubic[:3]))])
-        row, j = np.tile(row, 2), np.tile(j, 2)
-    # the dips overstate depths by up to a quarter step
-    keep = (np.isfinite(t) & (np.abs(t) < 2.0)
-            & (step * np.abs(t.imag) < band + 0.3 * step + half[row]))
-    starts = rho[middle][row[keep]] * np.exp(1j * step * (j[keep] + t[keep]))
+    # the roots of the dips of each cluster's middle circle, piece by piece
+    middle = circles[middle]
+    cluster = np.full(rho.size, -1)
+    cluster[middle] = np.arange(middle.size)
+    starts = [np.zeros(0, dtype=complex)]
+    for row, j, stencils in dips:
+        row = cluster[row]
+        mine = row >= 0
+        if not mine.any():
+            continue
+        t = dip_roots(stencils[:, mine])
+        row, j = np.tile(row[mine], 2), np.tile(j[mine], 2)
+        # the dips overstate depths by up to a quarter step
+        keep = (np.isfinite(t) & (np.abs(t) < 2.0)
+                & (step * np.abs(t.imag) < band + 0.3 * step + half[row]))
+        starts.append(rho[middle][row[keep]] * np.exp(1j * step * (j[keep] + t[keep])))
+    starts = np.concatenate(starts)
     # starts from nearby circles fall in the same quarter-step cell
     z = np.exp(np.unique(np.round(np.log(starts) / cell)) * cell)
     if not z.size:
@@ -266,17 +262,6 @@ def _near_zeros(h, rho, samples, q):
     z = z[found] * (1.0 + v[found] / n)
     _, first = np.unique(np.round(np.log(z) * 1e10), return_index=True)
     return z[first]
-
-
-def _newton(coeffs, t, steps=4):
-    """``steps`` Newton steps from t on the polynomial sum_k coeffs[k] t^k."""
-    for _ in range(steps):
-        value, slope = coeffs[-1], 0.0
-        for c in coeffs[-2::-1]:
-            slope = slope * t + value
-            value = value * t + c
-        t = t - value / slope
-    return t
 
 
 def _groups(keys):
@@ -311,16 +296,28 @@ class _ZeroWindows:
         self.integral = np.zeros(rho.size)
         self.edge = WINDOW_EDGE * 2.0 * np.pi / q
         band, reach = ZERO_BAND * self.edge, WINDOW_REACH * self.edge
-        depth = np.abs(np.log(np.abs(zeros))[None, :] - np.log(rho[search])[:, None])
-        # log distance from each circle to the nearest zero found outside its band
+        log_zeros, log_rho = np.log(np.abs(zeros)), np.log(rho[search])
+        # (circle, zero) pairs within the band, and each circle's log distance
+        # to the nearest zero found outside it, over blocks of circles whose
+        # table of distances keeps within the working-set budget
         self.clear = np.full(rho.size, np.inf)
-        if zeros.size:
-            self.clear[search] = np.min(np.where(depth < band, np.inf, depth), axis=1)
-        # (circle, zero) pairs within the band, by circle and then by angle
-        circle, zero = np.nonzero(depth < band)
+        circle, zero = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        chunk = max(1, series.BLOCK_ENTRIES // max(zeros.size, 1))
+        for start in range(0, search.size, chunk):
+            depth = np.abs(log_zeros[None, :] - log_rho[start : start + chunk, None])
+            near = depth < band
+            if zeros.size:
+                self.clear[search[start : start + chunk]] = np.min(
+                    np.where(near, np.inf, depth), axis=1)
+            pair = np.nonzero(near)
+            circle.append(pair[0] + start)
+            zero.append(pair[1])
+        circle, zero = np.concatenate(circle), np.concatenate(zero)
+        # by circle and then by angle
         angles = np.mod(np.angle(zeros[zero]), 2.0 * np.pi)
         order = np.lexsort((angles, circle))
-        circle, angles, depths = circle[order], angles[order], depth[circle, zero][order]
+        circle, angles = circle[order], angles[order]
+        depths = np.abs(log_zeros[zero] - log_rho[circle])[order]
         group, first, count = _groups(circle)
         last = first + count - 1
         gaps = np.append(angles[1:], 0.0) - angles
@@ -419,34 +416,56 @@ class _ZeroWindows:
         order = np.lexsort((cuts, k))
         k, cuts = k[order], cuts[order]
         panel = (k[1:] == k[:-1]) & (cuts[1:] > cuts[:-1])
-        theta, weights = cell_nodes(cuts[:-1][panel], cuts[1:][panel], PANEL_ORDER)
-        k, theta = np.repeat(k[:-1][panel], PANEL_ORDER), theta.ravel()
-        weights, out = weights.ravel(), np.zeros(self.rho.size)
-        # blocks of nodes keep the integrand's temporaries, the largest arrays
-        # of a circle mean, to a few hundred kilobytes
-        for start in range(0, theta.size, 1 << 14):
-            part = slice(start, start + (1 << 14))
-            terms = weights[part] * self._phi(k[part], theta[part]) * _abs_power(
-                self._values(k[part], theta[part]), self.p)
-            out += np.bincount(self.owner[k[part]], weights=terms, minlength=self.rho.size)
-        return out / (2.0 * np.pi)
+        k, lo, hi = k[:-1][panel], cuts[:-1][panel], cuts[1:][panel]
+        sums = np.empty(k.size)
+        # blocks of panels keep the nodes and the integrand's temporaries, a
+        # dozen or so arrays a node, within the working-set budget
+        chunk = max(1, (series.BLOCK_ENTRIES >> 4) // PANEL_ORDER)
+        for start in range(0, k.size, chunk):
+            part = slice(start, start + chunk)
+            theta, weights = cell_nodes(lo[part], hi[part], PANEL_ORDER)
+            nodes, theta = np.repeat(k[part], PANEL_ORDER), theta.ravel()
+            terms = weights.ravel() * self._phi(nodes, theta) * _abs_power(
+                self._values(nodes, theta), self.p)
+            sums[part] = np.sum(terms.reshape(-1, PANEL_ORDER), axis=1)
+        return np.bincount(self.owner[k], weights=sums, minlength=self.rho.size) / (2.0 * np.pi)
 
     def mask(self, q, rows, half_step=False):
         """The windows of the circles ``rows`` on the size-q grid (or on its
-        half-step turn) as a ``circle_power_means`` mask, row i of the mask
-        being circle rows[i]."""
+        half-step turn) as a ``circle_power_means`` mask: a function of a
+        block's slice of ``rows`` that returns that block's part.  Parts of
+        consecutive blocks are built together, at least a sixteenth of
+        BLOCK_ENTRIES samples at a time (a sample takes a dozen or so
+        arrays), so that blocks asked for in order mostly find theirs built."""
         shift = 0.5 if half_step else 0.0
         step = 2.0 * np.pi / q
-        windows = np.nonzero(np.isin(self.owner, rows))[0]
+        position = np.full(self.rho.size, -1)
+        position[rows] = np.arange(rows.size)
+        at = position[self.owner]
+        # the windows by circle, in their own order within a circle
+        windows = np.argsort(at, kind="stable")
+        windows = windows[at[windows] >= 0]
+        at = at[windows]
         first = np.ceil(self.lo[windows] / step - shift).astype(int)
         count = np.floor(self.hi[windows] / step - shift).astype(int) - first + 1
-        k = np.repeat(windows, count)
-        j = np.arange(k.size) - np.repeat(np.cumsum(count) - count - first, count)
-        position = np.zeros(self.rho.size, dtype=int)
-        position[rows] = np.arange(rows.size)
-        row = position[self.owner[k]]
-        order = np.argsort(row, kind="stable")
-        return row[order], (j % q)[order], self._phi(k, (j + shift) * step)[order]
+        offsets = np.append(0, np.cumsum(count))
+        built = [0, 0, (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+
+        def block(part):
+            lo, hi = np.searchsorted(at, [part.start, part.stop])
+            if lo < built[0] or hi > built[1]:
+                top = max(hi, np.searchsorted(offsets, offsets[lo] + (series.BLOCK_ENTRIES >> 4),
+                                              side="right") - 1)
+                k = np.repeat(windows[lo:top], count[lo:top])
+                j = np.arange(k.size) - np.repeat(offsets[lo:top] - offsets[lo] - first[lo:top],
+                                                  count[lo:top])
+                built[:] = lo, top, (np.repeat(at[lo:top], count[lo:top]), j % q,
+                                     self._phi(k, (j + shift) * step))
+            a, b = offsets[lo] - offsets[built[0]], offsets[hi] - offsets[built[0]]
+            row, col, weight = built[2]
+            return row[a:b] - part.start, col[a:b], weight[a:b]
+
+        return block
 
 
 def _check_representable(values, radii, p):
@@ -467,11 +486,11 @@ def _bracket(coeffs, radii, p):
     double range come out inf or nan."""
     absc = np.abs(coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the upper bound's sum_k w_k s^k, over blocks of radii small enough
-        # that their table of powers s^k adds little to a call's memory
+        # the upper bound's sum_k w_k s^k, over blocks of radii whose table
+        # of powers s^k keeps within the working-set budget
         weights, base = (absc**2, radii**2) if p <= 2.0 else (absc, radii)
         sums = np.empty(radii.size)
-        chunk = max(1, (1 << 16) // absc.size)
+        chunk = max(1, series.BLOCK_ENTRIES // absc.size)
         for start in range(0, radii.size, chunk):
             rows = slice(start, start + chunk)
             powers = np.ones((base[rows].size, absc.size))
@@ -523,7 +542,7 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     grid; each doubling q -> 2q samples only the q new odd points and
     averages them in, so no sample is computed twice.  Radii the first
     check leaves unsettled, or (without ``masses``) whose samples dip toward
-    a zero, get a ``_ZeroWindows`` from the first pass's samples: the means
+    a zero, get a ``_ZeroWindows`` from the dips the first pass keeps: the means
     of those with windows become the masked trapezoid means plus the window
     integrals, and they join the unsettled ones on the ladder.  A radius
     cannot settle while what the grid may still miss of its windows exceeds
@@ -564,7 +583,7 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     # Bergman norm about 40% more: their budgets are left to absorb them
     guarded = masses is None
     dip_depth = ZERO_BAND * WINDOW_EDGE + DIP_SLACK if guarded else 0.0
-    means, coarse, (kept, samples, rowmax, dips) = circle_power_means(
+    means, coarse, (kept, rowmax, dips, stencils) = circle_power_means(
         coeffs, radii[sample], p, q, even=True, dip_depth=dip_depth)
     values[sample] = lift[sample] * means
     _check_representable(values, radii ** (1.0 / g), p)
@@ -584,16 +603,16 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     unsettled = np.abs(values[sample] - lift[sample] * coarse) > budget(values[sample], sample)
     active = sample[unsettled]
     windows = None
-    # the first pass keeps the samples of every unsettled circle, but for
+    # the first pass keeps the dips of every unsettled circle, but for
     # rounding at the margin of its relative test; those keep the ladder.  It
     # also keeps the circles that dip toward a zero: with a zero on the circle
     # the q and q/2 means may agree by chance however far both are off
     search = unsettled[kept] | dips
     if np.any(search) and degree:
-        circles = sample[kept[search]]
-        zeros = _near_zeros(coeffs, radii[circles], samples[search], q)
-        del samples  # before the windows' integrals, the peak of a call's memory
-        windows = _ZeroWindows(coeffs, radii, p, q, circles, rowmax[search], zeros)
+        circles = kept[search]
+        zeros = _near_zeros(coeffs, radii[sample], circles, stencils, q)
+        del stencils  # before the windows, whose arrays are the next peak of a call
+        windows = _ZeroWindows(coeffs, radii, p, q, sample[circles], rowmax[search], zeros)
     if windows:
         # the masked pass, not direct values, takes the window samples out: near
         # a zero both hold only rounding, which |h|^p for p < 1 magnifies

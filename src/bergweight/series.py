@@ -13,7 +13,9 @@ apply the n = 0 term through the same formula even though classical
 presentations sometimes start the Gamma-quotient sum at n = 1.  The
 Gamma quotients here and the geometric family's binomials are running
 products of their term ratios, as a standard weight's odd moments are.  Circle samples are
-batched ``numpy.fft`` transforms, done in place in a per-thread workspace.
+batched ``numpy.fft`` transforms, done in place in a per-thread workspace,
+in blocks of at most BLOCK_ENTRIES samples: the working-set budget that
+every batched kernel of the fractional-p means reads.
 """
 
 from __future__ import annotations
@@ -168,11 +170,14 @@ def evaluate_circle(f, r, q):
 
 
 #: relative tolerance of the circle means' doubling ladder; the first check
-#: keeps the samples of the circles it may leave unsettled
+#: keeps the dips of the circles it may leave unsettled
 CIRCLE_DOUBLING_TOL = 1e-9
-# keep each batch of scaled rows under ~2^18 entries, small enough to stay in
-# cache; rows are independent, so no mean depends on the batch size
-_BATCH_ENTRIES = 1 << 18
+#: the working-set budget of every batched kernel behind the fractional-p
+#: means: a block holds about this many complex entries (1 MiB, L2-sized) of
+#: circle samples, powers or Taylor terms, or a sixteenth as many where each
+#: entry takes a dozen or so temporaries (window nodes and masks).  Rows and
+#: nodes are independent, so no mean depends on it
+BLOCK_ENTRIES = 1 << 16
 # a circle whose row maximum max_n r^n |c_n| is below this has mean 0
 _FLUSH_BELOW = 1e-290
 
@@ -207,7 +212,7 @@ def flushed(coeffs, radii, lead):
     absc = np.abs(coeffs)
     dead = lead * np.max(absc) < _FLUSH_BELOW
     unsure = np.nonzero(~dead & (lead * absc[0] < _FLUSH_BELOW))[0]
-    chunk = max(1, _BATCH_ENTRIES // absc.size)
+    chunk = max(1, BLOCK_ENTRIES // absc.size)
     for start in range(0, unsure.size, chunk):
         rows = unsure[start : start + chunk]
         _, rowmax, gone = _normalised_powers(absc, radii[rows])
@@ -224,7 +229,7 @@ def parseval_means(coeffs, radii):
     absc = np.abs(np.asarray(coeffs, dtype=complex))
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     out = np.empty(radii.size, dtype=float)
-    chunk = max(1, _BATCH_ENTRIES // absc.size)
+    chunk = max(1, BLOCK_ENTRIES // absc.size)
     for start in range(0, radii.size, chunk):
         scal, rowmax, dead = _normalised_powers(absc, radii[start : start + chunk])
         terms = np.multiply(scal, absc[None, :], out=scal)
@@ -239,14 +244,15 @@ _WORKSPACE = threading.local()
 def _workspace(rows, q):
     """This thread's (rows, q) complex and real scratch arrays.
 
-    The circle batches are megabytes; fresh arrays that size are mapped and
-    page-faulted anew on every call, which costs as much CPU time as the
-    FFTs, so each thread keeps one pair and grows it when a batch outgrows it.
+    Fresh arrays of a batch's size are mapped and page-faulted anew on every
+    call, which costs as much CPU time as the FFTs, so each thread keeps one
+    pair of BLOCK_ENTRIES entries, grown only for a circle of more samples.
     """
     size = rows * q
     spare = getattr(_WORKSPACE, "arrays", None)
     if spare is None or spare[0].size < size:
-        spare = (np.empty(size, dtype=complex), np.empty(size, dtype=float))
+        full = max(size, BLOCK_ENTRIES)
+        spare = (np.empty(full, dtype=complex), np.empty(full, dtype=float))
         _WORKSPACE.arrays = spare
     return spare[0][:size].reshape(rows, q), spare[1][:size].reshape(rows, q)
 
@@ -255,9 +261,10 @@ def _circle_batches(coeffs, radii, q, half_step=False):
     """Samples f(r e^{2 pi i j/q}) / rowmax in blocks of radii.
 
     Yields (slice, samples, rowmax, dead, real scratch) per block, with one
-    scaled coefficient matrix and one batched FFT each; the samples and the
-    scratch array are reused by the next block.  ``half_step`` turns the
-    grid by half a step, as in ``circle_power_means``.
+    scaled coefficient matrix and one batched FFT each, a block holding at
+    most BLOCK_ENTRIES samples or coefficients (one row if a row has more);
+    the samples and the scratch array are reused by the next block.
+    ``half_step`` turns the grid by half a step, as in ``circle_power_means``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     n = len(coeffs)
@@ -265,7 +272,7 @@ def _circle_batches(coeffs, radii, q, half_step=False):
     absc = np.abs(coeffs)
     if half_step:
         coeffs = coeffs * np.exp((1j * np.pi / q) * powers)
-    chunk = max(1, _BATCH_ENTRIES // max(q, 1))
+    chunk = max(1, BLOCK_ENTRIES // max(q, n))
     for start in range(0, radii.size, chunk):
         rows = slice(start, start + chunk)
         scal, rowmax, dead = _normalised_powers(absc, radii[rows])
@@ -292,31 +299,32 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     The samples are f / rowmax, rowmax = max_n r^n |c_n|, so a mean
     overflows only when rowmax^p does.  ``even`` runs the doubling ladder's
     first check: it also returns the mean over the even-indexed samples,
-    which are the samples of the q/2 grid, and (rows, samples, rowmax, dips)
-    of the rows whose two means differ by more than CIRCLE_DOUBLING_TOL
-    relative or that ``_dips`` flags within ``dip_depth`` grid steps (dips
-    True), so that a search of those circles needs no FFT of its own.
-    Those samples are kept in single precision, which locates the dips of
-    |f| well enough and halves what they add to a call's peak memory.
-    ``mask`` = (rows, columns, weights), rows ascending, takes the mean of
-    (1 - w_ij) |f_ij|^p instead, w_ij the weight given for sample j of
-    radius i and 0 for the samples not listed.
+    which are the samples of the q/2 grid, and (rows, rowmax, dips,
+    stencils) of the rows whose two means differ by more than
+    CIRCLE_DOUBLING_TOL relative or that ``_dips`` flags within
+    ``dip_depth`` grid steps (dips True).  ``stencils`` lists the
+    ``dip_stencils`` (row, j, stencils) of those rows, one entry per block,
+    row an index into ``radii``: a zero search of those circles needs no
+    FFT of its own, and no block's samples outlive it.
+    ``mask``, a function of a block's slice of the radii that returns
+    (rows, columns, weights) for that block, rows counted from the block's
+    start, takes the mean of (1 - w_ij) |f_ij|^p instead, w_ij the weight
+    given for sample j of radius i and 0 for the samples not listed.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     out = np.empty(radii.size, dtype=float)
     if even:
         out_even, peak = np.empty(radii.size), np.empty(radii.size)
         keep, dips = np.zeros(radii.size, dtype=bool), np.zeros(radii.size, dtype=bool)
-        kept = [np.empty((0, q), dtype=np.complex64)]
+        stencils = []
     for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
         powered = _abs_power(values, p, scratch)
         # past the double range the means come out inf or nan; the norms refuse them
         with np.errstate(over="ignore", invalid="ignore"):
             sums = np.sum(powered, axis=1)
             if mask is not None:
-                lo, hi = np.searchsorted(mask[0], [rows.start, rows.start + powered.shape[0]])
-                row, col = mask[0][lo:hi] - rows.start, mask[1][lo:hi]
-                sums -= np.bincount(row, mask[2][lo:hi] * powered[row, col], powered.shape[0])
+                row, col, weight = mask(rows)
+                sums -= np.bincount(row, weight * powered[row, col], powered.shape[0])
             scale = rowmax**p
             out[rows] = np.where(dead, 0.0, sums * (scale / q))
             if even:
@@ -326,11 +334,14 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
                     dips[rows] = ~dead & _dips(values, powered, dip_depth)
                 keep[rows] = dips[rows] | (np.abs(out[rows] - out_even[rows])
                                            > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
-                kept.append(values[keep[rows]].astype(np.complex64))
+                flagged = np.flatnonzero(keep[rows])
+                if flagged.size:
+                    row, j, near = dip_stencils(values[flagged])
+                    stencils.append((rows.start + flagged[row], j, near))
                 peak[rows] = rowmax
     if not even:
         return out
-    return out, out_even, (np.nonzero(keep)[0], np.concatenate(kept), peak[keep], dips[keep])
+    return out, out_even, (np.nonzero(keep)[0], peak[keep], dips[keep], stencils)
 
 
 def _dips(values, mag, depth):
@@ -370,20 +381,91 @@ def nearer_root(c0, c1, c2):
     return -2.0 * c0 / (c1 + disc)
 
 
+def dip_stencils(values):
+    """The dips of |f| among the samples ``values`` (rows of one grid), as
+    (row, j, stencils): each local minimum j of |f| on its row (j as int32),
+    and the samples at j - 2..j + 2 around it, a (5, dips) array in single
+    precision, which locates the dips well enough (the roots are polished
+    on f) and halves what they hold.
+    """
+    values = values.astype(np.complex64)
+    q = values.shape[1]
+    mag = np.abs(values)
+    row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1)) & (mag < np.roll(mag, -1, axis=1)))
+    stencils = np.stack([values[row, (j + k) % q] for k in (-2, -1, 0, 1, 2)])
+    return row, j.astype(np.int32), stencils
+
+
+def dip_roots(stencils):
+    """Two roots t per dip of the (5, dips) ``stencils``, in grid steps from
+    the minimum: Im t is about the log distance of a zero of f behind it.
+
+    The quartic in the angle through the five samples at t = -2..2 has a
+    root near the angle of the zero behind the dip; Newton steps on the
+    quartic, started from the root of its quadratic part, find it, and then
+    the root of the deflated cubic nearer the minimum, for a second zero
+    behind the same dip (two zeros a step or so apart leave one dip).  The
+    first roots of all dips come first, then the second ones; a fit that
+    fails gives inf or nan.
+    """
+    f = stencils.astype(complex)
+    # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
+    a0 = f[2]
+    a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
+    a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
+    a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
+    a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quartic = [a0, a1, a2, a3, a4]
+        t = _newton(quartic, nearer_root(a0, a1, a2))
+        # the root nearer 0 of the cubic left by deflating t
+        cubic = [a4]
+        for a in quartic[3:0:-1]:
+            cubic.insert(0, a + t * cubic[0])
+        return np.concatenate([t, _newton(cubic, nearer_root(*cubic[:3]))])
+
+
+def _newton(coeffs, t, steps=4):
+    """``steps`` Newton steps from t on the polynomial sum_k coeffs[k] t^k."""
+    for _ in range(steps):
+        value, slope = coeffs[-1], 0.0
+        for c in coeffs[-2::-1]:
+            slope = slope * t + value
+            value = value * t + c
+        t = t - value / slope
+    return t
+
+
 def horner(coeffs, z):
     """f(z) for the coefficients c_0..c_N, exact at every point rather than
     only at roots of unity.
 
     One pass over the nonzero coefficients, vectorised over the points, so
-    a sparse series costs its support: O(N) per point at most.
+    a sparse series costs its support: z^g for each distinct gap g between
+    them is built once, by squaring (numpy's complex power is slow for most
+    integer exponents), and reused.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     z = np.asarray(z, dtype=complex)
     support = np.nonzero(coeffs)[0][::-1]
-    value = np.full(z.shape, coeffs[support[0]] if support.size else 0.0j)
+    if not support.size:
+        return np.zeros(z.shape, dtype=complex)
+    squares, powers = [z], {0: 1.0}
+
+    def power(e):
+        if e not in powers:
+            while (1 << len(squares)) <= e:
+                squares.append(squares[-1] * squares[-1])
+            bits = [squares[i] for i in range(len(squares)) if e >> i & 1]
+            powers[e] = bits[0]
+            for square in bits[1:]:
+                powers[e] = powers[e] * square
+        return powers[e]
+
+    value = np.full(z.shape, coeffs[support[0]])
     for top, k in zip(support[:-1], support[1:]):
-        value = value * z ** int(top - k) + coeffs[k]
-    return value * z ** int(support[-1]) if support.size else value
+        value = value * power(int(top - k)) + coeffs[k]
+    return value * power(int(support[-1]))
 
 
 def _abs_power(values, p, out=None):

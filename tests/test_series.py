@@ -23,6 +23,7 @@ from bergweight.series import (
     MAX_SERIES_LENGTH,
     circle_power_means,
     geometric_series,
+    horner,
     lacunary_series,
     parseval_means,
     read_series_csv,
@@ -261,6 +262,22 @@ def test_evaluate_circle_matches_horner():
         got = evaluate_circle(f, r, q)
         expect = oracle_circle_values(f.coeffs, r, q)
         np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-12)
+        points = r * np.exp(2j * np.pi * np.arange(q) / q)
+        np.testing.assert_allclose(horner(f.coeffs, points), expect, rtol=1e-12, atol=1e-12)
+    # sparse series, whose powers z^gap are built by squaring: gaps 1, 2, 7
+    # and 64 between the nonzero terms, alone and mixed, after a factor z^a
+    rng = np.random.default_rng(29)
+    z = np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    z = np.concatenate([z, np.exp(2j * np.pi * rng.uniform(size=100)), [0.0, 1.0, -1.0j]])
+    for gaps in ([1, 1, 1], [2, 2], [7, 7, 7], [64, 64], [1, 2, 7, 64], [64, 7, 2, 1, 64]):
+        for a in (0, 1, 5):
+            support = a + np.concatenate([[0], np.cumsum(gaps)])
+            coeffs = np.zeros(support[-1] + 1, dtype=complex)
+            coeffs[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+            want = np.polyval(coeffs[::-1], z)
+            scale = np.polyval(np.abs(coeffs[::-1]), np.abs(z))
+            assert np.all(np.abs(horner(coeffs, z) - want) <= 1e-13 * scale), (gaps, a)
+    assert np.array_equal(horner(np.zeros(4), z), np.zeros(z.shape))
 
 
 def test_evaluate_circle_aliases_when_undersampled():

@@ -8,6 +8,7 @@ planted zero a: f = (z - a) g with g's zeros far from the circles used.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -126,13 +127,19 @@ def test_zeros_around_the_whole_circle_get_no_windows(monkeypatch):
     assert len(built) == 3 and not any(len(windows) for windows in built)
 
 
+def near_zeros(h, radii, samples, q):
+    """``norms._near_zeros`` searching every circle of ``radii``, from the
+    dips of their sample rows ``samples``."""
+    return norms._near_zeros(h, radii, np.arange(radii.size), [series.dip_stencils(samples)], q)
+
+
 def per_circle_windows(h, r, q, samples):
     """(lo, hi) of the windows one circle gets when it is searched alone,
     assembled one circle at a time as the windows were before they were
     built in arrays."""
     edge = norms.WINDOW_EDGE * 2.0 * np.pi / q
     band, reach = norms.ZERO_BAND * edge, norms.WINDOW_REACH * edge
-    zeros = norms._near_zeros(h, np.array([r]), samples, q)
+    zeros = near_zeros(h, np.array([r]), samples, q)
     near = np.abs(np.log(np.abs(zeros)) - math.log(r)) < band
     if not np.any(near):
         return [], []
@@ -158,11 +165,9 @@ def test_cluster_search_finds_the_per_circle_windows():
     h = np.convolve(np.poly(planted)[::-1], g)
     band = norms.ZERO_BAND * norms.WINDOW_EDGE * step
     radii = 0.7 * np.exp(band * np.linspace(-0.95, 0.95, 15))
-    # the first pass keeps the samples in single precision
     [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
-    values = values.astype(np.complex64)
     search = np.arange(radii.size)
-    zeros = norms._near_zeros(h, radii, values, q)
+    zeros = near_zeros(h, radii, values, q)
     together = norms._ZeroWindows(h, radii, p, q, search, rowmax, zeros)
     assert len(together) == 2 * radii.size
     for i, r in enumerate(radii):
@@ -170,7 +175,7 @@ def test_cluster_search_finds_the_per_circle_windows():
         mine = together.owner == i
         np.testing.assert_allclose(together.lo[mine], lo, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(together.hi[mine], hi, rtol=0.0, atol=1e-12)
-        zeros = norms._near_zeros(h, radii[i:i + 1], values[i:i + 1], q)
+        zeros = near_zeros(h, radii[i:i + 1], values[i:i + 1], q)
         alone = norms._ZeroWindows(h, radii, p, q, search[i:i + 1], rowmax[i:i + 1], zeros)
         assert together.integral[i] == pytest.approx(alone.integral[i], rel=1e-10, abs=0.0)
 
@@ -201,7 +206,7 @@ def test_window_is_its_two_erf_edges():
     h = np.convolve(np.poly(planted)[::-1], planted_series(degree - 3, 0.0, seed=256)[1:])
     radii = np.array([0.7])
     [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
-    zeros = norms._near_zeros(h, radii, values, q)
+    zeros = near_zeros(h, radii, values, q)
     windows = norms._ZeroWindows(h, radii, 0.5, q, np.arange(1), rowmax, zeros)
     assert len(windows) == 2
     k = np.repeat(np.arange(2), 2001)
@@ -321,3 +326,81 @@ def test_norms_against_log_weight_stay_below_half_the_cap(spec, monkeypatch):
     monkeypatch.setattr(norms, "circle_power_means", spy)
     assert bergman_norm(f, parse_weight_spec("log:2"), 0.5) > 0.0
     assert sizes and max(sizes) < norms.CIRCLE_Q_CAP // 2
+
+
+# ---------------------------------------------------------------------------
+# the working-set budget of the batched kernels
+
+
+def budget_case(spec):
+    if spec == "random:64":
+        rng = np.random.default_rng(64)
+        return TaylorSeries(rng.standard_normal(65) + 1j * rng.standard_normal(65))
+    return parse_series_spec(spec)
+
+
+def all_means(f, p, std1):
+    """Every way a mean is taken: budgeted and unbudgeted ``_power_means`` on
+    a norm's radii, ``integral_mean`` at circles through f's zeros and just
+    off them (where the search builds windows), and ``bergman_norm``."""
+    rule = std1.resolved_rule(p * f.degree + 2.0, order=norms.GL_ORDER)
+    radii = np.append(rule.nodes, 1.0)
+    masses = np.append(rule.weights * rule.nodes, rule.boundary_mass)
+    moduli = np.sort(np.abs(np.roots(f.coeffs[::-1])))[::4]
+    moduli = np.clip(np.concatenate([moduli, moduli * (1.0 - 1e-6)]), 0.05, 1.0)
+    return np.concatenate([
+        norms._power_means(f.coeffs, radii, p, f.degree, DEFAULT_SETTINGS, masses=masses),
+        norms._power_means(f.coeffs, radii, p, f.degree, DEFAULT_SETTINGS),
+        norms.integral_mean(f, np.sort(moduli), p),
+        [bergman_norm(f, std1, p)]])
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("spec", ["random:64", "lacunary:2,128"])
+def test_no_mean_depends_on_the_block_budget(spec, p, std1, monkeypatch):
+    # a 2^10-entry budget cuts every kernel into many blocks: two rows of
+    # samples, 64 window nodes, a mask and a table of distances per block;
+    # the zero search still clusters the circles of the whole call, so every
+    # search finds the same zeros, and the windows hold the same integrals
+    f = budget_case(spec)
+    windows, zeros = [], []
+    original_windows, original_search = norms._ZeroWindows, norms._near_zeros
+
+    def windows_spy(*args):
+        windows.append(original_windows(*args))
+        return windows[-1]
+
+    def search_spy(*args):
+        zeros.append(np.sort_complex(original_search(*args)))
+        return zeros[-1]
+
+    monkeypatch.setattr(norms, "_ZeroWindows", windows_spy)
+    monkeypatch.setattr(norms, "_near_zeros", search_spy)
+    want, want_zeros, integrals = all_means(f, p, std1), list(zeros), [w.integral for w in windows]
+    assert sum(len(w) for w in windows) > 0
+    windows.clear()
+    zeros.clear()
+    monkeypatch.setattr(series, "BLOCK_ENTRIES", 1 << 10)
+    np.testing.assert_allclose(all_means(f, p, std1), want, rtol=1e-14, atol=0.0)
+    assert len(zeros) == len(want_zeros)
+    for got, expect in zip(zeros, want_zeros):
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+    for got, expect in zip([w.integral for w in windows], integrals):
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+def test_fractional_norm_working_set(std1):
+    # the traced peak of a p = 0.5 norm of a random degree-1024 series, once
+    # the first call has grown the sampling workspace, measured 6.1 MB when
+    # the bound was set at about twice that; a first pass that keeps whole
+    # rows of samples, with unblocked masks and tables, takes 37 MB
+    rng = np.random.default_rng(1024)
+    f = TaylorSeries(rng.standard_normal(1025) + 1j * rng.standard_normal(1025))
+    want = bergman_norm(f, std1, 0.5)
+    tracemalloc.start()
+    try:
+        assert bergman_norm(f, std1, 0.5) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
