@@ -3,13 +3,12 @@
 Every circle mean first factors f = z^a h(z^g) (a the first nonzero index,
 g the gcd of the support's gaps); M_p^p(r, f) = r^(ap) M_p^p(r^g, h) is
 exact, so only h is sampled, on grids sized by its degree: a monomial is one
-coefficient.  At p = 2 the circle integral is Parseval's sum
-M_2^2(r) = sum |c_n|^2 r^(2n), taken from the coefficients without
-sampling.  Otherwise it is a trapezoid sum over roots-of-unity samples,
+coefficient.  At every even p = 2m, |h|^p = |h^m|^2, so the circle integral
+is Parseval's sum M_p^p(r, h) = sum |b_n|^2 r^(2n) over the coefficients b
+of h^m, taken without sampling while m deg h < CIRCLE_Q_CAP (at p = 2
+always).  Otherwise it is a trapezoid sum over roots-of-unity samples,
 doubling the sample count until the value settles and computing only the
-new samples of each doubled grid.  For even integer p, |f|^p is a
-trigonometric polynomial and the trapezoid rule is exact once the sample
-count beats its bandwidth, so even p sample once on such a grid.
+new samples of each doubled grid.
 
 At other exponents |f|^p is analytic on the circle |z| = r only away
 from f's zeros, and the trapezoid rule's error decays like e^(-q d), d the
@@ -43,11 +42,11 @@ budget as the nodes.  Bounds on each mean from the coefficients alone
 settle the radii whose mass is too small for the bounds' spread to matter,
 without sampling them.
 
-At p = 2 nothing samples a circle or builds an order-GL_ORDER rule: both
-sides are sums over the coefficients' squares.  A Bergman norm is
-||f||^2 = 2 sum_n |c_n|^2 m_n, with m_n the weight's odd moments
-(``RadialWeight.odd_moments``); a block norm is sum_n eta_{k^n} sum_j
-|v_n(j) c_j|^2, with the squares |v_n(j)|^2 kept next to the cached basis.
+At even p nothing samples a circle or builds an order-GL_ORDER rule either:
+a Bergman norm is ||f||^p = 2 sum_n |b_n|^2 m_n over the weight's odd
+moments m_n (``RadialWeight.odd_moments``), and at p = 2 a block norm is
+sum_n eta_{k^n} sum_j |v_n(j) c_j|^2, with the squares |v_n(j)|^2 kept next
+to the cached basis.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -126,7 +125,7 @@ _ERF_D = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858
 
 class NormSettings:
     """Circle-sampling profile: ``_power_means`` starts h on ``q_for(deg h)``
-    points, except at even p.
+    points, except at the even p that take Parseval's sum of h^(p/2).
 
     Every norm passes DEFAULT_SETTINGS; the argument stays because
     ``bench/tracing.py`` reads the base grid from it.
@@ -518,6 +517,33 @@ def _settled_by_bracket(lower, upper, masses):
     return settled
 
 
+def _factored(coeffs, degree):
+    """(a, g, h) with f = z^a h(z^g), for f's coefficients up to ``degree``: a
+    the first nonzero index and g the gcd of the support's gaps."""
+    coeffs = np.asarray(coeffs, dtype=complex)[: degree + 1]
+    support = np.nonzero(coeffs)[0]
+    g = max(1, int(np.gcd.reduce(support - support[0])))
+    return int(support[0]), g, coeffs[support[0] :: g]
+
+
+def _parseval_order(p, degree):
+    """m = p / 2 where p is even and f^m, of degree m ``degree``, has at most
+    CIRCLE_Q_CAP terms (at p = 2 always), else 0: |f|^p = |f^m|^2 then."""
+    return int(p) // 2 if p % 2 == 0 and (p == 2.0 or p // 2 * degree < CIRCLE_Q_CAP) else 0
+
+
+def _power(h, m):
+    """h^m by binary powering with direct convolution, whose terms keep their
+    own scale (an FFT product errs by about eps max |h|^m on every one)."""
+    out = h
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the callers
+        for bit in bin(m)[3:]:
+            out = np.convolve(out, out)
+            if bit == "1":
+                out = np.convolve(out, h)
+    return out
+
+
 def _power_means(coeffs, radii, p, degree, settings, masses=None):
     """M_p^p at each radius.
 
@@ -527,16 +553,14 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     lifted means, and a radius flushes to 0 by f's row maximum
     r^a max_k |h_k| r^(gk), as it would unreduced.
 
-    p = 2 is Parseval's sum over the coefficients.  ``masses`` (same shape
-    as ``radii``), the quadrature mass each radius carries, lets a radial
-    quadrature spend samples where its weights actually look: the radii
-    that ``_settled_by_bracket`` picks take the midpoint of their
-    ``_bracket`` and get no samples, and the others get a per-radius
-    absolute budget of 1e-11 of the mass-weighted total over their mass on
-    top of the relative rule.  Other even p
-    sample once on the smallest power of two above the bandwidth
-    (p/2) deg h of |h|^p, where that fits under the cap: the trapezoid
-    rule is exact there.  Other exponents double the sample count until
+    Even p = 2m are Parseval's sum over the coefficients of h^m
+    (``_parseval_order``), and ignore ``masses``.  At other exponents
+    ``masses`` (same shape as ``radii``), the quadrature mass each radius
+    carries, lets a radial quadrature spend samples where its weights
+    actually look: the radii that ``_settled_by_bracket`` picks take the
+    midpoint of their ``_bracket`` and get no samples, and the others get a
+    per-radius absolute budget of 1e-11 of the mass-weighted total over
+    their mass on top of the relative rule.  The sample count doubles until
     the value settles.  The first check compares the mean over the q
     samples with the mean over their even-indexed half, which is the q/2
     grid; each doubling q -> 2q samples only the q new odd points and
@@ -550,16 +574,17 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     d the log distance to the nearest zero found outside its windows.
     Unsettled radii keep doubling up to the cap.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)[: degree + 1]
-    support = np.nonzero(coeffs)[0]
-    a = int(support[0])
-    g = max(1, int(np.gcd.reduce(support - a)))
-    coeffs, degree = coeffs[a::g], (degree - a) // g
+    a, g, coeffs = _factored(coeffs, degree)
+    degree = coeffs.size - 1
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     lead, radii = radii**a, radii**g
     lift = np.where(flushed(coeffs, radii, lead), 0.0, lead**p)
-    if p == 2.0:
-        return lift * parseval_means(coeffs, radii)
+    m = _parseval_order(p, degree)
+    if m:
+        with np.errstate(invalid="ignore"):  # inf or nan past the double range
+            values = lift * parseval_means(_power(coeffs, m), radii)
+        _check_representable(values, radii ** (1.0 / g), p)
+        return values
     values = np.zeros(radii.size)
     sample = np.arange(radii.size)
     if masses is not None:
@@ -571,12 +596,6 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
         sample = sample[~settled]
         if not sample.size:
             return values
-    bandwidth = int(p) // 2 * degree
-    if p % 2 == 0 and bandwidth < CIRCLE_Q_CAP:
-        values[sample] = lift[sample] * circle_power_means(
-            coeffs, radii[sample], p, 1 << bandwidth.bit_length())
-        _check_representable(values, radii ** (1.0 / g), p)
-        return values
     q = settings.q_for(degree)
     # budgeted means skip the guards against chance agreements near zeros
     # (the dip search and ZERO_CLEARANCE), which would cost a fractional-p
@@ -649,12 +668,16 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
 def _parseval_norm(coeffs, moments):
     """(2 sum_n |c_n|^2 m_n)^(1/2) for the coefficients c and the moment table
     m (at least as long), scaled by the largest |c_n|, so that no square
-    leaves the double range unless the norm's own square does."""
+    leaves the double range unless the norm's own square does; 0 where every
+    |c_n| underflowed."""
     absc = np.abs(coeffs)
     top = float(np.max(absc))
-    norm = top * math.sqrt(2.0 * float(np.dot((absc / top) ** 2, moments[: absc.size])))
+    if top == 0.0:
+        return 0.0
+    with np.errstate(invalid="ignore"):  # inf / inf, refused below
+        norm = top * math.sqrt(2.0 * float(np.dot((absc / top) ** 2, moments[: absc.size])))
     if not math.isfinite(norm * norm):
-        raise DomainError("the Bergman integral of |f|^p at p = 2.0 overflows double precision")
+        raise DomainError("the Bergman integral of |f|^p overflows double precision")
     return norm
 
 
@@ -699,20 +722,24 @@ def hardy_norm(f, p):
 def bergman_norm(f, w, p):
     """Weighted Bergman norm (2 int r M_p^p(r, f) w(r) dr)^(1/p).
 
-    At p = 2 nothing samples a circle: by Parseval the norm's square is
-    2 sum_n |c_n|^2 m_n, with m_n the weight's odd moments
-    (``w.odd_moments(deg f + 1)``): closed-form Beta values for a standard
-    weight, else the table kept with the rule ``w.moment`` uses for
-    s^(2 deg f + 1), which every series it serves shares.
-    Other exponents integrate ``_power_means`` over the weight's
-    order-GL_ORDER radial rule and its boundary atom.
+    At even p = 2m (``_parseval_order`` of deg f) nothing samples a circle:
+    by Parseval ||f||^p is 2 sum_n |b_n|^2 m_n, b = f^m from h^m in
+    f = z^a h(z^g), and m_n the weight's odd moments (``w.odd_moments``):
+    closed-form Beta values for a standard weight, else the table kept with
+    the rule ``w.moment`` uses for s^(2 m deg f + 1), which every series it
+    serves shares.  Other exponents integrate ``_power_means`` over the
+    weight's order-GL_ORDER radial rule and its boundary atom.
     """
     _check_exponent(p)
     if f.is_zero:
         return 0.0
     degree = f.degree
-    if p == 2.0:
-        return _parseval_norm(f.coeffs[: degree + 1], w.odd_moments(degree + 1))
+    m = _parseval_order(p, degree)
+    if m:
+        a, g, h = _factored(f.coeffs, degree)
+        power = np.zeros(m * degree + 1, dtype=complex)
+        power[m * a :: g] = _power(h, m)
+        return _parseval_norm(power, w.odd_moments(m * degree + 1)) ** (1.0 / m)
     rule = w.resolved_rule(p * degree + 2.0, order=GL_ORDER)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget

@@ -221,7 +221,8 @@ def flushed(coeffs, radii, lead):
 
 
 def parseval_means(coeffs, radii):
-    """sum_n |c_n|^2 r^(2n) for each radius: the p = 2 circle mean, exactly.
+    """sum_n |c_n|^2 r^(2n) for each radius: the p = 2 circle mean, exactly
+    (the p = 2m one of f when c holds f^m's coefficients), inf past doubles.
 
     Rows are normalised and batched as in ``circle_power_means``, so a mean
     that flushes to zero there flushes to zero here.
@@ -234,7 +235,8 @@ def parseval_means(coeffs, radii):
         scal, rowmax, dead = _normalised_powers(absc, radii[start : start + chunk])
         terms = np.multiply(scal, absc[None, :], out=scal)
         sums = np.sum(np.square(terms, out=terms), axis=1)
-        out[start : start + chunk] = np.where(dead, 0.0, sums * rowmax**2)
+        with np.errstate(over="ignore"):
+            out[start : start + chunk] = np.where(dead, 0.0, sums * rowmax**2)
     return out
 
 
@@ -469,17 +471,13 @@ def horner(coeffs, z):
 
 
 def _abs_power(values, p, out=None):
-    """|values| ** p, into ``out`` if given, with cheap paths for the common
-    exponents; every step after the modulus works in place."""
+    """|values| ** p, into ``out`` if given, with cheap paths for p = 1 and
+    p = 0.5; every step after the modulus works in place."""
     out = np.abs(values, out=out)
     if p == 1.0:
         return out
     if p == 0.5:
         return np.sqrt(out, out=out)
-    frac, whole = math.modf(0.5 * p)
-    if frac == 0.0 and whole <= 8:
-        np.square(out, out=out)
-        return out if whole == 1 else np.power(out, int(whole), out=out)
     with np.errstate(over="ignore"):
         return np.power(out, p, out=out)
 

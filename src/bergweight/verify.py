@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, QuadratureError
 from .norms import (_block_energies, _block_k, _parseval_norm, bergman_norm, block_norm,
                     hardy_norm, integral_mean)
 from .cesaro import build_basis
@@ -166,10 +166,19 @@ def lp_ratio(f, omega, mu, p, nu=None, check=True):
 def _p2_tables(omega, mu, nu, top, check):
     """The p = 2 sequences for n <= top: omega's and nu's odd-moment tables
     (``odd_moments``), mu's as ``frac_deriv_mu`` divides by them, and the
-    monomial ratios R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1})."""
+    monomial ratios R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1}).  Refused
+    from the first n where omega's or nu's table leaves the normal double
+    range, so that no row, extreme or argmin reads a subnormal entry."""
     om, nu_m = omega.odd_moments(top + 1), nu.odd_moments(top + 1)
     mu_m = derivative_moments(mu, top, check)
-    # where a table underflows, R_n is not a positive double
+    below = np.minimum(om, nu_m) < np.finfo(float).tiny
+    if below.any():
+        n = int(np.argmax(below))
+        weight, table = (omega, om) if om[n] < np.finfo(float).tiny else (nu, nu_m)
+        raise QuadratureError(
+            f"odd moment m_{{2n+1}} of {weight.label} leaves the normal double range at "
+            f"n = {n}; the p = 2 tables stop there", residual=float(table[n]))
+    # where mu's square underflows, R_n is not a positive double
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return om, nu_m, mu_m, nu_m / (mu_m**2 * om)
 

@@ -158,6 +158,17 @@ def test_cli_norm_exits_2_past_the_double_range(args, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_cli_p2_hardy_norm_past_the_double_range_exits_2(tmp_path, capsys):
+    # M_2^2(1) = 2e400, refused as every other p's overflowing mean is
+    path = tmp_path / "big.csv"
+    path.write_text("0,1e200,0\n1,1e200,0\n")
+    assert main(["norm", "--f", str(path), "--kind", "hardy", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -419,6 +430,10 @@ REFUSED_RUNS = {
                           "--depth", "60"], "depth"),
     # a tail integral that comes out 0, on the way to classify's radius grid
     "classify-log": (["classify", "--weight", "log:1e4"], "log:10000"),
+    # nu = exp:1,1 tail(standard:1)^2 has a subnormal odd moment from n = 57430 on
+    "lp-sweep-subnormal-table": (["lp-sweep", "--omega", "exp:1,1", "--mu", "standard:1",
+                                  "--p", "2", "--family", "monomials", "--n-max", "65536"],
+                                 "exp:1,1*tail(standard:1)^2"),
 }
 
 

@@ -410,7 +410,7 @@ def test_bergman_norm_matches_the_unbudgeted_sum(name, spec, p):
 
 
 # ---------------------------------------------------------------------------
-# even p: |f|^p = |f^(p/2)|^2 is a trigonometric polynomial on each circle
+# even p: |f|^p = |f^(p/2)|^2, so each circle mean is Parseval's sum of f^(p/2)
 
 EVEN_P_SERIES = {
     "random:24": lambda: random_series(24, np.random.default_rng(24)),
@@ -422,8 +422,8 @@ EVEN_P_SERIES = {
 @pytest.mark.parametrize("p", [4.0, 6.0, 8.0, 12.0])
 @pytest.mark.parametrize("name", sorted(EVEN_P_SERIES))
 def test_even_p_means_are_exact_at_the_first_check(name, p, monkeypatch):
-    # the base grid's half beats the bandwidth (p/2) deg f, so the first check
-    # compares two exact trapezoid means: one pass, no windows, no doubling
+    # the means are sums over the coefficients of f^(p/2): no circle is
+    # sampled and no zero gets a window
     f = EVEN_P_SERIES[name]()
     radii = np.array([0.3, 0.9, 1.0])
     calls, windows = [], []
@@ -440,7 +440,7 @@ def test_even_p_means_are_exact_at_the_first_check(name, p, monkeypatch):
     monkeypatch.setattr(norms, "circle_power_means", spy)
     monkeypatch.setattr(norms, "_ZeroWindows", windows_spy)
     got = norms._power_means(f.coeffs, radii, p, f.degree, DEFAULT_SETTINGS)
-    assert len(calls) == 1 and not windows
+    assert not calls and not windows
     power = np.array([1.0 + 0.0j])
     for _ in range(int(p) // 2):
         power = np.convolve(power, f.coeffs)
@@ -506,6 +506,27 @@ def test_reduced_bergman_norms_against_dense_oracles(std1, a, g):
     n = np.arange(len(f.coeffs))
     exact = np.sum(2.0 * np.abs(f.coeffs) ** 2 / ((n + 1.0) * (n + 2.0)))
     assert bergman_norm(f, std1, 2.0) ** 2 == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0])
+def test_even_p_powers_come_from_h_alone(std1, p, monkeypatch):
+    # z^n and z^a h(z^g) raise h to the power p/2, never f, so no convolution
+    # runs over the zero gaps; the norms still match the dense oracles
+    lengths, convolve = [], np.convolve
+
+    def spy(a, v, *args, **kwargs):
+        lengths.append(max(len(a), len(v)))
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    m = int(p) // 2
+    gapped = gapped_series(7, 8, np.random.default_rng(7008))
+    for f, h_degree in ((TaylorSeries.monomial(300, 0.7 - 2.3j), 0), (gapped, 4)):
+        lengths.clear()
+        got = hardy_norm(f, p) ** p
+        assert got == pytest.approx(oracle_power_mean(f.coeffs, 1.0, p), rel=1e-12, abs=0.0)
+        bergman_norm(f, std1, p)
+        assert lengths and max(lengths) <= (m - 1) * h_degree + 1
 
 
 @pytest.mark.parametrize("a", [0, 1, 7, 300])
@@ -654,7 +675,12 @@ def test_means_past_the_double_range_are_refused(std1):
     with pytest.raises(DomainError, match="overflows double precision"):
         hardy_norm(f, 2000.0)
     with pytest.raises(DomainError, match="overflows double precision"):
-        hardy_norm(f, 1e308)  # even, with a bandwidth past the double range
+        hardy_norm(f, 1e308)  # even, with f^(p/2) past CIRCLE_Q_CAP: sampled
+    with pytest.raises(DomainError, match="overflows double precision"):
+        hardy_norm(TaylorSeries([1e200, 1e200]), 2.0)  # M_2^2(1) = 2e400
+    for run in (hardy_norm, lambda g, p: bergman_norm(g, std1, p)):
+        with pytest.raises(DomainError, match="overflows double precision"):
+            run(TaylorSeries.monomial(1, 3.0), 2000.0)  # 3^1000 overflows in the powering
     with pytest.raises(DomainError, match="not representable"):
         bergman_norm(TaylorSeries.monomial(3), std1, 1e308)
 
@@ -709,6 +735,31 @@ def test_p2_bergman_norm_of_negative_alpha_weights_against_mpmath_beta(alpha):
         want = 2 * mpmath.fsum(abs(mpmath.mpc(complex(c))) ** 2 * m
                                for c, m in zip(f.coeffs, moments))
     assert bergman_norm(f, w, 2.0) ** 2 == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def beta_parseval_sum(f, alpha, m):
+    """2 sum_n |b_n|^2 omega_{2n+1} for standard:alpha and b = f^m, both in
+    40-digit mpmath: ||f||^(2m) by Parseval."""
+    with mpmath.workdps(40):
+        c = [mpmath.mpc(complex(x)) for x in f.coeffs]
+        b = [mpmath.mpc(1)]
+        for _ in range(m):
+            b = [mpmath.fsum(b[i] * c[k - i] for i in range(max(0, k - len(c) + 1), min(k, len(b) - 1) + 1))
+                 for k in range(len(b) + len(c) - 1)]
+        moments = beta_odd_moments(alpha, len(b) - 1)
+        return float(2 * mpmath.fsum(abs(x) ** 2 * w for x, w in zip(b, moments)))
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0])
+@pytest.mark.parametrize("alpha", [-0.99, -0.9, -0.5, 1.0, 3.0])
+def test_even_p_bergman_norm_against_beta_parseval_sums(alpha, p):
+    # |f|^p = |f^(p/2)|^2: the norm is a Parseval sum over the weight's odd
+    # moments, with no radial rule in between
+    w = StandardWeight(alpha)
+    for degree in (8, 64):
+        f = random_series(degree, np.random.default_rng(degree + 7))
+        want = beta_parseval_sum(f, alpha, int(p) // 2)
+        assert bergman_norm(f, w, p) ** p == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_p2_tables_refuse_a_standard_weight_below_the_normal_range():

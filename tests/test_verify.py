@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -417,6 +418,41 @@ def test_p2_experiments_build_one_order_12_rule_per_weight(spec, rules_built):
     assert rules_built() == own
     monomial_necessity_curve(parse_weight_spec(spec), StandardWeight(1.0), 2.0, 10_000)
     assert rules_built() == {**own, nu: [MOMENT_ORDER]}
+
+
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1", "log:2*tail(standard:1)^4"])
+def test_even_p_bergman_norms_build_no_order_8_rule(spec, rules_built):
+    # ||f||^p is the p = 2 norm of f^(p/2), to the power 2/p: one odd-moment
+    # table, whose rule (if any) has order MOMENT_ORDER
+    if spec.startswith("log:2*"):
+        w = scaled_weight(parse_weight_spec("log:2"), StandardWeight(1.0), 4.0)
+    else:
+        w = parse_weight_spec(spec)
+    rng = np.random.default_rng(23)
+    f = TaylorSeries(rng.standard_normal(65) + 1j * rng.standard_normal(65))
+    for p in (4.0, 6.0):
+        m = int(p) // 2
+        power = np.array([1.0 + 0.0j])
+        for _ in range(m):
+            power = np.convolve(power, f.coeffs)
+        got = bergman_norm(f, w, p)
+        assert all(norms.GL_ORDER not in orders for orders in rules_built().values())
+        want = bergman_norm(TaylorSeries(power), w, 2.0) ** (1.0 / m)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_p2_tables_stop_at_the_normal_double_range():
+    # nu = exp:1,1 tail(standard:1)^2 goes subnormal before omega = exp:1,1
+    omega, mu = parse_weight_spec("exp:1,1"), StandardWeight(1.0)
+    nu = scaled_weight(omega, mu, 2.0)
+    top = 1 << 16
+    cut = int(np.argmax(nu.odd_moments(top + 1) < np.finfo(float).tiny))
+    assert 0 < cut < top
+    assert not np.any(omega.odd_moments(top + 1)[: cut + 1] < np.finfo(float).tiny)
+    with pytest.raises(QuadratureError, match=rf"of {re.escape(nu.label)} .* at n = {cut};"):
+        verify._p2_tables(omega, mu, nu, top, check=False)
+    with pytest.raises(QuadratureError, match=f"at n = {cut};"):
+        equivalence_sweep(monomial_family(top), omega, mu, 2.0, check=False)
 
 
 @pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
