@@ -171,8 +171,22 @@ def run_config(cfg, out_override=None, fmt_override=None):
 # argparse wiring
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
+class _OneCommandError(Exception):
+    """A parse error of a parser built for one command: the full parser
+    reports it, with the full usage text."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _OneCommandError(message)
+
+
+def _build_parser(command=None):
+    """The CLI's parser, or with ``command`` (``run`` or an experiment
+    command's first word) the same parser with that command's subparser
+    alone, whose parse errors raise _OneCommandError: a subparser's help and
+    usage text do not depend on its siblings, but the top-level usage does."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="bergweight",
         description="radial-weight diagnostics and weighted-norm experiments",
     )
@@ -183,14 +197,18 @@ def _build_parser():
                         help="list experiment names and exit")
     sub = parser.add_subparsers(dest="command")
 
-    run = sub.add_parser("run", help="run an experiment from a config file")
-    run.add_argument("--config", required=True)
-    run.add_argument("--out")
-    run.add_argument("--format", choices=("csv", "json"))
+    if command in (None, "run"):
+        run = sub.add_parser("run", help="run an experiment from a config file")
+        run.add_argument("--config", required=True)
+        run.add_argument("--out")
+        run.add_argument("--format", choices=("csv", "json"))
 
     groups = {}  # first word of a two-word command -> its subparsers
     for spec in verify.EXPERIMENTS.values():
-        *group, leaf = spec.command.split()
+        words = spec.command.split()
+        if command not in (None, words[0]):
+            continue
+        *group, leaf = words
         parent = sub
         if group:
             if group[0] not in groups:
@@ -209,6 +227,23 @@ def _build_parser():
     return parser
 
 
+#: the first words of the commands, each of which has a subparser of its own
+COMMANDS = frozenset(["run"] + [spec.command.split()[0] for spec in verify.EXPERIMENTS.values()])
+
+
+def _parse_args(argv):
+    """``argv`` parsed with the subparser of the command it starts with
+    alone, which is all that a command reads; any other ``argv``, and any
+    parse error, goes to the full parser, which prints its usage and error
+    text as it always has."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _OneCommandError:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def _config_text_from_args(spec, args):
     lines = [f"experiment = {spec.name}"]
     for key in spec.keys:
@@ -222,15 +257,14 @@ def _config_text_from_args(spec, args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
 
     if args.list_experiments:
         for name, spec in verify.EXPERIMENTS.items():
             print(f"{name:16s} {spec.blurb}")
         return 0
     if args.command is None:
-        parser.print_help()
+        _build_parser().print_help()
         return 2
 
     try:

@@ -30,9 +30,13 @@ windows, so that the last two grids cannot agree by chance either.
 Every batched kernel of these means works in blocks of about
 ``series.BLOCK_ENTRIES`` entries (1 MiB, L2-sized): the circle samples and
 their powers, the coefficient brackets, the Taylor tables, and the windows'
-masks, circle-to-zero distances and Gauss nodes.  No block's samples
-outlive it: of each circle the search may need, the first pass keeps only
-the dips of |h| and the five samples around each, in single precision.
+masks, circle-to-zero distances and Gauss nodes.  The brackets' power
+tables, built before the first pass, and the Taylor tables' powers of each
+center, built after it, go into the sampling workspace, which is idle then;
+the Taylor tables' matrix products stay small enough for OpenBLAS to run
+them on the calling thread.  No block's samples outlive it: of each circle
+the search may need, the first pass keeps only the dips of |h| and the five
+samples around each, in single precision.
 
 Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
@@ -44,9 +48,10 @@ without sampling them.
 
 At even p nothing samples a circle or builds an order-GL_ORDER rule either:
 a Bergman norm is ||f||^p = 2 sum_n |b_n|^2 m_n over the weight's odd
-moments m_n (``RadialWeight.odd_moments``), and at p = 2 a block norm is
-sum_n eta_{k^n} sum_j |v_n(j) c_j|^2, with the squares |v_n(j)|^2 kept next
-to the cached basis.
+moments m_n (``RadialWeight.odd_moments``, refused from its first entry
+below the normal double range, where a rule's table ends), and at p = 2 a
+block norm is sum_n eta_{k^n} sum_j |v_n(j) c_j|^2, with the squares
+|v_n(j)|^2 kept next to the cached basis.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -68,7 +73,7 @@ from .series import (
     horner,
     parseval_means,
 )
-from .weights import dcheck_margin
+from .weights import dcheck_margin, normal_odd_moments
 from .quadrature import cell_nodes
 from . import cesaro, series
 
@@ -104,6 +109,11 @@ PANEL_RATIO = 4.0
 PANEL_ORDER = 16
 #: terms of the Taylor expansions that evaluate h inside the windows
 TAYLOR_TERMS = 24
+#: most multiply-adds of a matrix product that OpenBLAS runs on the calling
+#: thread alone (its default 65536 times GEMM_MULTITHREAD_THRESHOLD = 4); a
+#: larger one wakes its worker threads, whose spinning afterwards costs more
+#: process CPU than they save (a fractional-p lp-sweep spent a third of it so)
+SINGLE_THREAD_PRODUCT = 1 << 18
 #: from this |x| on, erf(x) rounds to +-1 in doubles (erfc(6) ~ 2e-17)
 ERF_ONE_FROM = 6.0
 # W. J. Cody's rational erf (Math. Comp. 23 (1969)), coefficients in Horner
@@ -185,13 +195,12 @@ def _taylor(h, centers):
     binom[:, 1:] = np.maximum(np.arange(n + 1.0)[:, None] - j + 1.0, 0.0) / (j * float(n))
     np.cumprod(binom, axis=1, out=binom)
     out = np.empty((TAYLOR_TERMS, centers.size), dtype=complex)
-    # blocks of the working-set budget, and at most 512 rows: larger products
-    # wake BLAS threads, which cost about 7 ms of CPU a product on the
-    # 2-core machine measured
-    chunk = max(1, min(512, series.BLOCK_ENTRIES // (n + 1)))
+    # blocks of the working-set budget whose products stay on this thread
+    chunk = max(1, min(series.BLOCK_ENTRIES, SINGLE_THREAD_PRODUCT // TAYLOR_TERMS) // (n + 1))
     for start in range(0, centers.size, chunk):
         part = slice(start, start + chunk)
-        turns = np.empty((centers[part].size, n + 1), dtype=complex)
+        # the sampling workspace is idle once the first pass is done
+        turns, _ = series._workspace(centers[part].size, n + 1)
         turns[:, 0] = 1.0
         turns[:, 1:] = centers[part, None]
         np.cumprod(turns, axis=1, out=turns)
@@ -492,7 +501,9 @@ def _bracket(coeffs, radii, p):
         chunk = max(1, series.BLOCK_ENTRIES // absc.size)
         for start in range(0, radii.size, chunk):
             rows = slice(start, start + chunk)
-            powers = np.ones((base[rows].size, absc.size))
+            # in the sampling workspace, idle until the first pass
+            _, powers = series._workspace(base[rows].size, absc.size)
+            powers[:, 0] = 1.0
             powers[:, 1:] = base[rows, None]
             np.cumprod(powers, axis=1, out=powers)
             sums[rows] = powers @ weights
@@ -727,7 +738,8 @@ def bergman_norm(f, w, p):
     f = z^a h(z^g), and m_n the weight's odd moments (``w.odd_moments``):
     closed-form Beta values for a standard weight, else the table kept with
     the rule ``w.moment`` uses for s^(2 m deg f + 1), which every series it
-    serves shares.  Other exponents integrate ``_power_means`` over the
+    serves shares, refused where it leaves the normal double range
+    (``normal_odd_moments``).  Other exponents integrate ``_power_means`` over the
     weight's order-GL_ORDER radial rule and its boundary atom.
     """
     _check_exponent(p)
@@ -739,7 +751,8 @@ def bergman_norm(f, w, p):
         a, g, h = _factored(f.coeffs, degree)
         power = np.zeros(m * degree + 1, dtype=complex)
         power[m * a :: g] = _power(h, m)
-        return _parseval_norm(power, w.odd_moments(m * degree + 1)) ** (1.0 / m)
+        [moments] = normal_odd_moments((w,), m * degree + 1)
+        return _parseval_norm(power, moments) ** (1.0 / m)
     rule = w.resolved_rule(p * degree + 2.0, order=GL_ORDER)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget

@@ -28,6 +28,9 @@ GAUSS_MAX_DEPTH = 46  # most bisections of an adaptive_gauss cell
 #: orders per block of ``RadialRule.odd_moments``' table; every block has this
 #: many, so no entry depends on how long a table was asked for
 MOMENT_BLOCK = 64
+#: the least positive normal double: an odd-moment table ends at its first
+#: entry below it, whose subnormal neighbours keep few of their digits
+NORMAL_MIN = np.finfo(float).tiny
 
 
 def gauss_rule(order):
@@ -141,15 +144,16 @@ class RadialRule:
 
     def odd_moments(self, count):
         """``integrate(nodes**(2n + 1), 1.0)`` for n < count, kept with the rule
-        (a read-only view of the rule's table).
+        (a read-only view of the rule's table), or fewer: the table ends at
+        its first entry below the normal double range, ``NORMAL_MIN``.
 
         The table grows by whole blocks of MOMENT_BLOCK orders, and a block's
         values do not depend on when it was built or on what was asked for
         before, so threads that grow it at once store the same values
-        whichever of them stores last.
+        whichever of them stores last.  A table that has ended never grows.
         """
         table = self._moment_table[0]
-        if table.size < count:
+        if table.size < count and not (table.size and table[-1] < NORMAL_MIN):
             table = np.concatenate([table, self._moment_blocks(table.size, count)])
             table.flags.writeable = False
             self._moment_table[0] = table
@@ -157,7 +161,8 @@ class RadialRule:
 
     def _moment_blocks(self, first, count):
         """The table's entries from order ``first``, a block boundary, through
-        the block that holds order count - 1.
+        the block that holds order count - 1, or through the first entry
+        below NORMAL_MIN, where the table ends.
 
         Block k is sum_i (mass_i r_i^(2 k B)) r_i^(2j), j < B = MOMENT_BLOCK,
         mass_i = weights_i nodes_i: one product of the leading factors with
@@ -165,12 +170,15 @@ class RadialRule:
         The leading factors are running products of r^(2B) from mass_i at
         block 0, whichever block a call starts at, so that no entry depends
         on how the table grew; a product costs a twentieth of a power.  The
-        nodes go in chunks whose power tables hold 2^16 entries, so a table
-        costs no more memory than a chunk.
+        nodes go in chunks whose power tables hold 2^16 entries, and each
+        block sums its chunks' products in chunk order; the power tables of
+        all chunks, B doubles a node, are kept while the blocks are built.
         """
         first_block, end = first // MOMENT_BLOCK, -(-count // MOMENT_BLOCK)
-        out = np.full((end - first_block, MOMENT_BLOCK), self.boundary_mass)
+        # rows are written as they are reached: those past the end stay unmapped
+        out = np.empty((end - first_block, MOMENT_BLOCK))
         chunk = (1 << 16) // MOMENT_BLOCK
+        tables, steps, leads = [], [], []  # per chunk of nodes
         for lo in range(0, self.nodes.size, chunk):
             r = self.nodes[lo : lo + chunk]
             # (r^j)^2 from the products of r itself: no rounded r^2 is raised
@@ -179,11 +187,24 @@ class RadialRule:
             powers[:, 0] = 1.0
             powers[:, 1:] = r[:, None]
             np.cumprod(powers, axis=1, out=powers)
-            np.square(powers, out=powers)
-            step = r ** (2.0 * MOMENT_BLOCK)
-            lead = self.weights[lo : lo + chunk] * r
-            for k in range(end):
-                if k >= first_block:
-                    out[k - first_block] += lead @ powers
+            tables.append(np.square(powers, out=powers))
+            steps.append(r ** (2.0 * MOMENT_BLOCK))
+            leads.append(self.weights[lo : lo + chunk] * r)
+        advance, rest = list(zip(leads, steps)), list(zip(leads[1:], tables[1:]))
+        for _ in range(first_block):
+            for lead, step in advance:
                 lead *= step
+        mass = np.full(MOMENT_BLOCK, self.boundary_mass)
+        for i, block in enumerate(out):
+            # boundary_mass plus the chunks' products in chunk order, the first
+            # written in place (it rounds as that sum does)
+            np.matmul(leads[0], tables[0], out=block)
+            block += mass
+            for lead, powers in rest:
+                block += lead @ powers
+            for lead, step in advance:
+                lead *= step
+            # the entries fall with n, so the last is the block's least
+            if block[-1] < NORMAL_MIN:
+                return out.ravel()[: i * MOMENT_BLOCK + int(np.argmax(block < NORMAL_MIN)) + 1]
         return out.ravel()

@@ -15,7 +15,10 @@ Gamma quotients here and the geometric family's binomials are running
 products of their term ratios, as a standard weight's odd moments are.  Circle samples are
 batched ``numpy.fft`` transforms, done in place in a per-thread workspace,
 in blocks of at most BLOCK_ENTRIES samples: the working-set budget that
-every batched kernel of the fractional-p means reads.
+every batched kernel of the fractional-p means reads.  The workspace also
+serves the norms' tables built while no samples are live, and the first
+pass copies no block: it finds the dips of |f| on the powers |f|^p it holds
+and gathers only their stencils.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import threading
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ResourceError
-from .weights import dhat_verdict
+from .weights import dhat_verdict, normal_length
 
 DEFAULT_DEGREE = 1024
 # the most coefficients a parsed or read series may have (16 MiB of complex
@@ -105,20 +108,20 @@ def _multiplied(f, multipliers):
 def derivative_moments(mu, max_n, check=True):
     """``mu.odd_moments(max_n + 1)``, the divisors of ``frac_deriv_mu``, with its
     checks: ``mu`` must pass the upper-doubling screen (unless ``check`` is
-    False) and every moment must be a positive double whose reciprocal is
-    one too (a subnormal moment's is not)."""
+    False) and every moment must be a double in the normal range, which a
+    rule's table ends past (``normal_length``); its reciprocal is then a
+    double too."""
     if check and dhat_verdict(mu) == "out":
         raise DomainError(
             f"weight {mu.label} looks outside the upper-doubling class; "
             "pass check=False to apply the derivative anyway"
         )
     moments = mu.odd_moments(max_n + 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        bad = np.nonzero(~(moments > 0.0) | ~np.isfinite(moments) | ~np.isfinite(1.0 / moments))[0]
-    if bad.size:
+    n = normal_length(moments)
+    if n <= max_n:
         raise QuadratureError(
-            f"odd moment mu_{{2n+1}} of {mu.label} vanished numerically at n = {int(bad[0])}",
-            residual=float(moments[bad[0]]),
+            f"odd moment mu_{{2n+1}} of {mu.label} vanished numerically at n = {n}",
+            residual=float(moments[n]),
         )
     return moments
 
@@ -332,37 +335,48 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
             if even:
                 means = np.mean(powered[:, ::2], axis=1)
                 out_even[rows] = np.where(dead, 0.0, means * scale)
+                # |f|^p increases with |f|, so its local minima are those of |f|
+                minima = None
                 if dip_depth > 0.0:
-                    dips[rows] = ~dead & _dips(values, powered, dip_depth)
+                    minima = local_minima(powered)
+                    dips[rows] = ~dead & _dips(values, minima, dip_depth)
                 keep[rows] = dips[rows] | (np.abs(out[rows] - out_even[rows])
                                            > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
-                flagged = np.flatnonzero(keep[rows])
-                if flagged.size:
-                    row, j, near = dip_stencils(values[flagged])
-                    stencils.append((rows.start + flagged[row], j, near))
+                flagged = keep[rows]
+                if flagged.any():
+                    row, j = minima or local_minima(powered)
+                    mine = flagged[row]
+                    row, j, near = dip_stencils(values, row[mine], j[mine])
+                    stencils.append((rows.start + row, j, near))
                 peak[rows] = rowmax
     if not even:
         return out
     return out, out_even, (np.nonzero(keep)[0], peak[keep], dips[keep], stencils)
 
 
-def _dips(values, mag, depth):
-    """The rows of the samples ``values`` on which a zero of f may lie
-    within ``depth`` grid steps (in log modulus) of the circle.
-
-    At each local minimum of ``mag`` (|f| or an increasing function of it),
-    the quadratic in the angle through f there and at its two neighbours
-    has roots t, in steps from the minimum, with Im t about the depth of
-    a zero behind the dip.  A row is flagged when the root nearer the
-    minimum, or the other one within two steps of it, has |Im t| < depth.
-    """
-    q = mag.shape[1]
+def local_minima(mag):
+    """(row, j) of every local minimum of the rows of ``mag``, in row-major
+    order: mag[j] <= mag[j - 1] and mag[j] < mag[j + 1], j cyclic."""
     low = np.empty(mag.shape, dtype=bool)
     np.less_equal(mag[:, 1:], mag[:, :-1], out=low[:, 1:])
     np.less_equal(mag[:, 0], mag[:, -1], out=low[:, 0])
     low[:, :-1] &= mag[:, :-1] < mag[:, 1:]
     low[:, -1] &= mag[:, -1] < mag[:, 0]
-    row, j = np.nonzero(low)
+    return np.nonzero(low)
+
+
+def _dips(values, minima, depth):
+    """The rows of the samples ``values`` on which a zero of f may lie
+    within ``depth`` grid steps (in log modulus) of the circle.
+
+    At each local minimum (row, j) of |f| (``minima``), the quadratic in the
+    angle through f there and at its two neighbours has roots t, in steps
+    from the minimum, with Im t about the depth of a zero behind the dip.
+    A row is flagged when the root nearer the minimum, or the other one
+    within two steps of it, has |Im t| < depth.
+    """
+    q = values.shape[1]
+    row, j = minima
     before, at, after = (values[row, (j + k) % q] for k in (-1, 0, 1))
     slope, bend = 0.5 * (after - before), 0.5 * (after + before) - at
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -371,7 +385,7 @@ def _dips(values, mag, depth):
         other = at / (bend * near)
         found = (np.abs(near.imag) < depth) | ((np.abs(other.imag) < depth)
                                                & (np.abs(other.real) < 2.0))
-    out = np.zeros(mag.shape[0], dtype=bool)
+    out = np.zeros(values.shape[0], dtype=bool)
     out[row[found]] = True
     return out
 
@@ -383,18 +397,17 @@ def nearer_root(c0, c1, c2):
     return -2.0 * c0 / (c1 + disc)
 
 
-def dip_stencils(values):
-    """The dips of |f| among the samples ``values`` (rows of one grid), as
-    (row, j, stencils): each local minimum j of |f| on its row (j as int32),
-    and the samples at j - 2..j + 2 around it, a (5, dips) array in single
-    precision, which locates the dips well enough (the roots are polished
-    on f) and halves what they hold.
+def dip_stencils(values, row, j):
+    """The dips (row, j) of |f| among the samples ``values`` (rows of one
+    grid), some of its ``local_minima``, as (row, j, stencils): j as int32,
+    and the samples at j - 2..j + 2 around each, a (5, dips) array in single
+    precision, which locates the dips well enough (the roots are polished on
+    f) and halves what they hold.  Only the gathered samples are cast.
     """
-    values = values.astype(np.complex64)
     q = values.shape[1]
-    mag = np.abs(values)
-    row, j = np.nonzero((mag <= np.roll(mag, 1, axis=1)) & (mag < np.roll(mag, -1, axis=1)))
-    stencils = np.stack([values[row, (j + k) % q] for k in (-2, -1, 0, 1, 2)])
+    stencils = np.empty((5, row.size), dtype=np.complex64)
+    for k in range(5):
+        stencils[k] = values[row, (j + k - 2) % q]
     return row, j.astype(np.int32), stencils
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, QuadratureError
+from .errors import ConfigError, DomainError
 from .norms import (_block_energies, _block_k, _parseval_norm, bergman_norm, block_norm,
                     hardy_norm, integral_mean)
 from .cesaro import build_basis
 from .series import (TaylorSeries, derivative_moments, frac_deriv_mu, geometric_series,
                      lacunary_series, parse_series_spec, read_series_csv)
-from .weights import classify, parse_weight_spec, scaled_weight
+from .weights import classify, normal_odd_moments, parse_weight_spec, scaled_weight
 
 DEFAULT_SEED = 20250401
 BOUNDED_GROWTH_FACTOR = 1.05
@@ -168,16 +168,10 @@ def _p2_tables(omega, mu, nu, top, check):
     (``odd_moments``), mu's as ``frac_deriv_mu`` divides by them, and the
     monomial ratios R_n = nu_{2n+1} / (mu_{2n+1}^2 omega_{2n+1}).  Refused
     from the first n where omega's or nu's table leaves the normal double
-    range, so that no row, extreme or argmin reads a subnormal entry."""
-    om, nu_m = omega.odd_moments(top + 1), nu.odd_moments(top + 1)
+    range (``normal_odd_moments``), before mu's table is read, so that no
+    row, extreme or argmin reads a subnormal entry."""
+    om, nu_m = normal_odd_moments((omega, nu), top + 1)
     mu_m = derivative_moments(mu, top, check)
-    below = np.minimum(om, nu_m) < np.finfo(float).tiny
-    if below.any():
-        n = int(np.argmax(below))
-        weight, table = (omega, om) if om[n] < np.finfo(float).tiny else (nu, nu_m)
-        raise QuadratureError(
-            f"odd moment m_{{2n+1}} of {weight.label} leaves the normal double range at "
-            f"n = {n}; the p = 2 tables stop there", residual=float(table[n]))
     # where mu's square underflows, R_n is not a positive double
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return om, nu_m, mu_m, nu_m / (mu_m**2 * om)
@@ -420,8 +414,11 @@ def _p2_norm_ratios(family, eta, k):
     the quotient of two sums over its coefficients' squares: eta's
     odd-moment table for the largest degree N, and eta_{k^n} at every block
     that meets a series from one ``moments`` call whose orders reach the
-    table's top order 2N + 1 too, so that at k = 2 both read one rule."""
+    table's top order 2N + 1 too, so that at k = 2 both read one rule.  The
+    table is read first, and refused past the normal double range
+    (``normal_odd_moments``)."""
     top = max(f.degree for f in family)
+    [table] = normal_odd_moments((eta,), top + 1)
     energies = [_block_energies(f.coeffs[: f.degree + 1], k) for f in family]
     eta_k = np.zeros(max(e.size for _, e in energies))
     met = np.zeros(eta_k.size, dtype=bool)
@@ -429,7 +426,6 @@ def _p2_norm_ratios(family, eta, k):
         met[: e.size] |= e > 0.0
     met = np.flatnonzero(met)
     eta_k[met] = eta.moments(np.append(float(k) ** met, 2.0 * top + 1.0))[:-1]
-    table = eta.odd_moments(top + 1)
     ratios = []
     for f, (scale, e) in zip(family, energies):
         bergman = _parseval_norm(f.coeffs[: f.degree + 1], table) / scale

@@ -32,7 +32,9 @@ s^x and the density vary across them.  ``moment(x)`` builds the rule for
 its own order; ``moments(xs)`` integrates every order on the one rule for
 the largest, and ``classify`` reads all of its moment curves' orders from
 one such batch.  ``odd_moments(count)`` is the one table behind every
-p = 2 quantity: Beta steps for ``standard``, else the rule's own table.
+p = 2 quantity: Beta steps for ``standard``, else the rule's own table,
+which ends at its first entry below the normal double range; its readers
+take it through ``normal_odd_moments``, which refuses it from there.
 
 ``classify`` samples the upper-doubling, lower-doubling, and moment-doubling
 ratio curves on geometric grids and turns them into heuristic verdicts for
@@ -372,7 +374,9 @@ class RadialWeight:
     def odd_moments(self, count):
         """The p = 2 table m_n = int s^(2n+1) w(s) ds, n < count: the odd-moment
         table of the order-12 rule that ``moment(2 count - 1)`` integrates on
-        (a read-only view), refused where that rule underflows."""
+        (a read-only view), refused where that rule underflows.  It ends at
+        its first entry below the normal double range, so it may hold fewer
+        than ``count``; ``normal_odd_moments`` refuses such a table."""
         return self.resolved_rule(2.0 * count - 1.0).odd_moments(count)
 
     def resolved_rule(self, x_scale, order=MOMENT_ORDER):
@@ -551,6 +555,10 @@ class StandardWeight(RadialWeight):
                          for x in xs.tolist()])
 
     def odd_moments(self, count):
+        """The closed-form table: all ``count`` entries, subnormal and zero ones
+        too, since a running product costs next to nothing past the normal
+        range; its readers refuse it there as they refuse a rule's table that
+        has ended."""
         # (a/2) B(n + 1, a), a = alpha + 1, by the steps B(n + 2, a) / B(n + 1, a)
         # = (n + 1) / (n + 1 + a) from (a/2) B(1, a) = 1/2; every step is below
         # 1, so the running product underflows only where the moment does
@@ -917,6 +925,30 @@ class TabulatedWeight(RadialWeight):
         peak_depth = int(math.ceil(math.log2(max(x_scale, 2.0)))) + 12
         depth, boundary = self._mesh_extent(min_depth=min(peak_depth, quad.MAX_MESH_DEPTH - 1))
         return self._dyadic_rule(depth, x_scale, order, boundary)
+
+
+def normal_length(table):
+    """How many leading entries of the odd-moment table ``table`` are finite
+    doubles in the normal range: the n of its first entry outside it, where a
+    rule's table ends, or the table's length."""
+    bad = ~(table >= quad.NORMAL_MIN) | np.isinf(table)
+    return int(np.argmax(bad)) if bad.any() else table.size
+
+
+def normal_odd_moments(weights, count):
+    """Each weight's ``odd_moments(count)``, refused from the least n where
+    one of the tables leaves the normal double range (naming the first such
+    weight), so that no p = 2 quantity reads a subnormal entry or runs past
+    the end of a table."""
+    tables = [w.odd_moments(count) for w in weights]
+    ends = [normal_length(table) for table in tables]
+    n = min(ends)
+    if n < count:
+        i = ends.index(n)
+        raise QuadratureError(
+            f"odd moment m_{{2n+1}} of {weights[i].label} leaves the normal double range at "
+            f"n = {n}; the p = 2 tables stop there", residual=float(tables[i][n]))
+    return tables
 
 
 def scaled_weight(omega, mu, p):

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
 import bergweight
-from bergweight import StandardWeight, TaylorSeries, suma_check
+from bergweight import StandardWeight, TaylorSeries, cli, suma_check
 from bergweight.cli import main, parse_config, emit
 from bergweight.errors import ConfigError, DomainError
 from bergweight.series import write_series_csv
@@ -200,6 +201,65 @@ def test_import_loads_no_scipy():
 
 def test_cli_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+COMMAND_WORDS = sorted({"run", *(spec.command.split()[0] for spec in EXPERIMENTS.values())})
+PARSE_ONLY = ([[word, "--help"] for word in COMMAND_WORDS]
+              + [["cesaro", "dump", "--help"], ["cesaro"], ["--help"], ["--version"],
+                 ["--list-experiments"], [], ["frobnicate"], ["run"],
+                 ["run", "--config", "x.cfg", "--bogus"], ["lp-sweep", "--omega"],
+                 ["classify", "--weight", "standard:1", "--p", "2"], ["cesaro", "dump", "--k", "two"]])
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_one_command_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    # a command word gets a parser with its own subparser alone; help, usage
+    # and error text and the exit code are the full parser's, byte for byte
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    built, original = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
+                        or original(command))
+    got = outcome()
+    if argv and argv[0] in COMMAND_WORDS:
+        # a subparser's own help is printed by the one-command parser
+        assert built == ([argv[0]] if argv[-1] == "--help" else [argv[0], None])
+    else:
+        assert None in built and not any(built)
+    monkeypatch.setattr(cli, "COMMANDS", frozenset())
+    assert outcome() == got
+
+
+def test_cli_run_builds_one_subparser(tmp_path, monkeypatch):
+    built, original = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
+                        or original(command))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = classify\nweight = standard:1\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["classify", "--weight", "standard:1"]) == 0
+    assert built == ["run", "classify"]
+
+
+def test_cli_p2_sweep_to_2_to_the_20_refuses_within_3_cpu_seconds(tmp_path, capsys):
+    # nu = exp:1,1 tail(standard:1)^2 leaves the normal double range first;
+    # both tables end there and mu's is not read, so no 2^20-entry table is
+    # built (the refusal took 14.5 CPU s when they were)
+    start = time.process_time()
+    code = main(["lp-sweep", "--omega", "exp:1,1", "--mu", "standard:1", "--p", "2",
+                 "--family", "monomials", "--n-max", "1048576", "--out", str(tmp_path / "r.csv")])
+    cpu = time.process_time() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: odd moment m_{2n+1} of exp:1,1*tail(standard:1)^2 leaves the "
+                          "normal double range at n = 57430;")
+    assert "Traceback" not in err and not (tmp_path / "r.csv").exists()
+    assert cpu < 3.0
 
 
 def test_cli_classify_with_expectation(tmp_path, capsys):

@@ -773,6 +773,18 @@ def test_p2_tables_refuse_a_standard_weight_below_the_normal_range():
     assert StandardWeight(1.0, amplitude=1e-300).odd_moments(3)[0] == 5e-301
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_even_p_bergman_norm_refuses_past_the_end_of_the_table(p):
+    # exp:1,1's odd moments leave the normal double range near n = 61194,
+    # where its table ends: the norm of z^65535 at p = 2 (or of z^32767 at
+    # p = 4) would read an entry past it, a subnormal one, as it once did
+    w = parse_weight_spec("exp:1,1")
+    cut = int(np.argmax(w.odd_moments(65536) < np.finfo(float).tiny))
+    assert 0 < cut < 65535
+    with pytest.raises(QuadratureError, match=rf"^odd moment m_\{{2n\+1\}} of exp:1,1 leaves "
+                                              rf"the normal double range at n = {cut};"):
+        bergman_norm(TaylorSeries.monomial(65535 // int(p // 2)), w, p)
+
 @pytest.mark.parametrize("spec, oracle", [
     ("log:2", lambda c: oracle_log_bergman_square(c, 2.0)),
     ("exp:1,1", lambda c: oracle_exp_bergman_square(c, 1.0, 1.0)),

@@ -16,8 +16,9 @@ from bergweight import (
     hadamard,
     multiplier_transform,
     parse_series_spec,
+    parse_weight_spec,
 )
-from bergweight.errors import ResourceError
+from bergweight.errors import QuadratureError, ResourceError
 from bergweight.norms import DEFAULT_SETTINGS
 from bergweight.series import (
     MAX_SERIES_LENGTH,
@@ -131,6 +132,17 @@ def test_odd_moments_standard_against_mpmath(alpha):
     got, want = _representable(got, want)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+
+def test_derivative_moments_refuse_the_first_moment_below_the_normal_range():
+    # mu_{2n+1} of exp:1,1 leaves the normal double range at n = cut with a
+    # reciprocal that is still a double: D_mu z^cut once divided by it
+    mu = parse_weight_spec("exp:1,1")
+    table = mu.odd_moments(65536)
+    cut = int(np.argmax(table < sys.float_info.min))
+    assert 0 < cut < 65535 and math.isfinite(1.0 / table[cut])
+    with pytest.raises(QuadratureError, match=rf"^odd moment mu_\{{2n\+1\}} of exp:1,1 "
+                                              rf"vanished numerically at n = {cut}$"):
+        frac_deriv_mu(TaylorSeries.monomial(cut), mu, check=False)
 
 @pytest.mark.parametrize("lam,s", [(0.9, 2.0), (0.999, 7.5), (0.5, 0.3), (0.99, 1e-3)])
 def test_geometric_series_against_mpmath(lam, s):

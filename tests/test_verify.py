@@ -455,6 +455,15 @@ def test_p2_tables_stop_at_the_normal_double_range():
         equivalence_sweep(monomial_family(top), omega, mu, 2.0, check=False)
 
 
+def test_p2_norm_equivalence_refuses_past_the_end_of_the_table():
+    # eta's table is read, and refused, before any block basis or eta_{k^n}
+    eta = parse_weight_spec("exp:1,1")
+    cut = int(np.argmax(eta.odd_moments(65536) < np.finfo(float).tiny))
+    family = [("monomial:65535", TaylorSeries.monomial(65535))]
+    with pytest.raises(QuadratureError, match=rf"^odd moment m_\{{2n\+1\}} of exp:1,1 leaves "
+                                              rf"the normal double range at n = {cut};"):
+        norm_equivalence_check(family, eta, 2, 2.0, check=False)
+
 @pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
 def test_moment_batches_build_one_rule_per_weight(spec, rules_built):
     # standard moments are closed forms and build no rule

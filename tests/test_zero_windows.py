@@ -130,7 +130,8 @@ def test_zeros_around_the_whole_circle_get_no_windows(monkeypatch):
 def near_zeros(h, radii, samples, q):
     """``norms._near_zeros`` searching every circle of ``radii``, from the
     dips of their sample rows ``samples``."""
-    return norms._near_zeros(h, radii, np.arange(radii.size), [series.dip_stencils(samples)], q)
+    dips = series.dip_stencils(samples, *series.local_minima(np.abs(samples)))
+    return norms._near_zeros(h, radii, np.arange(radii.size), [dips], q)
 
 
 def per_circle_windows(h, r, q, samples):
@@ -166,6 +167,8 @@ def test_cluster_search_finds_the_per_circle_windows():
     band = norms.ZERO_BAND * norms.WINDOW_EDGE * step
     radii = 0.7 * np.exp(band * np.linspace(-0.95, 0.95, 15))
     [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
+    # the rows are read after the search, whose Taylor tables reuse the workspace
+    values = values.copy()
     search = np.arange(radii.size)
     zeros = near_zeros(h, radii, values, q)
     together = norms._ZeroWindows(h, radii, p, q, search, rowmax, zeros)
@@ -404,3 +407,27 @@ def test_fractional_norm_working_set(std1):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_first_pass_copies_no_block_of_flagged_rows():
+    # a dip depth that no zero exceeds flags every row of one 64-row block of
+    # samples of a degree-255 series; the dips are found on the powers that
+    # the pass holds and only their five samples are gathered.  The traced
+    # peak measured 0.67 MB, against 1.64 MB when the flagged rows were
+    # copied, cast to single precision and rolled
+    rng = np.random.default_rng(64)
+    coeffs = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    q = DEFAULT_SETTINGS.q_for(255)
+    radii = np.linspace(0.9, 1.0, series.BLOCK_ENTRIES // q)
+
+    def first_pass():
+        return series.circle_power_means(coeffs, radii, 0.5, q, even=True, dip_depth=1e9)
+
+    assert first_pass()[2][0].size == radii.size  # and the workspace is grown
+    tracemalloc.start()
+    try:
+        first_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
