@@ -6,7 +6,12 @@ exact, so only h is sampled, on grids sized by its degree: a monomial is one
 coefficient.  At every even p = 2m, |h|^p = |h^m|^2, so the circle integral
 is Parseval's sum M_p^p(r, h) = sum |b_n|^2 r^(2n) over the coefficients b
 of h^m, taken without sampling while m deg h < CIRCLE_Q_CAP (at p = 2
-always).  Otherwise it is a trapezoid sum over roots-of-unity samples,
+always).  At other p the same sum holds with b the coefficients of h^(p/2)
+when h has no zero in the closed unit disc, for h^(p/2) is then analytic
+there: b comes from one FFT of exp((p/2) log h) on the unit circle, taken
+when the samples wind round 0 no time and leave no alias and little
+rounding (``_outer_power``), and every radius is then one Horner sum.
+Otherwise the mean is a trapezoid sum over roots-of-unity samples,
 doubling the sample count until the value settles and computing only the
 new samples of each doubled grid.
 
@@ -34,9 +39,10 @@ masks, circle-to-zero distances and Gauss nodes.  The brackets' power
 tables, built before the first pass, and the Taylor tables' powers of each
 center, built after it, go into the sampling workspace, which is idle then;
 the Taylor tables' matrix products stay small enough for OpenBLAS to run
-them on the calling thread.  No block's samples outlive it: of each circle
-the search may need, the first pass keeps only the dips of |h| and the five
-samples around each, in single precision.
+them on the calling thread.  No block's samples outlive it: the first pass
+keeps no samples, and the zero search samples again only the middle circle
+of each cluster it reads, keeping the five samples around each dip of |h|
+there, in single precision.
 
 Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
@@ -51,7 +57,8 @@ a Bergman norm is ||f||^p = 2 sum_n |b_n|^2 m_n over the weight's odd
 moments m_n (``RadialWeight.odd_moments``, refused from its first entry
 below the normal double range, where a rule's table ends), and at p = 2 a
 block norm is sum_n eta_{k^n} sum_j |v_n(j) c_j|^2, with the squares
-|v_n(j)|^2 kept next to the cached basis.
+|v_n(j)|^2 kept next to the cached basis.  Nor does a monomial at any p:
+||c z^n||^p = 2 |c|^p w_{np+1}, one moment of the weight.
 
 For 0 < p < 1 the same formulas define quasi-norms; nothing here relies on
 a triangle inequality, so the full exponent range is handled uniformly.
@@ -69,8 +76,10 @@ from .series import (
     _abs_power,
     circle_power_means,
     dip_roots,
+    dip_stencils,
     flushed,
     horner,
+    local_minima,
     parseval_means,
 )
 from .weights import dcheck_margin, normal_odd_moments
@@ -78,6 +87,19 @@ from .quadrature import cell_nodes
 from . import cesaro, series
 
 CIRCLE_Q_CAP = 1 << 20
+#: the coefficients b of h^(p/2) from one FFT are taken when its negative
+#: frequencies and the top quarter of its positive ones are at most this
+#: share of their l2 norm, a few times the transform's rounding
+OUTER_TAIL = 1e-15
+#: ... and when what they hold, the transform's rounding, is at most this
+#: share of |b_0|: a mean is at least |b_0|^2, and the rounding moves it by
+#: about that share of itself or less
+OUTER_ROUNDING = 1e-12
+#: the Parseval grids of h^(p/2) end at this many times the first: a zero at
+#: 1 + d that the first grid's phase steps resolve (d above about pi / q)
+#: leaves coefficients below OUTER_TAIL by n = 35 / d, within the top quarter
+#: of a grid 32 times as fine
+OUTER_SPAN = 32
 #: least circle points per coefficient of h on the base grid of a mean.
 Q_OVERSAMPLE = 4
 #: Gauss order of the radial rules behind the Bergman and block-sum integrals.
@@ -210,18 +232,19 @@ def _taylor(h, centers):
     return out
 
 
-def _near_zeros(h, rho, circles, dips, q):
+def _near_zeros(h, rho, circles, p, q):
     """Zeros of h within ZERO_BAND edge widths (in log modulus) of some
-    circle of radius ``rho[circles]``, from ``dips``, pieces (row, j,
-    stencils) of the ``series.dip_stencils`` of circles' samples h / rowmax
-    on the size-q grid, row an index into ``rho``.
+    circle of radius ``rho[circles]``, from the dips of |h| among its
+    samples on the size-q grid.
 
     Circles in one quarter-step cell of log modulus form a cluster, and only
-    its middle circle is searched, with the band widened by the cluster's
-    half-width.  Each of its dips gives the two roots of ``dip_roots``; the
-    roots that may lie in the band, merged when nearby circles give the
-    same one, are polished by Newton steps on h's Taylor expansion about
-    them.  Zeros the search misses are left to the doubling ladder.
+    its middle circle is sampled and searched, with the band widened by the
+    cluster's half-width.  The dips are the local minima of |h|^p, as in the
+    first pass, and each gives the two roots of ``dip_roots`` through its
+    ``dip_stencils``; the roots that may lie in the band, merged when nearby
+    circles give the same one, are polished by Newton steps on h's Taylor
+    expansion about them.  Zeros the search misses are left to the doubling
+    ladder.
     """
     step = 2.0 * np.pi / q
     band, cell = ZERO_BAND * WINDOW_EDGE * step, 0.25 * step
@@ -232,22 +255,18 @@ def _near_zeros(h, rho, circles, dips, q):
     middle = order[(first + last) // 2]
     half = np.maximum(log_rho[order[last]] - log_rho[middle],
                       log_rho[middle] - log_rho[order[first]])
-    # the roots of the dips of each cluster's middle circle, piece by piece
-    middle = circles[middle]
-    cluster = np.full(rho.size, -1)
-    cluster[middle] = np.arange(middle.size)
+    # the roots of the dips of each cluster's middle circle, block by block
+    middle = rho[circles[middle]]
     starts = [np.zeros(0, dtype=complex)]
-    for row, j, stencils in dips:
-        row = cluster[row]
-        mine = row >= 0
-        if not mine.any():
-            continue
-        t = dip_roots(stencils[:, mine])
-        row, j = np.tile(row[mine], 2), np.tile(j[mine], 2)
+    for rows, values, _, _, scratch in series._circle_batches(h, middle, q):
+        row, j = local_minima(_abs_power(values, p, scratch))
+        row, j, stencils = dip_stencils(values, row, j)
+        t = dip_roots(stencils)
+        row, j = np.tile(row + rows.start, 2), np.tile(j, 2)
         # the dips overstate depths by up to a quarter step
         keep = (np.isfinite(t) & (np.abs(t) < 2.0)
                 & (step * np.abs(t.imag) < band + 0.3 * step + half[row]))
-        starts.append(rho[middle][row[keep]] * np.exp(1j * step * (j[keep] + t[keep])))
+        starts.append(middle[row[keep]] * np.exp(1j * step * (j[keep] + t[keep])))
     starts = np.concatenate(starts)
     # starts from nearby circles fall in the same quarter-step cell
     z = np.exp(np.unique(np.round(np.log(starts) / cell)) * cell)
@@ -555,6 +574,70 @@ def _power(h, m):
     return out
 
 
+def _outer_power(h, p, q):
+    """(scale, s) with |b_n|^2 = scale s_n, b the Taylor coefficients of
+    h^(p/2), when h has no zero in the closed unit disc, else None: then
+    M_p^p(r, h) = scale sum_n s_n r^(2n) is Parseval's sum, and nothing is
+    sampled but h on the unit circle.
+
+    h is scaled by top = max |h_k| first (scale = top^p, refused past the
+    double range), so that (h / top)^(p/2), at most (deg h + 1)^(p/2) on the
+    circle, overflows only where the mean itself may.  The coefficients come
+    from one FFT of exp((p/2) log(h / top)) on q points of the unit circle,
+    with the phase of h unwrapped along the grid, and are taken when
+    |h_0| > |h_deg| (|h_0 / h_deg| is the product of the zeros' moduli),
+    no sample is 0, every phase step is below pi/2, the winding number is
+    0 (no zero inside), and the negative frequencies and the top quarter of
+    the positive ones hold at most OUTER_TAIL of the l2 norm of b, the
+    scale of the transform's rounding (no alias left), and at most
+    OUTER_ROUNDING of |b_0|: every mean is at least |b_0|^2, and the
+    rounding moves it by about that share of itself, so a series far larger
+    on the circle than at 0, as (1 - 0.9 z)^-2 at p = 6.5, is left to the
+    sampler.  A grid that fails the check against the l2 norm alone, as the
+    slow coefficients of a zero just outside the disc do, doubles, up to
+    OUTER_SPAN times the first and CIRCLE_Q_CAP; any other failure ends the
+    search.  A zero inside stays
+    on every finer grid, and a phase step of pi/2 or more marks a zero
+    within about pi / q of the circle, whose coefficients a grid OUTER_SPAN
+    times as fine would still not hold.
+    """
+    absh = np.abs(h)
+    top = np.max(absh)
+    with np.errstate(over="ignore"):
+        scale = top**p
+    if not (absh[0] > absh[-1] and np.isfinite(scale)):
+        return None
+    last_q = min(OUTER_SPAN * q, CIRCLE_Q_CAP)
+    while q <= last_q:
+        values = np.fft.ifft(h / top, n=q, norm="forward")
+        phase = np.angle(values)
+        steps = np.diff(phase, append=phase[0])
+        turns = np.round(steps / (2.0 * np.pi))
+        steps -= 2.0 * np.pi * turns
+        # -sum(turns) is the winding number
+        if np.sum(turns) != 0.0 or not np.all(values) or np.any(np.abs(steps) >= 0.5 * np.pi):
+            return None
+        # the unwrapped phase: whole turns added to each sample's angle
+        phase[1:] -= 2.0 * np.pi * np.cumsum(turns[:-1])
+        with np.errstate(all="ignore"):
+            b = np.fft.fft(np.exp((0.5 * p) * (np.log(np.abs(values)) + 1j * phase)),
+                           norm="forward")
+            size = math.sqrt(np.vdot(b, b).real)
+        if not math.isfinite(size):  # past the double range on every grid
+            return None
+        tail = np.max(np.abs(b[3 * q // 8 :]))
+        if tail > OUTER_TAIL * size:
+            q *= 2
+            continue
+        if tail > OUTER_ROUNDING * abs(b[0]):
+            return None
+        # each term past the last above the top quarter's bound is below
+        # OUTER_TAIL^2 q of the sum's largest term
+        b = np.abs(b[: q // 2])
+        return scale, b[: np.flatnonzero(b > OUTER_TAIL * size)[-1] + 1] ** 2
+    return None
+
+
 def _power_means(coeffs, radii, p, degree, settings, masses=None):
     """M_p^p at each radius.
 
@@ -565,7 +648,9 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     r^a max_k |h_k| r^(gk), as it would unreduced.
 
     Even p = 2m are Parseval's sum over the coefficients of h^m
-    (``_parseval_order``), and ignore ``masses``.  At other exponents
+    (``_parseval_order``), and ignore ``masses``; so do the other exponents
+    for the series ``_outer_power`` accepts, which have no zero in the
+    closed unit disc, over the coefficients of h^(p/2).  Otherwise
     ``masses`` (same shape as ``radii``), the quadrature mass each radius
     carries, lets a radial quadrature spend samples where its weights
     actually look: the radii that ``_settled_by_bracket`` picks take the
@@ -596,6 +681,15 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
             values = lift * parseval_means(_power(coeffs, m), radii)
         _check_representable(values, radii ** (1.0 / g), p)
         return values
+    outer = _outer_power(coeffs, p, settings.q_for(degree))
+    if outer:
+        scale, squares = outer
+        # Horner in r^2 over n: every term is positive
+        sums = np.polynomial.polynomial.polyval(radii**2, squares)
+        with np.errstate(over="ignore"):  # inf past the double range
+            values = lift * scale * sums
+        _check_representable(values, radii ** (1.0 / g), p)
+        return values
     values = np.zeros(radii.size)
     sample = np.arange(radii.size)
     if masses is not None:
@@ -613,7 +707,7 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     # Bergman norm about 40% more: their budgets are left to absorb them
     guarded = masses is None
     dip_depth = ZERO_BAND * WINDOW_EDGE + DIP_SLACK if guarded else 0.0
-    means, coarse, (kept, rowmax, dips, stencils) = circle_power_means(
+    means, coarse, (kept, rowmax, dips) = circle_power_means(
         coeffs, radii[sample], p, q, even=True, dip_depth=dip_depth)
     values[sample] = lift[sample] * means
     _check_representable(values, radii ** (1.0 / g), p)
@@ -633,15 +727,14 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     unsettled = np.abs(values[sample] - lift[sample] * coarse) > budget(values[sample], sample)
     active = sample[unsettled]
     windows = None
-    # the first pass keeps the dips of every unsettled circle, but for
-    # rounding at the margin of its relative test; those keep the ladder.  It
-    # also keeps the circles that dip toward a zero: with a zero on the circle
-    # the q and q/2 means may agree by chance however far both are off
+    # the first pass keeps every unsettled circle, but for rounding at the
+    # margin of its relative test; those keep the ladder.  It also keeps the
+    # circles that dip toward a zero: with a zero on the circle the q and q/2
+    # means may agree by chance however far both are off
     search = unsettled[kept] | dips
     if np.any(search) and degree:
         circles = kept[search]
-        zeros = _near_zeros(coeffs, radii[sample], circles, stencils, q)
-        del stencils  # before the windows, whose arrays are the next peak of a call
+        zeros = _near_zeros(coeffs, radii[sample], circles, p, q)
         windows = _ZeroWindows(coeffs, radii, p, q, sample[circles], rowmax[search], zeros)
     if windows:
         # the masked pass, not direct values, takes the window samples out: near
@@ -739,27 +832,38 @@ def bergman_norm(f, w, p):
     closed-form Beta values for a standard weight, else the table kept with
     the rule ``w.moment`` uses for s^(2 m deg f + 1), which every series it
     serves shares, refused where it leaves the normal double range
-    (``normal_odd_moments``).  Other exponents integrate ``_power_means`` over the
-    weight's order-GL_ORDER radial rule and its boundary atom.
+    (``normal_odd_moments``).  At other exponents a monomial c z^n is
+    2 |c|^p w.moment(np + 1), and other series integrate ``_power_means``
+    over the weight's order-GL_ORDER radial rule and its boundary atom.
     """
     _check_exponent(p)
     if f.is_zero:
         return 0.0
     degree = f.degree
+    a, g, h = _factored(f.coeffs, degree)
     m = _parseval_order(p, degree)
     if m:
-        a, g, h = _factored(f.coeffs, degree)
         power = np.zeros(m * degree + 1, dtype=complex)
         power[m * a :: g] = _power(h, m)
         [moments] = normal_odd_moments((w,), m * degree + 1)
         return _parseval_norm(power, moments) ** (1.0 / m)
+    # ||c z^n||^p = 2 |c|^p w_{np+1}; past 2^1023 the order is refused as the
+    # rule's scale is, below
+    if h.size == 1 and p * degree + 2.0 <= 2.0**1023:
+        w.odd_moments(1)  # refused, as the rules are, if the weight's mass underflows
+        with np.errstate(over="ignore"):  # refused by _root_of_total
+            return _root_of_total(2.0 * float(np.abs(h[0]) ** p * w.moment(p * degree + 1.0)), p)
     rule = w.resolved_rule(p * degree + 2.0, order=GL_ORDER)
     # the boundary atom is one more radius, r = 1, weighted by the mass the
     # rule left unresolved; nodes carrying little mass get a looser budget
     radii = np.append(rule.nodes, 1.0)
     masses = np.append(rule.weights * rule.nodes, rule.boundary_mass)
     mpp = _power_means(f.coeffs, radii, p, degree, DEFAULT_SETTINGS, masses=masses)
-    total = 2.0 * float(np.dot(masses, mpp))
+    return _root_of_total(2.0 * float(np.dot(masses, mpp)), p)
+
+
+def _root_of_total(total, p):
+    """total^(1/p), refused when the Bergman integral ``total`` is not finite."""
     if not math.isfinite(total):
         raise DomainError(f"the Bergman integral of |f|^p at p = {p!r} overflows double precision")
     return total ** (1.0 / p)

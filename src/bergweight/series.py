@@ -16,9 +16,10 @@ products of their term ratios, as a standard weight's odd moments are.  Circle s
 batched ``numpy.fft`` transforms, done in place in a per-thread workspace,
 in blocks of at most BLOCK_ENTRIES samples: the working-set budget that
 every batched kernel of the fractional-p means reads.  The workspace also
-serves the norms' tables built while no samples are live, and the first
-pass copies no block: it finds the dips of |f| on the powers |f|^p it holds
-and gathers only their stencils.
+serves the norms' tables built while no samples are live.  The first pass
+keeps no samples: it finds the dips of |f| on the powers |f|^p it holds,
+and the zero search samples again only the circles it reads, gathering
+the stencils of their dips alone.
 """
 
 from __future__ import annotations
@@ -304,13 +305,11 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     The samples are f / rowmax, rowmax = max_n r^n |c_n|, so a mean
     overflows only when rowmax^p does.  ``even`` runs the doubling ladder's
     first check: it also returns the mean over the even-indexed samples,
-    which are the samples of the q/2 grid, and (rows, rowmax, dips,
-    stencils) of the rows whose two means differ by more than
-    CIRCLE_DOUBLING_TOL relative or that ``_dips`` flags within
-    ``dip_depth`` grid steps (dips True).  ``stencils`` lists the
-    ``dip_stencils`` (row, j, stencils) of those rows, one entry per block,
-    row an index into ``radii``: a zero search of those circles needs no
-    FFT of its own, and no block's samples outlive it.
+    which are the samples of the q/2 grid, and (rows, rowmax, dips) of the
+    rows whose two means differ by more than CIRCLE_DOUBLING_TOL relative
+    or that ``_dips`` flags within ``dip_depth`` grid steps (dips True).
+    No block's samples outlive it: a zero search samples again the few of
+    those circles it reads.
     ``mask``, a function of a block's slice of the radii that returns
     (rows, columns, weights) for that block, rows counted from the block's
     start, takes the mean of (1 - w_ij) |f_ij|^p instead, w_ij the weight
@@ -321,7 +320,6 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     if even:
         out_even, peak = np.empty(radii.size), np.empty(radii.size)
         keep, dips = np.zeros(radii.size, dtype=bool), np.zeros(radii.size, dtype=bool)
-        stencils = []
     for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
         powered = _abs_power(values, p, scratch)
         # past the double range the means come out inf or nan; the norms refuse them
@@ -335,23 +333,15 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
             if even:
                 means = np.mean(powered[:, ::2], axis=1)
                 out_even[rows] = np.where(dead, 0.0, means * scale)
-                # |f|^p increases with |f|, so its local minima are those of |f|
-                minima = None
                 if dip_depth > 0.0:
-                    minima = local_minima(powered)
-                    dips[rows] = ~dead & _dips(values, minima, dip_depth)
+                    # |f|^p increases with |f|, so its local minima are those of |f|
+                    dips[rows] = ~dead & _dips(values, local_minima(powered), dip_depth)
                 keep[rows] = dips[rows] | (np.abs(out[rows] - out_even[rows])
                                            > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
-                flagged = keep[rows]
-                if flagged.any():
-                    row, j = minima or local_minima(powered)
-                    mine = flagged[row]
-                    row, j, near = dip_stencils(values, row[mine], j[mine])
-                    stencils.append((rows.start + row, j, near))
                 peak[rows] = rowmax
     if not even:
         return out
-    return out, out_even, (np.nonzero(keep)[0], peak[keep], dips[keep], stencils)
+    return out, out_even, (np.nonzero(keep)[0], peak[keep], dips[keep])
 
 
 def local_minima(mag):

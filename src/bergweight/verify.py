@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .norms import (_block_energies, _block_k, _parseval_norm, bergman_norm, block_norm,
-                    hardy_norm, integral_mean)
+from .norms import (_basis_for, _block_energies, _block_k, _parseval_norm, _parseval_order,
+                    bergman_norm, block_norm, hardy_norm, integral_mean)
 from .cesaro import build_basis
 from .series import (TaylorSeries, derivative_moments, frac_deriv_mu, geometric_series,
                      lacunary_series, parse_series_spec, read_series_csv)
@@ -197,6 +197,8 @@ def equivalence_sweep(family, omega, mu, p, check=True):
     family.  At p = 2 every row is the quotient of two Parseval sums over
     tables built once for the family's largest degree N (``_p2_tables``),
     and the report's params carry the exact extremes of R_n over n <= N.
+    At exponents that take no Parseval's sum of f^(p/2) the monomial rows
+    are moment quotients (``_monomial_ratios``).
     """
     if len(family) < 2:
         raise DomainError(f"equivalence_sweep needs at least two functions, got {len(family)}")
@@ -219,7 +221,9 @@ def equivalence_sweep(family, omega, mu, p, check=True):
             ratios.append(_parseval_norm(c * inverse[: c.size], nu_m) ** 2 / den)
         extremes = _extremes(monomial_ratios)
     else:
-        ratios = [lp_ratio(f, omega, mu, p, nu=nu, check=check) for _, f in family]
+        ratios = _monomial_ratios(family, omega, mu, nu, p, check)
+        ratios = [lp_ratio(f, omega, mu, p, nu=nu, check=check) if ratio is None else ratio
+                  for (_, f), ratio in zip(family, ratios)]
     witness = [r for lab, r in zip(labels, ratios) if lab.startswith("monomial:")]
     if len(witness) < 3:
         witness = ratios
@@ -239,6 +243,29 @@ def equivalence_sweep(family, omega, mu, p, check=True):
     report.params["lower_verdict"] = lower_verdict
     report.params.update(extremes)
     return report
+
+
+def _monomials(family, p):
+    """The degree n of each member c z^n of ``family`` whose norm at p is
+    not Parseval's sum of its (p/2)-th power (``_parseval_order``), None for
+    the other members."""
+    return [f.degree if f.support().size == 1 and not _parseval_order(p, f.degree) else None
+            for _, f in family]
+
+
+def _monomial_ratios(family, omega, mu, nu, p, check):
+    """``lp_ratio`` of each monomial member c z^n, None for the others: the
+    quotient nu_{np+1} / (mu_{2n+1}^p omega_{np+1}) of ||c z^n||^p =
+    2 |c|^p omega_{np+1}, with omega's and nu's moments from one ``moments``
+    call each and mu's as ``frac_deriv_mu`` divides by them."""
+    degrees = _monomials(family, p)
+    n = np.array([d for d in degrees if d is not None])
+    if not n.size:
+        return degrees
+    mu_m = derivative_moments(mu, int(n.max()), check)
+    x = n * p + 1.0
+    quotients = iter((nu.moments(x) / (mu_m[n] ** p * omega.moments(x))).tolist())
+    return [None if d is None else next(quotients) for d in degrees]
 
 
 def monomial_necessity_curve(omega, mu, p, n_max):
@@ -384,7 +411,9 @@ def suma_check(mu, gamma, k, depth=25, check=True):
 
 
 def norm_equivalence_check(family, eta, k, p, check=True):
-    """Bergman-to-block norm ratio across a family; the bracket is reported."""
+    """Bergman-to-block norm ratio across a family; the bracket is reported.
+    At exponents that take no Parseval's sum of f^(p/2) the monomial rows
+    come from eta's moments and the block basis (``_monomial_norm_ratios``)."""
     if not family:
         raise DomainError("norm_equivalence_check needs a non-empty family")
     if check and classify(eta).verdicts["d"] == "out":
@@ -397,8 +426,9 @@ def norm_equivalence_check(family, eta, k, p, check=True):
     if p == 2.0 and members:
         ratios = _p2_norm_ratios([f for _, f in members], eta, _block_k(eta, k, check))
     else:
+        ratios = _monomial_norm_ratios(members, eta, k, p, check)
         ratios = [bergman_norm(f, eta, p) ** p / block_norm(f, eta, k, p, check=check) ** p
-                  for _, f in members]
+                  if ratio is None else ratio for (_, f), ratio in zip(members, ratios)]
     return ExperimentReport(
         experiment="norm-equiv",
         params={"eta": eta.label, "k": k, "p": p, "family_size": len(labels)},
@@ -407,6 +437,27 @@ def norm_equivalence_check(family, eta, k, p, check=True):
         verdict=f"bracket [{min(ratios):.6g}, {max(ratios):.6g}], "
                 f"max/min {max(ratios)/min(ratios):.6g}",
     )
+
+
+def _monomial_norm_ratios(members, eta, k, p, check):
+    """The Bergman-to-block ratio of each monomial member c z^n, None for the
+    others: 2 eta_{np+1} / sum_m eta_{k^m} |v_m(n)|^p, since block m of
+    c z^n is c v_m(n) z^n, with every eta_{k^m} and eta_{np+1} from one
+    ``moments`` call."""
+    degrees = _monomials(members, p)
+    n = [d for d in degrees if d is not None]
+    if not n:
+        return degrees
+    k = _block_k(eta, k, check)
+    basis = _basis_for(k, max(n))[0]
+    # |v_m(n)|^p, block m by row
+    powers = np.abs([[basis.coefficient(m, j) for j in n]
+                     for m in range(basis.block_count)]) ** p
+    met = np.flatnonzero(np.any(powers > 0.0, axis=1))
+    moments = eta.moments(np.append(float(k) ** met, np.array(n) * p + 1.0))
+    blocks = moments[: met.size] @ powers[met]
+    quotients = iter((2.0 * moments[met.size :] / blocks).tolist())
+    return [None if d is None else next(quotients) for d in degrees]
 
 
 def _p2_norm_ratios(family, eta, k):

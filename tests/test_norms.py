@@ -685,6 +685,138 @@ def test_means_past_the_double_range_are_refused(std1):
         bergman_norm(TaylorSeries.monomial(3), std1, 1e308)
 
 
+def circle_calls(monkeypatch):
+    """The list of the radii arrays ``circle_power_means`` is called with."""
+    calls = []
+    original = norms.circle_power_means
+
+    def spy(coeffs, radii, p, q, **kwargs):
+        calls.append(np.atleast_1d(radii))
+        return original(coeffs, radii, p, q, **kwargs)
+
+    monkeypatch.setattr(norms, "circle_power_means", spy)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# series with no zero in the closed disc: Parseval's sum of h^(p/2)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("lam, s", [(0.5, 1.0), (0.5, 2.0), (0.9, 1.0), (0.9, 2.0)])
+def test_outer_hardy_norms_against_hypergeometric(lam, s, p, monkeypatch):
+    # (1 - lam z)^(-sp/2) has coefficients (sp/2)_n lam^n / n!, so
+    # M_p^p(1) = 2F1(sp/2, sp/2; 1; lam^2); truncated at degree 256 the series
+    # keeps every digit of it, and no circle of it is sampled
+    calls = circle_calls(monkeypatch)
+    f = geometric_series(lam, s, 256)
+    want = float(mpmath.hyp2f1(s * p / 2, s * p / 2, 1, mpmath.mpf(lam) ** 2))
+    assert hardy_norm(f, p) ** p == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert calls == []
+
+
+def dense_grid_means(coeffs, radii, p, q=1 << 14):
+    """mean |f|^p over q roots of unity on each circle: exact to rounding for
+    these series, whose zeros lie 0.04 or more outside the unit circle in log
+    modulus, where the trapezoid rule misses about e^(-0.04 q) < 1e-280."""
+    out = np.empty(radii.size)
+    powers = np.arange(coeffs.size)
+    for start in range(0, radii.size, 16):
+        rows = radii[start:start + 16, None] ** powers * coeffs
+        samples = np.fft.ifft(rows, n=q, axis=1, norm="forward")
+        out[start:start + 16] = np.mean(np.abs(samples) ** p, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("spec", ["standard:1", "log:2"])
+def test_outer_bergman_norms_against_dense_grids(spec, p, monkeypatch):
+    w = parse_weight_spec(spec)
+    calls = circle_calls(monkeypatch)
+    for f in (geometric_series(0.5, 1.0, 64), geometric_series(0.9, 2.0, 64)):
+        radii, masses = bergman_radii(f, w, p)
+        want = 2.0 * np.dot(masses, dense_grid_means(f.coeffs, radii, p))
+        assert bergman_norm(f, w, p) ** p == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert calls == []
+
+
+def truncated_exp(a, degree):
+    """sum_{n <= degree} a^n z^n / n!"""
+    n = np.arange(degree + 1)
+    return TaylorSeries(np.exp(n * math.log(a) - np.array([math.lgamma(k + 1.0) for k in n])))
+
+
+@pytest.mark.parametrize("f, p", [(geometric_series(0.9, 2.0, 256), 6.5),
+                                  (truncated_exp(10.0, 240), 3.0)])
+def test_outer_series_far_larger_on_the_circle_are_sampled(f, p):
+    # outer, but |f|^(p/2) on the circle is some 1e5 times f(0)^(p/2): the
+    # transform's rounding would move the means at small r by about 1e-11
+    # relative, so the series is sampled as before
+    h = f.coeffs[: f.degree + 1]
+    assert norms._outer_power(h, p, DEFAULT_SETTINGS.q_for(f.degree)) is None
+    radii = np.array([0.0, 0.05, 0.1, 0.5])
+    want = dense_grid_means(h, radii, p)
+    assert integral_mean(f, radii, p) ** p == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def planted_zero(z0, degree=32):
+    """(1 - z / z0) / (1 - z / 2), truncated: one zero at z0, the others
+    outside the disc."""
+    return TaylorSeries(np.convolve([1.0, -1.0 / z0], geometric_series(0.5, 1.0, degree).coeffs))
+
+
+ZEROS_IN_THE_DISC = {
+    "inside by 1e-3": lambda: planted_zero((1.0 - 1e-3) * np.exp(1j)),
+    "inside by 1e-6": lambda: planted_zero((1.0 - 1e-6) * np.exp(1j)),
+    "on the circle": lambda: planted_zero(np.exp(0.7j)),
+    "geometric:0.99,2": lambda: geometric_series(0.99, 2.0, 256),  # a zero at |z| = 0.986
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZEROS_IN_THE_DISC))
+def test_series_with_a_zero_in_the_disc_keep_the_sampled_means(name, std1, monkeypatch):
+    # the transform refuses them, and every mean and norm is the sampler's,
+    # bit for bit
+    f = ZEROS_IN_THE_DISC[name]()
+    h = f.coeffs[: f.degree + 1]
+    for p in (0.5, 1.0, 3.0):
+        assert norms._outer_power(h, p, DEFAULT_SETTINGS.q_for(f.degree)) is None
+    radii = np.linspace(0.5, 1.0, 6)
+
+    def values():
+        return [integral_mean(f, radii, p).tolist() + [hardy_norm(f, p), bergman_norm(f, std1, p)]
+                for p in (0.5, 1.0)]
+
+    got = values()
+    monkeypatch.setattr(norms, "_outer_power", lambda h, p, q: None)
+    assert got == values()
+
+
+def test_outer_means_past_the_double_range_are_refused(std1):
+    # 1e200 f: the scale top^p overflows before any transform; f at p = 2001:
+    # the transform's coefficients do.  Both are refused as sampled means are
+    f = geometric_series(0.5, 1.0, 64)
+    for g, p in ((f * 1e200, 3.0), (f, 2001.0)):
+        for run in (hardy_norm, lambda g, p: bergman_norm(g, std1, p)):
+            with pytest.raises(DomainError, match="overflows double precision"):
+                run(g, p)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("alpha", [-0.99, -0.9, -0.5])
+def test_monomial_bergman_norms_against_beta_moments(alpha, p, monkeypatch):
+    # ||z^3||_p^p = 2 omega_{3p+1} = (alpha + 1) B((3p + 2) / 2, alpha + 1),
+    # which the order-8 rule missed by up to 2e-6 at alpha = -0.9, p = 1: the
+    # moment takes it with no circle and no radial rule
+    w = StandardWeight(alpha)
+    calls = circle_calls(monkeypatch)
+    with mpmath.workdps(30):
+        want = float((alpha + 1) * mpmath.beta((3 * p + 2) / 2, alpha + 1))
+    assert bergman_norm(TaylorSeries.monomial(3, 0.5j), w, p) ** p == pytest.approx(
+        0.5**p * want, rel=1e-12, abs=0.0)
+    assert calls == [] and w._rule_memo == {}
+
+
 # ---------------------------------------------------------------------------
 # p = 2: Parseval's sum over the rule's odd moments
 

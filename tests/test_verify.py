@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bergweight import (
     DomainError,
+    build_basis,
     ExponentialWeight,
     LogWeight,
     StandardWeight,
@@ -489,6 +490,53 @@ def test_p2_sweep_rows_match_standalone_norms(spec):
         assert ratio == pytest.approx(lp_ratio(f, omega, mu, 2.0), rel=1e-12, abs=0.0)
         alone = bergman_norm(f, omega, 2.0) ** 2 / block_norm(f, omega, 2, 2.0, check=False) ** 2
         assert norm_ratio == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("spec", ["standard:1", "log:2", "exp:1,1"])
+def test_fractional_p_monomial_rows_are_moment_quotients(spec, p, rules_built, monkeypatch):
+    # every monomial row is nu_{np+1} / (mu_{2n+1}^p omega_{np+1}) from one
+    # moments call per weight and mu's table, bit for bit, with no circle
+    # sampled and no order-8 rule built
+    calls = []
+    monkeypatch.setattr(norms, "circle_power_means", lambda *args, **kwargs: calls.append(args))
+    mu = StandardWeight(1.0)
+    report = equivalence_sweep(monomial_family(256), parse_weight_spec(spec), mu, p)
+    assert calls == []
+    assert all(norms.GL_ORDER not in orders for orders in rules_built().values())
+    omega = parse_weight_spec(spec)
+    nu = scaled_weight(omega, mu, p)
+    n = np.array([0] + [2**j for j in range(9)])
+    x = n * p + 1.0
+    want = nu.moments(x) / (series.derivative_moments(mu, 256)[n] ** p * omega.moments(x))
+    assert report.columns["ratio"] == want.tolist()
+    # the monomial-curve quotient at the n both grids hold
+    curve = monomial_necessity_curve(omega, mu, p, 256)
+    for m, reverse in zip(curve.columns["n"], curve.columns["reverse_ratio"]):
+        if m in n:
+            assert 1.0 / reverse == pytest.approx(want[list(n).index(m)], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_fractional_p_norm_equivalence_monomial_rows_against_beta(p, rules_built, monkeypatch):
+    # 2 eta_{np+1} / sum_m eta_{2^m} |v_m(n)|^p with eta_x = 4 / ((x + 1)(x + 3))
+    # for standard:1: no circle sampled and, the moments being closed forms,
+    # no rule built at all
+    calls = []
+    monkeypatch.setattr(norms, "circle_power_means", lambda *args, **kwargs: calls.append(args))
+    family = monomial_family(256)
+    report = norm_equivalence_check(family, StandardWeight(1.0), 2, p)
+    assert calls == [] and rules_built() == {}
+    basis = build_basis(2, 256)
+
+    def eta(x):
+        return 4.0 / ((x + 1.0) * (x + 3.0))
+
+    for (_, f), ratio in zip(family, report.columns["norm_ratio"]):
+        n = f.degree
+        blocks = sum(eta(2.0**m) * abs(basis.coefficient(m, n)) ** p
+                     for m in range(basis.block_count))
+        assert ratio == pytest.approx(2.0 * eta(n * p + 1.0) / blocks, rel=1e-12, abs=0.0)
 
 
 def _standard_poly_in_u(alpha):

@@ -127,20 +127,18 @@ def test_zeros_around_the_whole_circle_get_no_windows(monkeypatch):
     assert len(built) == 3 and not any(len(windows) for windows in built)
 
 
-def near_zeros(h, radii, samples, q):
-    """``norms._near_zeros`` searching every circle of ``radii``, from the
-    dips of their sample rows ``samples``."""
-    dips = series.dip_stencils(samples, *series.local_minima(np.abs(samples)))
-    return norms._near_zeros(h, radii, np.arange(radii.size), [dips], q)
+def near_zeros(h, radii, q, p):
+    """``norms._near_zeros`` searching every circle of ``radii``."""
+    return norms._near_zeros(h, radii, np.arange(radii.size), p, q)
 
 
-def per_circle_windows(h, r, q, samples):
+def per_circle_windows(h, r, q, p):
     """(lo, hi) of the windows one circle gets when it is searched alone,
     assembled one circle at a time as the windows were before they were
     built in arrays."""
     edge = norms.WINDOW_EDGE * 2.0 * np.pi / q
     band, reach = norms.ZERO_BAND * edge, norms.WINDOW_REACH * edge
-    zeros = near_zeros(h, np.array([r]), samples, q)
+    zeros = near_zeros(h, np.array([r]), q, p)
     near = np.abs(np.log(np.abs(zeros)) - math.log(r)) < band
     if not np.any(near):
         return [], []
@@ -166,19 +164,17 @@ def test_cluster_search_finds_the_per_circle_windows():
     h = np.convolve(np.poly(planted)[::-1], g)
     band = norms.ZERO_BAND * norms.WINDOW_EDGE * step
     radii = 0.7 * np.exp(band * np.linspace(-0.95, 0.95, 15))
-    [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
-    # the rows are read after the search, whose Taylor tables reuse the workspace
-    values = values.copy()
+    [(_, _, rowmax, _, _)] = series._circle_batches(h, radii, q)
     search = np.arange(radii.size)
-    zeros = near_zeros(h, radii, values, q)
+    zeros = near_zeros(h, radii, q, p)
     together = norms._ZeroWindows(h, radii, p, q, search, rowmax, zeros)
     assert len(together) == 2 * radii.size
     for i, r in enumerate(radii):
-        lo, hi = per_circle_windows(h, r, q, values[i:i + 1])
+        lo, hi = per_circle_windows(h, r, q, p)
         mine = together.owner == i
         np.testing.assert_allclose(together.lo[mine], lo, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(together.hi[mine], hi, rtol=0.0, atol=1e-12)
-        zeros = near_zeros(h, radii[i:i + 1], values[i:i + 1], q)
+        zeros = near_zeros(h, radii[i:i + 1], q, p)
         alone = norms._ZeroWindows(h, radii, p, q, search[i:i + 1], rowmax[i:i + 1], zeros)
         assert together.integral[i] == pytest.approx(alone.integral[i], rel=1e-10, abs=0.0)
 
@@ -208,8 +204,8 @@ def test_window_is_its_two_erf_edges():
     planted = 0.7 * np.exp(1j * np.array([1.1, 1.1 + 2.5 * step, 3.0]))
     h = np.convolve(np.poly(planted)[::-1], planted_series(degree - 3, 0.0, seed=256)[1:])
     radii = np.array([0.7])
-    [(_, values, rowmax, _, _)] = series._circle_batches(h, radii, q)
-    zeros = near_zeros(h, radii, values, q)
+    [(_, _, rowmax, _, _)] = series._circle_batches(h, radii, q)
+    zeros = near_zeros(h, radii, q, 0.5)
     windows = norms._ZeroWindows(h, radii, 0.5, q, np.arange(1), rowmax, zeros)
     assert len(windows) == 2
     k = np.repeat(np.arange(2), 2001)
