@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .series import TaylorSeries, hadamard
+from .series import TaylorSeries, hadamard, integer
 
 MAX_DERIVATIVE_ORDER = 4
 _BASIS_COEFF_BUDGET = 50_000_000
@@ -193,6 +193,7 @@ def build_basis(k, n_top):
 
 def block(f, basis, n):
     """The n-th band of f: Hadamard product with block n."""
+    n = integer(n, "block index")
     if not (0 <= n <= basis.top_index):
         raise DomainError(f"block index {n} outside 0..{basis.top_index}")
     return hadamard(basis.blocks[n], f)

@@ -18,19 +18,22 @@ new samples of each doubled grid.
 At other exponents |f|^p is analytic on the circle |z| = r only away
 from f's zeros, and the trapezoid rule's error decays like e^(-q d), d the
 log distance from the circle to the nearest zero (Trefethen and Weideman,
-SIAM Review 56 (2014)).  So after the first pass the zeros of h near each
-circle that is unsettled, or whose samples dip toward a zero, are located
-(Newton steps from the dips of |h| among the first pass's samples): with a
-zero on the circle the q and q/2 means can agree by chance while both are
-far off.  Each zero within a fraction of a step gets a window phi, a few
-grid steps wide with erf edges: |h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.
-The erf is Cody's rational one, taken once per angle and only where it is
-not +-1 in doubles.  The first part keeps the FFT trapezoid and its
-doubling, which no longer sees the zeros; each window's part is integrated
-by Gauss panels graded toward its zeros, with h evaluated directly.  Radii
-without a near zero keep the plain doubling, and no circle on the ladder
-settles before the grid outruns the nearest zero found outside its
-windows, so that the last two grids cannot agree by chance either.
+SIAM Review 56 (2014)), and with a zero on the circle the q and q/2 means
+can agree by chance while both are far off.  The first pass only samples;
+``_power_means`` then picks the circles whose zeros are searched: those
+that a budgeted mean leaves unsettled, or every circle of an unbudgeted
+one.  The search samples them again and fits a quartic through the five
+samples around each dip of |h| (``dip_roots``); the roots within reach of
+a circle are polished by Newton steps on h.  Each zero within a fraction
+of a step gets a window phi, a few grid steps wide with erf edges:
+|h|^p = (1 - sum phi) |h|^p + sum phi |h|^p.  The erf is Cody's rational
+one, taken once per angle and only where it is not +-1 in doubles.  The
+first part keeps the FFT trapezoid and its doubling, which no longer sees
+the zeros; each window's part is integrated by Gauss panels graded toward
+its zeros, with h evaluated directly.  Radii without a near zero keep the
+plain doubling, and no unbudgeted circle on the ladder settles before the
+grid outruns the nearest zero found outside its windows, so that the last
+two grids cannot agree by chance either.
 
 Every batched kernel of these means works in blocks of about
 ``series.BLOCK_ENTRIES`` entries (1 MiB, L2-sized): the circle samples and
@@ -40,9 +43,9 @@ tables, built before the first pass, and the Taylor tables' powers of each
 center, built after it, go into the sampling workspace, which is idle then;
 the Taylor tables' matrix products stay small enough for OpenBLAS to run
 them on the calling thread.  No block's samples outlive it: the first pass
-keeps no samples, and the zero search samples again only the middle circle
-of each cluster it reads, keeping the five samples around each dip of |h|
-there, in single precision.
+keeps three numbers a circle, and the zero search samples again only the
+middle circle of each cluster it reads, keeping the five samples around
+each dip of |h| there, in single precision.
 
 Radial integrals ride on the weight's own quadrature rule, which carries
 its unresolved boundary mass as an atom at r = 1 so that polynomials (whose
@@ -75,11 +78,8 @@ from .series import (
     CIRCLE_DOUBLING_TOL,
     _abs_power,
     circle_power_means,
-    dip_roots,
-    dip_stencils,
     flushed,
     horner,
-    local_minima,
     parseval_means,
 )
 from .weights import dcheck_margin, normal_odd_moments
@@ -115,11 +115,6 @@ WINDOW_REACH = 6.0
 #: zeros whose log modulus lies within this many edge widths of a radius get a
 #: window; the ladder resolves farther ones as it did before windows
 ZERO_BAND = 0.5
-#: grid steps that the first check's three-point estimate of a zero's depth
-#: behind a dip may add to it (up to 0.38 seen on random polynomials of degree
-#: 1 to 64); circles with a dip within ZERO_BAND edge widths and this many steps
-#: are searched for zeros even when their q and q/2 means agree
-DIP_SLACK = 0.5
 #: a circle on the ladder settles only on grids of q points with q d at least
 #: this, d the log distance to the nearest zero found outside its band: the
 #: trapezoid error from that zero then shrinks by e^(-q d) <= 3.5e-6 a
@@ -232,19 +227,91 @@ def _taylor(h, centers):
     return out
 
 
+def local_minima(mag):
+    """(row, j) of every local minimum of the rows of ``mag``, in row-major
+    order: mag[j] <= mag[j - 1] and mag[j] < mag[j + 1], j cyclic."""
+    low = np.empty(mag.shape, dtype=bool)
+    np.less_equal(mag[:, 1:], mag[:, :-1], out=low[:, 1:])
+    np.less_equal(mag[:, 0], mag[:, -1], out=low[:, 0])
+    low[:, :-1] &= mag[:, :-1] < mag[:, 1:]
+    low[:, -1] &= mag[:, -1] < mag[:, 0]
+    return np.nonzero(low)
+
+
+def nearer_root(c0, c1, c2):
+    """The root of c0 + c1 t + c2 t^2 nearer 0, without cancellation."""
+    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    disc = np.where((np.conj(c1) * disc).real < 0.0, -disc, disc)
+    return -2.0 * c0 / (c1 + disc)
+
+
+def dip_stencils(values, row, j):
+    """The dips (row, j) of |f| among the samples ``values`` (rows of one
+    grid), some of its ``local_minima``, as (row, j, stencils): j as int32,
+    and the samples at j - 2..j + 2 around each, a (5, dips) array in single
+    precision, which locates the dips well enough (the roots are polished on
+    f) and halves what they hold.  Only the gathered samples are cast.
+    """
+    q = values.shape[1]
+    stencils = np.empty((5, row.size), dtype=np.complex64)
+    for k in range(5):
+        stencils[k] = values[row, (j + k - 2) % q]
+    return row, j.astype(np.int32), stencils
+
+
+def dip_roots(stencils):
+    """Two roots t per dip of the (5, dips) ``stencils``, in grid steps from
+    the minimum: Im t is about the log distance of a zero of f behind it.
+
+    The quartic in the angle through the five samples at t = -2..2 has a
+    root near the angle of the zero behind the dip; Newton steps on the
+    quartic, started from the root of its quadratic part, find it, and then
+    the root of the deflated cubic nearer the minimum, for a second zero
+    behind the same dip (two zeros a step or so apart leave one dip).  The
+    first roots of all dips come first, then the second ones; a fit that
+    fails gives inf or nan.
+    """
+    f = stencils.astype(complex)
+    # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
+    a0 = f[2]
+    a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
+    a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
+    a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
+    a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quartic = [a0, a1, a2, a3, a4]
+        t = _newton(quartic, nearer_root(a0, a1, a2))
+        # the root nearer 0 of the cubic left by deflating t
+        cubic = [a4]
+        for a in quartic[3:0:-1]:
+            cubic.insert(0, a + t * cubic[0])
+        return np.concatenate([t, _newton(cubic, nearer_root(*cubic[:3]))])
+
+
+def _newton(coeffs, t, steps=4):
+    """``steps`` Newton steps from t on the polynomial sum_k coeffs[k] t^k."""
+    for _ in range(steps):
+        value, slope = coeffs[-1], 0.0
+        for c in coeffs[-2::-1]:
+            slope = slope * t + value
+            value = value * t + c
+        t = t - value / slope
+    return t
+
+
 def _near_zeros(h, rho, circles, p, q):
     """Zeros of h within ZERO_BAND edge widths (in log modulus) of some
-    circle of radius ``rho[circles]``, from the dips of |h| among its
-    samples on the size-q grid.
+    circle of radius ``rho[circles]`` (every one > 0), from the dips of |h|
+    among its samples on the size-q grid.
 
     Circles in one quarter-step cell of log modulus form a cluster, and only
     its middle circle is sampled and searched, with the band widened by the
-    cluster's half-width.  The dips are the local minima of |h|^p, as in the
-    first pass, and each gives the two roots of ``dip_roots`` through its
-    ``dip_stencils``; the roots that may lie in the band, merged when nearby
-    circles give the same one, are polished by Newton steps on h's Taylor
-    expansion about them.  Zeros the search misses are left to the doubling
-    ladder.
+    cluster's half-width.  The dips are the local minima of |h|^p, which are
+    those of |h|, and each gives the two roots of ``dip_roots`` through its
+    ``dip_stencils``; the roots that may lie in the band (the fit's depths
+    may be off by 0.3 steps), merged when nearby circles give the same one,
+    are polished by Newton steps on h's Taylor expansion about them.  Zeros
+    the search misses are left to the doubling ladder.
     """
     step = 2.0 * np.pi / q
     band, cell = ZERO_BAND * WINDOW_EDGE * step, 0.25 * step
@@ -300,8 +367,8 @@ def _groups(keys):
 
 
 class _ZeroWindows:
-    """Windows phi around the zeros of h near the circles the ladder has not
-    settled, and the integrals of phi |h|^p over them.
+    """Windows phi around the zeros of h near the circles ``_power_means``
+    searched, and the integrals of phi |h|^p over them.
 
     M_p^p(r) = mean (1 - sum phi) |h|^p + sum mean phi |h|^p.  The first part
     has no near zero left: the FFT trapezoid and its ladder keep it, with the
@@ -660,14 +727,17 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     the value settles.  The first check compares the mean over the q
     samples with the mean over their even-indexed half, which is the q/2
     grid; each doubling q -> 2q samples only the q new odd points and
-    averages them in, so no sample is computed twice.  Radii the first
-    check leaves unsettled, or (without ``masses``) whose samples dip toward
-    a zero, get a ``_ZeroWindows`` from the dips the first pass keeps: the means
-    of those with windows become the masked trapezoid means plus the window
-    integrals, and they join the unsettled ones on the ladder.  A radius
-    cannot settle while what the grid may still miss of its windows exceeds
-    1e-2 of its budget, nor (without ``masses``) while q d < ZERO_CLEARANCE,
-    d the log distance to the nearest zero found outside its windows.
+    averages them in, so no sample is computed twice.  The first pass only
+    samples: this function alone picks the circles that ``_near_zeros``
+    searches, those the first check leaves unsettled or, without
+    ``masses``, every circle of radius > 0, since near a zero the q and q/2
+    means may agree by chance.  The zeros found near them get
+    ``_ZeroWindows``: the means of the circles with windows become the
+    masked trapezoid means plus the window integrals, and they join the
+    unsettled ones on the ladder.  A radius cannot settle while what the
+    grid may still miss of its windows exceeds 1e-2 of its budget, nor
+    (without ``masses``) while q d < ZERO_CLEARANCE, d the log distance to
+    the nearest zero found outside its windows.
     Unsettled radii keep doubling up to the cap.
     """
     a, g, coeffs = _factored(coeffs, degree)
@@ -702,13 +772,7 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
         if not sample.size:
             return values
     q = settings.q_for(degree)
-    # budgeted means skip the guards against chance agreements near zeros
-    # (the dip search and ZERO_CLEARANCE), which would cost a fractional-p
-    # Bergman norm about 40% more: their budgets are left to absorb them
-    guarded = masses is None
-    dip_depth = ZERO_BAND * WINDOW_EDGE + DIP_SLACK if guarded else 0.0
-    means, coarse, (kept, rowmax, dips) = circle_power_means(
-        coeffs, radii[sample], p, q, even=True, dip_depth=dip_depth)
+    means, coarse, rowmax = circle_power_means(coeffs, radii[sample], p, q, even=True)
     values[sample] = lift[sample] * means
     _check_representable(values, radii ** (1.0 / g), p)
     # means this far below the batch maximum cannot move the norm, and their
@@ -727,15 +791,17 @@ def _power_means(coeffs, radii, p, degree, settings, masses=None):
     unsettled = np.abs(values[sample] - lift[sample] * coarse) > budget(values[sample], sample)
     active = sample[unsettled]
     windows = None
-    # the first pass keeps every unsettled circle, but for rounding at the
-    # margin of its relative test; those keep the ladder.  It also keeps the
-    # circles that dip toward a zero: with a zero on the circle the q and q/2
-    # means may agree by chance however far both are off
-    search = unsettled[kept] | dips
-    if np.any(search) and degree:
-        circles = kept[search]
+    # with a zero on the circle the q and q/2 means may agree by chance however
+    # far both are off, so without a budget every circle is searched and the
+    # dip fit alone judges it.  Budgeted means skip that guard and
+    # ZERO_CLEARANCE, which would cost a fractional-p Bergman norm about 40%
+    # more: their budgets are left to absorb chance agreements, and only the
+    # circles they leave unsettled are searched
+    guarded = masses is None
+    circles = np.flatnonzero((radii[sample] > 0.0) & (guarded | unsettled))
+    if circles.size and degree:
         zeros = _near_zeros(coeffs, radii[sample], circles, p, q)
-        windows = _ZeroWindows(coeffs, radii, p, q, sample[circles], rowmax[search], zeros)
+        windows = _ZeroWindows(coeffs, radii, p, q, sample[circles], rowmax[circles], zeros)
     if windows:
         # the masked pass, not direct values, takes the window samples out: near
         # a zero both hold only rounding, which |h|^p for p < 1 magnifies

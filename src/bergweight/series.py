@@ -16,15 +16,15 @@ products of their term ratios, as a standard weight's odd moments are.  Circle s
 batched ``numpy.fft`` transforms, done in place in a per-thread workspace,
 in blocks of at most BLOCK_ENTRIES samples: the working-set budget that
 every batched kernel of the fractional-p means reads.  The workspace also
-serves the norms' tables built while no samples are live.  The first pass
-keeps no samples: it finds the dips of |f| on the powers |f|^p it holds,
-and the zero search samples again only the circles it reads, gathering
-the stencils of their dips alone.
+serves the norms' tables built while no samples are live.  The sampler
+keeps no samples past their block and judges none: which circles a zero
+search reads is decided by the norms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 import numpy as np
@@ -53,6 +53,7 @@ class TaylorSeries:
 
     @classmethod
     def monomial(cls, n, c=1.0):
+        n = integer(n, "monomial degree")
         if n < 0:
             raise DomainError(f"monomial degree must be >= 0, got {n}")
         arr = np.zeros(n + 1, dtype=complex)
@@ -100,6 +101,14 @@ class TaylorSeries:
 
     def __repr__(self):
         return f"<TaylorSeries deg={self.degree} len={len(self)}>"
+
+
+def integer(value, what):
+    """``value`` as an int, refused unless it is a Python or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _multiplied(f, multipliers):
@@ -165,16 +174,18 @@ def evaluate_circle(f, r, q):
     """Values f(r e^{2 pi i j/q}), j = 0..q-1, via an FFT at roots of unity:
     the one row of ``_circle_batches`` times its row maximum, which is also
     a copy out of the thread's workspace."""
+    q = integer(q, "sample count")
     if q < 1:
         raise DomainError(f"sample count must be >= 1, got {q}")
+    if q > 4 * MAX_SERIES_LENGTH:
+        raise ResourceError(f"sample count {q} is past the budget of {4 * MAX_SERIES_LENGTH}")
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {r!r}")
     [(_, values, rowmax, _, _)] = _circle_batches(f.coeffs, np.array([r]), q)
     return values[0] * rowmax[0]
 
 
-#: relative tolerance of the circle means' doubling ladder; the first check
-#: keeps the dips of the circles it may leave unsettled
+#: relative tolerance of the circle means' doubling ladder
 CIRCLE_DOUBLING_TOL = 1e-9
 #: the working-set budget of every batched kernel behind the fractional-p
 #: means: a block holds about this many complex entries (1 MiB, L2-sized) of
@@ -294,8 +305,7 @@ def _circle_batches(coeffs, radii, q, half_step=False):
         yield rows, values, rowmax, dead, scratch
 
 
-def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=None,
-                       dip_depth=0.0):
+def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=None):
     """mean_j |f(r e^{2 pi i j/q})|^p for each radius, batched over radii.
 
     This is the workhorse behind the norm computations: one scaled
@@ -303,13 +313,11 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     ``half_step`` turns the grid by half a step, to r e^{pi i (2j+1)/q}: the
     odd samples of the 2q grid, from the same size-q FFT of c_n e^{pi i n/q}.
     The samples are f / rowmax, rowmax = max_n r^n |c_n|, so a mean
-    overflows only when rowmax^p does.  ``even`` runs the doubling ladder's
-    first check: it also returns the mean over the even-indexed samples,
-    which are the samples of the q/2 grid, and (rows, rowmax, dips) of the
-    rows whose two means differ by more than CIRCLE_DOUBLING_TOL relative
-    or that ``_dips`` flags within ``dip_depth`` grid steps (dips True).
-    No block's samples outlive it: a zero search samples again the few of
-    those circles it reads.
+    overflows only when rowmax^p does.  ``even`` serves the doubling
+    ladder's first check: it returns (means, coarse, rowmax) for every
+    radius, coarse the mean over the even-indexed samples, which are the
+    samples of the q/2 grid.  No block's samples outlive it; what to do
+    with the two means is the caller's choice.
     ``mask``, a function of a block's slice of the radii that returns
     (rows, columns, weights) for that block, rows counted from the block's
     start, takes the mean of (1 - w_ij) |f_ij|^p instead, w_ij the weight
@@ -319,7 +327,6 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
     out = np.empty(radii.size, dtype=float)
     if even:
         out_even, peak = np.empty(radii.size), np.empty(radii.size)
-        keep, dips = np.zeros(radii.size, dtype=bool), np.zeros(radii.size, dtype=bool)
     for rows, values, rowmax, dead, scratch in _circle_batches(coeffs, radii, q, half_step):
         powered = _abs_power(values, p, scratch)
         # past the double range the means come out inf or nan; the norms refuse them
@@ -331,114 +338,9 @@ def circle_power_means(coeffs, radii, p, q, half_step=False, even=False, mask=No
             scale = rowmax**p
             out[rows] = np.where(dead, 0.0, sums * (scale / q))
             if even:
-                means = np.mean(powered[:, ::2], axis=1)
-                out_even[rows] = np.where(dead, 0.0, means * scale)
-                if dip_depth > 0.0:
-                    # |f|^p increases with |f|, so its local minima are those of |f|
-                    dips[rows] = ~dead & _dips(values, local_minima(powered), dip_depth)
-                keep[rows] = dips[rows] | (np.abs(out[rows] - out_even[rows])
-                                           > CIRCLE_DOUBLING_TOL * np.abs(out[rows]))
+                out_even[rows] = np.where(dead, 0.0, np.mean(powered[:, ::2], axis=1) * scale)
                 peak[rows] = rowmax
-    if not even:
-        return out
-    return out, out_even, (np.nonzero(keep)[0], peak[keep], dips[keep])
-
-
-def local_minima(mag):
-    """(row, j) of every local minimum of the rows of ``mag``, in row-major
-    order: mag[j] <= mag[j - 1] and mag[j] < mag[j + 1], j cyclic."""
-    low = np.empty(mag.shape, dtype=bool)
-    np.less_equal(mag[:, 1:], mag[:, :-1], out=low[:, 1:])
-    np.less_equal(mag[:, 0], mag[:, -1], out=low[:, 0])
-    low[:, :-1] &= mag[:, :-1] < mag[:, 1:]
-    low[:, -1] &= mag[:, -1] < mag[:, 0]
-    return np.nonzero(low)
-
-
-def _dips(values, minima, depth):
-    """The rows of the samples ``values`` on which a zero of f may lie
-    within ``depth`` grid steps (in log modulus) of the circle.
-
-    At each local minimum (row, j) of |f| (``minima``), the quadratic in the
-    angle through f there and at its two neighbours has roots t, in steps
-    from the minimum, with Im t about the depth of a zero behind the dip.
-    A row is flagged when the root nearer the minimum, or the other one
-    within two steps of it, has |Im t| < depth.
-    """
-    q = values.shape[1]
-    row, j = minima
-    before, at, after = (values[row, (j + k) % q] for k in (-1, 0, 1))
-    slope, bend = 0.5 * (after - before), 0.5 * (after + before) - at
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        near = nearer_root(at, slope, bend)
-        # the other root, of a second zero within the fit's reach of the dip
-        other = at / (bend * near)
-        found = (np.abs(near.imag) < depth) | ((np.abs(other.imag) < depth)
-                                               & (np.abs(other.real) < 2.0))
-    out = np.zeros(values.shape[0], dtype=bool)
-    out[row[found]] = True
-    return out
-
-
-def nearer_root(c0, c1, c2):
-    """The root of c0 + c1 t + c2 t^2 nearer 0, without cancellation."""
-    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    disc = np.where((np.conj(c1) * disc).real < 0.0, -disc, disc)
-    return -2.0 * c0 / (c1 + disc)
-
-
-def dip_stencils(values, row, j):
-    """The dips (row, j) of |f| among the samples ``values`` (rows of one
-    grid), some of its ``local_minima``, as (row, j, stencils): j as int32,
-    and the samples at j - 2..j + 2 around each, a (5, dips) array in single
-    precision, which locates the dips well enough (the roots are polished on
-    f) and halves what they hold.  Only the gathered samples are cast.
-    """
-    q = values.shape[1]
-    stencils = np.empty((5, row.size), dtype=np.complex64)
-    for k in range(5):
-        stencils[k] = values[row, (j + k - 2) % q]
-    return row, j.astype(np.int32), stencils
-
-
-def dip_roots(stencils):
-    """Two roots t per dip of the (5, dips) ``stencils``, in grid steps from
-    the minimum: Im t is about the log distance of a zero of f behind it.
-
-    The quartic in the angle through the five samples at t = -2..2 has a
-    root near the angle of the zero behind the dip; Newton steps on the
-    quartic, started from the root of its quadratic part, find it, and then
-    the root of the deflated cubic nearer the minimum, for a second zero
-    behind the same dip (two zeros a step or so apart leave one dip).  The
-    first roots of all dips come first, then the second ones; a fit that
-    fails gives inf or nan.
-    """
-    f = stencils.astype(complex)
-    # the quartic a0 + a1 t + ... + a4 t^4 through t = -2..2
-    a0 = f[2]
-    a1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
-    a2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / 24.0
-    a3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 12.0
-    a4 = (f[0] - 4.0 * f[1] + 6.0 * f[2] - 4.0 * f[3] + f[4]) / 24.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        quartic = [a0, a1, a2, a3, a4]
-        t = _newton(quartic, nearer_root(a0, a1, a2))
-        # the root nearer 0 of the cubic left by deflating t
-        cubic = [a4]
-        for a in quartic[3:0:-1]:
-            cubic.insert(0, a + t * cubic[0])
-        return np.concatenate([t, _newton(cubic, nearer_root(*cubic[:3]))])
-
-
-def _newton(coeffs, t, steps=4):
-    """``steps`` Newton steps from t on the polynomial sum_k coeffs[k] t^k."""
-    for _ in range(steps):
-        value, slope = coeffs[-1], 0.0
-        for c in coeffs[-2::-1]:
-            slope = slope * t + value
-            value = value * t + c
-        t = t - value / slope
-    return t
+    return (out, out_even, peak) if even else out
 
 
 def horner(coeffs, z):

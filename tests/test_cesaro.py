@@ -153,8 +153,9 @@ def test_block_vanishes_off_support():
 
 def test_block_index_validation():
     basis = build_basis(2, 63)
-    with pytest.raises(DomainError):
-        block(TaylorSeries.monomial(1), basis, basis.top_index + 1)
+    for n in (basis.top_index + 1, -1, 1.5, np.float64(1.0)):
+        with pytest.raises(DomainError):
+            block(TaylorSeries.monomial(1), basis, n)
 
 
 # ---------------------------------------------------------------------------

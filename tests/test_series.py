@@ -58,6 +58,10 @@ def test_rejects_non_finite_coefficients():
         TaylorSeries([float("inf")])
     with pytest.raises(DomainError):
         TaylorSeries([])
+    for n in (-1, 2.5, np.float64(2.0)):
+        with pytest.raises(DomainError):
+            TaylorSeries.monomial(n)
+    assert TaylorSeries.monomial(np.int64(2)).degree == 2
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +304,16 @@ def test_evaluate_circle_aliases_when_undersampled():
 
 
 def test_evaluate_circle_validation():
+    f = TaylorSeries([1.0])
     with pytest.raises(DomainError):
-        evaluate_circle(TaylorSeries([1.0]), 1.1, 4)
-    with pytest.raises(DomainError):
-        evaluate_circle(TaylorSeries([1.0]), 0.5, 0)
+        evaluate_circle(f, 1.1, 4)
+    for q in (0, 2.5, np.float64(8.0), "8"):
+        with pytest.raises(DomainError):
+            evaluate_circle(f, 0.5, q)
+    # refused before any sample is allocated
+    with pytest.raises(ResourceError):
+        evaluate_circle(f, 0.5, 10**30)
+    assert evaluate_circle(f, 0.5, np.int64(4)).size == 4
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,14 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_means_near_a_zero_modulus_against_mpmath(name):
+    # besides circles within 1e-3 of the zero, circles 0.3 and 0.6 steps of
+    # h's base grid off it in log modulus: at and past the reach of the dip
+    # fit, which keeps the roots within its band plus 0.3 steps
     coeffs, zeros, zero = CASES[name]()
     degree = len(coeffs) - 1
-    radii = abs(zero) - np.array([1e-3, 1e-5, 1e-7, 0.0])
+    step = 2.0 * np.pi / DEFAULT_SETTINGS.q_for(norms._factored(coeffs, degree)[2].size - 1)
+    edges = abs(zero) * np.exp(step * np.array([-0.6, -0.3, 0.3, 0.6]))
+    radii = np.concatenate([abs(zero) - np.array([1e-3, 1e-5, 1e-7, 0.0]), edges])
     for p in (0.5, 1.0, 3.0):
         got = norms._power_means(coeffs, radii, p, degree, DEFAULT_SETTINGS)
         for r, value in zip(radii, got):
@@ -235,9 +240,8 @@ def random_poly(data):
 def test_means_invariant_under_rotations(data):
     # e^{i phi} f(e^{i psi} z) has the same |f| on every circle, turned by psi,
     # so the windows fall elsewhere on the grid and must still give the same
-    # means; a radius the first pass settles without a dip toward a zero gets
-    # no windows and keeps the ladder's 1e-9 (degree 5, seed 0, psi = 1,
-    # p = 3 moves r = 1 by 1.9e-10)
+    # means.  Every circle is searched, and one whose search finds no zero
+    # within its band gets no windows and keeps the ladder's 1e-9
     coeffs = random_poly(data)
     phi, psi = data.draw(st.tuples(st.floats(0.0, 6.28), st.floats(0.0, 6.28)), label="angles")
     p = data.draw(st.sampled_from([0.5, 1.0, 3.0]), label="p")
@@ -406,20 +410,19 @@ def test_fractional_norm_working_set(std1):
 
 
 def test_first_pass_copies_no_block_of_flagged_rows():
-    # a dip depth that no zero exceeds flags every row of one 64-row block of
-    # samples of a degree-255 series; the dips are found on the powers that
-    # the pass holds and only their five samples are gathered.  The traced
-    # peak measured 0.67 MB, against 1.64 MB when the flagged rows were
-    # copied, cast to single precision and rolled
+    # the first pass over one 64-row block of samples of a degree-255 series
+    # keeps three numbers a row and no samples: the zero search samples
+    # again the circles it reads.  The traced peak measured 0.51 MB; a pass
+    # that copies its rows, cast to single precision and rolled, took 1.64 MB
     rng = np.random.default_rng(64)
     coeffs = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     q = DEFAULT_SETTINGS.q_for(255)
     radii = np.linspace(0.9, 1.0, series.BLOCK_ENTRIES // q)
 
     def first_pass():
-        return series.circle_power_means(coeffs, radii, 0.5, q, even=True, dip_depth=1e9)
+        return series.circle_power_means(coeffs, radii, 0.5, q, even=True)
 
-    assert first_pass()[2][0].size == radii.size  # and the workspace is grown
+    assert first_pass()[2].size == radii.size  # and the workspace is grown
     tracemalloc.start()
     try:
         first_pass()
